@@ -155,8 +155,9 @@ class LocalCluster:
             pipe.stop()
         self.hub.close()
 
-    def total_view_changes(self) -> int:
-        return sum(r.view for r in self.replicas.values())
+    def view_changes(self) -> int:
+        """View changes the busiest replica started (one per new view)."""
+        return max(r.counters["view_changes"] for r in self.replicas.values())
 
     def pre_prepare_count(self) -> int:
         total = 0
@@ -274,7 +275,7 @@ def run_benchmark(config: BenchConfig,
         report = RunReport()
         report.completed = len(lat)
         report.failed = sum(d.failed for d in drivers)
-        report.view_changes = cluster.total_view_changes()
+        report.view_changes = cluster.view_changes()
         report.pre_prepares = cluster.pre_prepare_count()
         report.rejected = sum(p.rejected for p in cluster.pipelines.values())
         leader_metrics = cluster.metrics[0]

@@ -18,11 +18,12 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
-from . import crypto
+from . import crypto, wire
 from .wire import (Certificate, MessageKind, NewViewBody, PrePrepareBody,
                    ReplyBody, Request, ViewChangeBody, WireEnvelope,
-                   batch_digest, request_envelope)
+                   batch_digest, request_envelope, request_from_envelope)
 
 DEFAULT_CHECKPOINT_INTERVAL = 500
 DEFAULT_LOG_CAPACITY = 10_000
@@ -97,17 +98,13 @@ class ProtocolOutput:
     timer_stops: list = field(default_factory=list)  # key
     block_signatures: list = field(default_factory=list)  # (seq, signature)
 
-    def merge(self, other: "ProtocolOutput"):
-        self.outbound += other.outbound
-        self.commits += other.commits
-        self.timer_starts += other.timer_starts
-        self.timer_stops += other.timer_stops
-        self.block_signatures += other.block_signatures
-        return self
-
 
 class Replica:
-    """One node's protocol engine. Not thread-safe; single owner only."""
+    """One node's protocol engine. Not thread-safe; single owner only.
+
+    Each public entry point returns a fresh :class:`ProtocolOutput`; the
+    internal handlers all append their effects to that one accumulator.
+    """
 
     def __init__(self, config: ReplicaConfig, keystore=None,
                  request_verifier=None, vc_verifier=None, tracer=None):
@@ -159,7 +156,8 @@ class Replica:
     def is_leader(self) -> bool:
         return primary(self.view, self.config.n) == self.config.self_id
 
-    def _peers(self):
+    @cached_property
+    def _peers(self) -> tuple:
         return tuple(i for i in range(self.config.n) if i != self.config.self_id)
 
     def _entry(self, seq: int) -> LogEntry:
@@ -191,39 +189,34 @@ class Replica:
 
     def on_envelope(self, env: WireEnvelope) -> ProtocolOutput:
         """Dispatch one verified envelope."""
-        handlers = {
-            MessageKind.REQUEST: self._on_request_envelope,
-            MessageKind.PRE_PREPARE: self.on_pre_prepare,
-            MessageKind.PREPARE: self.on_prepare,
-            MessageKind.COMMIT: self.on_commit,
-            MessageKind.CHECKPOINT: self.on_checkpoint,
-            MessageKind.VIEW_CHANGE: self.on_view_change,
-            MessageKind.NEW_VIEW: self.on_new_view,
-        }
-        handler = handlers.get(env.kind)
+        out = ProtocolOutput()
+        self._dispatch(env, out)
+        return out
+
+    def _dispatch(self, env: WireEnvelope, out: ProtocolOutput):
+        handler = _HANDLERS.get(env.kind)
         if handler is None:
             self.counters["rejected"] += 1
-            return ProtocolOutput()
-        return handler(env)
+        else:
+            handler(self, env, out)
 
     def on_timeout(self, key) -> ProtocolOutput:
+        out = ProtocolOutput()
         if key[0] == "batch":
-            return self._flush_batch()
-        if key[0] == "request":
+            self._flush_batch(out)
+        elif key[0] == "request":
             _, client, rid = key
             self.watching.discard((client, rid))
             # Escalation while a view change is already in flight is the
             # new_view timer's job, not the per-request timers'.
             if (self.mode == Mode.NORMAL
                     and not self._is_committed_request(client, rid)):
-                return self.start_view_change()
-            return ProtocolOutput()
-        if key[0] == "new_view":
+                self._start_view_change(out)
+        elif key[0] == "new_view":
             # NEW_VIEW for the pending view never arrived; try the next one.
             if self.mode == Mode.VIEW_CHANGING and key[1] == self._pending_view:
-                return self.start_view_change()
-            return ProtocolOutput()
-        return ProtocolOutput()
+                self._start_view_change(out)
+        return out
 
     # -- client requests ---------------------------------------------------
 
@@ -231,17 +224,20 @@ class Replica:
         cached = self.reply_cache.get(client)
         return cached is not None and cached[0] >= rid
 
-    def _on_request_envelope(self, env: WireEnvelope) -> ProtocolOutput:
-        from .wire import request_from_envelope
+    def _on_request_envelope(self, env: WireEnvelope, out: ProtocolOutput):
         try:
             req = request_from_envelope(env)
         except Exception:
             self.counters["rejected"] += 1
-            return ProtocolOutput()
-        return self.on_request(req)
+            return
+        self._on_request(req, out)
 
     def on_request(self, req: Request) -> ProtocolOutput:
         out = ProtocolOutput()
+        self._on_request(req, out)
+        return out
+
+    def _on_request(self, req: Request, out: ProtocolOutput):
         key = (req.client_id, req.request_id)
         cached = self.reply_cache.get(req.client_id)
         if cached is not None and cached[0] == req.request_id:
@@ -250,14 +246,14 @@ class Replica:
                                  self._env(MessageKind.REPLY,
                                            cached[1].encode(),
                                            seq=cached[1].seq)))
-            return out
+            return
         if cached is not None and cached[0] > req.request_id:
-            return out  # stale duplicate
+            return  # stale duplicate
         if self.mode == Mode.VIEW_CHANGING:
             if key not in self.deferred_keys:
                 self.deferred_keys.add(key)
                 self.deferred.append(req)
-            return out
+            return
         if not self.is_leader:
             out.outbound.append(((primary(self.view, self.config.n),),
                                  request_envelope(req)))
@@ -265,21 +261,19 @@ class Replica:
                 self.watching.add(key)
                 out.timer_starts.append((("request", req.client_id, req.request_id),
                                          self.config.view_change_timeout))
-            return out
+            return
         if key in self.assigned or key in self.deferred_keys:
-            return out
+            return
         self.assigned[key] = -1
         self.pending_batch.append(req)
         if len(self.pending_batch) >= self.config.batch_size:
-            out.merge(self._flush_batch())
+            self._flush_batch(out)
         elif len(self.pending_batch) == 1:
             out.timer_starts.append((("batch",), self.config.batch_timeout))
-        return out
 
-    def _flush_batch(self) -> ProtocolOutput:
-        out = ProtocolOutput()
+    def _flush_batch(self, out: ProtocolOutput):
         if not self.pending_batch or self.mode != Mode.NORMAL:
-            return out
+            return
         out.timer_stops.append(("batch",))
         if not self._in_window(self.next_seq):
             # Window full: defer until a checkpoint frees sequence space.
@@ -289,7 +283,7 @@ class Replica:
                 self.deferred_keys.add(key)
                 self.deferred.append(req)
             self.pending_batch = []
-            return out
+            return
         batch = tuple(self.pending_batch[:self.config.batch_size])
         self.pending_batch = self.pending_batch[self.config.batch_size:]
         seq = self.next_seq
@@ -303,40 +297,38 @@ class Replica:
         entry.prepare_votes.setdefault(body.digest, {})[self.config.self_id] = frame
         self.counters["pre_prepares"] += 1
         self._trace("pre_prepare", seq=seq, batch=len(batch))
-        out.outbound.append((self._peers(), env))
+        out.outbound.append((self._peers, env))
         for req in batch:
             self.assigned[(req.client_id, req.request_id)] = seq
             out.timer_starts.append((("request", req.client_id, req.request_id),
                                      self.config.view_change_timeout))
         if self.pending_batch:
             out.timer_starts.append((("batch",), self.config.batch_timeout))
-        out.merge(self._check_progress(seq))
-        return out
+        self._check_progress(seq, out)
 
     # -- normal case -------------------------------------------------------
 
-    def on_pre_prepare(self, env: WireEnvelope) -> ProtocolOutput:
-        out = ProtocolOutput()
+    def _on_pre_prepare(self, env: WireEnvelope, out: ProtocolOutput):
         if env.view != self.view or self.mode != Mode.NORMAL:
             if env.view > self.view:
                 self.future.setdefault(env.view, []).append(env)
             else:
                 self.counters["rejected"] += 1
-            return out
+            return
         if env.sender != primary(self.view, self.config.n):
             self.counters["rejected"] += 1
-            return out
+            return
         if not self._in_window(env.seq):
             self.counters["rejected"] += 1
-            return out
+            return
         try:
             body = PrePrepareBody.decode(env.payload)
         except Exception:
             self.counters["rejected"] += 1
-            return out
+            return
         if not body.batch or body.digest != batch_digest(body.batch):
             self.counters["rejected"] += 1
-            return out
+            return
         entry = self._entry(env.seq)
         if entry.body is not None:
             if entry.digest != body.digest:
@@ -346,10 +338,10 @@ class Replica:
                 self.equivocation.append((env.view, env.seq, entry.digest,
                                           body.digest, env.signing_bytes()))
                 self._trace("equivocation", seq=env.seq)
-            return out
+            return
         if not all(self._verify_request(r) for r in body.batch):
             self.counters["rejected"] += 1
-            return out
+            return
         entry.view, entry.body, entry.status = env.view, body, Status.PRE_PREPARED
         entry.pre_prepare_frame = env.signing_bytes()
         entry.prepare_votes.setdefault(body.digest, {})[env.sender] = \
@@ -365,61 +357,52 @@ class Replica:
         prep = self._env(MessageKind.PREPARE, body.digest, seq=env.seq)
         entry.prepare_votes[body.digest][self.config.self_id] = prep.signing_bytes()
         entry.prepare_sent = True
-        out.outbound.append((self._peers(), prep))
+        out.outbound.append((self._peers, prep))
         self._trace("accept_pre_prepare", seq=env.seq)
-        out.merge(self._check_progress(env.seq))
-        return out
+        self._check_progress(env.seq, out)
 
-    def on_prepare(self, env: WireEnvelope) -> ProtocolOutput:
-        return self._on_vote(env, is_commit=False)
-
-    def on_commit(self, env: WireEnvelope) -> ProtocolOutput:
-        return self._on_vote(env, is_commit=True)
-
-    def _on_vote(self, env: WireEnvelope, is_commit: bool) -> ProtocolOutput:
-        out = ProtocolOutput()
+    def _on_vote(self, env: WireEnvelope, out: ProtocolOutput):
+        """A PREPARE or COMMIT vote; the payload is the voted digest."""
         if env.view != self.view or self.mode != Mode.NORMAL:
             if env.view > self.view:
                 self.future.setdefault(env.view, []).append(env)
             else:
                 self.counters["rejected"] += 1
-            return out
+            return
         if not self._in_window(env.seq) or len(env.payload) != 32:
             self.counters["rejected"] += 1
-            return out
+            return
         entry = self._entry(env.seq)
-        votes = entry.commit_votes if is_commit else entry.prepare_votes
-        votes.setdefault(env.payload, {}).setdefault(env.sender,
-                                                     env.signing_bytes())
-        out.merge(self._check_progress(env.seq))
-        return out
+        votes = (entry.commit_votes if env.kind == MessageKind.COMMIT
+                 else entry.prepare_votes).setdefault(env.payload, {})
+        if env.sender not in votes:
+            votes[env.sender] = env.signing_bytes()
+        self._check_progress(env.seq, out)
 
-    def _check_progress(self, seq: int) -> ProtocolOutput:
+    def _check_progress(self, seq: int, out: ProtocolOutput):
         """Drive an entry through prepared -> committed as quorums complete."""
-        out = ProtocolOutput()
         entry = self.log.get(seq)
-        if entry is None or entry.body is None:
-            return out
+        if (entry is None or entry.body is None
+                or entry.status == Status.COMMITTED):
+            return
         q = self.config.quorum
-        pv = entry.prepare_votes.get(entry.digest, {})
-        if (entry.status == Status.PRE_PREPARED and len(pv) >= q
-                and not entry.commit_sent):
+        digest = entry.body.digest
+        if (entry.status == Status.PRE_PREPARED and not entry.commit_sent
+                and len(entry.prepare_votes.get(digest, ())) >= q):
             entry.status = Status.PREPARED
             entry.commit_sent = True
-            com = self._env(MessageKind.COMMIT, entry.digest, seq=seq,
+            com = self._env(MessageKind.COMMIT, digest, seq=seq,
                             view=entry.view)
-            entry.commit_votes.setdefault(entry.digest, {})[self.config.self_id] = \
+            entry.commit_votes.setdefault(digest, {})[self.config.self_id] = \
                 com.signing_bytes()
-            out.outbound.append((self._peers(), com))
+            out.outbound.append((self._peers, com))
             self._trace("prepared", seq=seq)
-        cv = entry.commit_votes.get(entry.digest, {})
-        if entry.status == Status.PREPARED and len(cv) >= q:
-            out.merge(self._try_commit())
-        return out
+        if (entry.status == Status.PREPARED
+                and len(entry.commit_votes.get(digest, ())) >= q):
+            self._try_commit(out)
 
-    def _try_commit(self) -> ProtocolOutput:
+    def _try_commit(self, out: ProtocolOutput):
         """Commit eligible entries strictly in sequence order."""
-        out = ProtocolOutput()
         q = self.config.quorum
         while True:
             seq = self.committed_seq + 1
@@ -445,8 +428,7 @@ class Replica:
                 out.timer_stops.append(("request", req.client_id,
                                         req.request_id))
             self._trace("committed", seq=seq, batch=len(entry.body.batch))
-            out.merge(self.maybe_checkpoint())
-        return out
+            self._maybe_checkpoint(out)
 
     # -- checkpointing -----------------------------------------------------
 
@@ -458,42 +440,37 @@ class Replica:
             h.update(reply.encode())
         return h.digest()
 
-    def maybe_checkpoint(self) -> ProtocolOutput:
-        out = ProtocolOutput()
+    def _maybe_checkpoint(self, out: ProtocolOutput):
         seq = self.committed_seq
         if seq % self.config.checkpoint_interval != 0 or seq == 0:
-            return out
+            return
         if seq in self.checkpoint_sent:
-            return out
+            return
         self.checkpoint_sent.add(seq)
         sd = self._state_digest(seq)
         env = self._env(MessageKind.CHECKPOINT, sd, seq=seq)
         self.checkpoints.setdefault(seq, {})[self.config.self_id] = \
             (sd, env.signing_bytes())
-        out.outbound.append((self._peers(), env))
+        out.outbound.append((self._peers, env))
         self._trace("checkpoint", seq=seq)
         if (self.config.mode == crypto.CryptoMode.DOMAIN_OPTIMIZED
                 and self.keystore is not None):
             # Periodic PK block signature over the checkpointed range so
             # third parties can audit the log at coarse granularity.
             out.block_signatures.append((seq, self.keystore.sign(sd)))
-        out.merge(self._advance_watermark(seq))
-        return out
+        self._advance_watermark(seq, out)
 
-    def on_checkpoint(self, env: WireEnvelope) -> ProtocolOutput:
-        out = ProtocolOutput()
+    def _on_checkpoint(self, env: WireEnvelope, out: ProtocolOutput):
         if len(env.payload) != 32 or env.seq <= self.h:
-            return out
+            return
         self.checkpoints.setdefault(env.seq, {})[env.sender] = \
             (env.payload, env.signing_bytes())
-        out.merge(self._advance_watermark(env.seq))
-        return out
+        self._advance_watermark(env.seq, out)
 
-    def _advance_watermark(self, seq: int) -> ProtocolOutput:
-        out = ProtocolOutput()
+    def _advance_watermark(self, seq: int, out: ProtocolOutput):
         votes = self.checkpoints.get(seq, {})
         if seq <= self.h or self.committed_seq < seq:
-            return out
+            return
         by_digest = {}
         for sender, (d, frame) in votes.items():
             by_digest.setdefault(d, []).append((sender, frame))
@@ -513,25 +490,27 @@ class Replica:
                 self.checkpoint_sent = {s for s in self.checkpoint_sent
                                         if s > seq}
                 self._trace("stable_checkpoint", seq=seq)
-                out.merge(self._retry_deferred())
+                self._retry_deferred(out)
                 break
-        return out
 
-    def _retry_deferred(self) -> ProtocolOutput:
-        out = ProtocolOutput()
+    def _retry_deferred(self, out: ProtocolOutput):
         if self.mode != Mode.NORMAL:
-            return out
+            return
         deferred, self.deferred = self.deferred, []
         self.deferred_keys.clear()
         for req in deferred:
-            out.merge(self.on_request(req))
-        return out
+            self._on_request(req, out)
 
     # -- view change -------------------------------------------------------
 
     def start_view_change(self) -> ProtocolOutput:
-        return self._enter_view_change(self.view + 1 if self.mode == Mode.NORMAL
-                                       else self._pending_view + 1)
+        out = ProtocolOutput()
+        self._start_view_change(out)
+        return out
+
+    def _start_view_change(self, out: ProtocolOutput):
+        self._enter_view_change(self.view + 1 if self.mode == Mode.NORMAL
+                                else self._pending_view + 1, out)
 
     def _prepared_set(self):
         entries = []
@@ -544,10 +523,9 @@ class Replica:
                                 entry.prepare_cert()))
         return tuple(entries)
 
-    def _enter_view_change(self, target: int) -> ProtocolOutput:
-        out = ProtocolOutput()
+    def _enter_view_change(self, target: int, out: ProtocolOutput):
         if self.mode == Mode.VIEW_CHANGING and target <= self._pending_view:
-            return out
+            return
         if self.mode == Mode.NORMAL:
             self.vc_attempts = 0
         self.mode = Mode.VIEW_CHANGING
@@ -556,7 +534,7 @@ class Replica:
         body = ViewChangeBody(target, self.h, self.stable_proof,
                               self._prepared_set())
         env = self._env(MessageKind.VIEW_CHANGE, body.encode(), view=target)
-        out.outbound.append((self._peers(), env))
+        out.outbound.append((self._peers, env))
         # Exponent cap keeps a lone stalled replica's backoff finite; without
         # state transfer it cannot rejoin anyway and must not overflow time.
         delay = self.config.view_change_timeout * (2 ** min(self.vc_attempts, 24))
@@ -567,22 +545,20 @@ class Replica:
         # already hold a quorum from earlier arrivals.
         self.vc_messages.setdefault(target, {})[self.config.self_id] = \
             (body, env)
-        out.merge(self._maybe_new_view(target))
-        return out
+        self._maybe_new_view(target, out)
 
-    def on_view_change(self, env: WireEnvelope) -> ProtocolOutput:
-        out = ProtocolOutput()
+    def _on_view_change(self, env: WireEnvelope, out: ProtocolOutput):
         target = env.view
         if target <= self.view:
-            return out
+            return
         try:
             body = ViewChangeBody.decode(env.payload)
         except Exception:
             self.counters["rejected"] += 1
-            return out
+            return
         if body.new_view != target or not self._valid_view_change(body):
             self.counters["rejected"] += 1
-            return out
+            return
         self.vc_messages.setdefault(target, {})[env.sender] = (body, env)
         # Liveness: join the view change once f+1 others are attempting it.
         current_target = self._pending_view if self.mode == Mode.VIEW_CHANGING \
@@ -591,10 +567,9 @@ class Replica:
             others = [s for s in self.vc_messages.get(target, {})
                       if s != self.config.self_id]
             if len(others) >= self.config.f + 1:
-                out.merge(self._enter_view_change(target))
-                return out
-        out.merge(self._maybe_new_view(target))
-        return out
+                self._enter_view_change(target, out)
+                return
+        self._maybe_new_view(target, out)
 
     def _valid_view_change(self, body: ViewChangeBody) -> bool:
         q = self.config.quorum
@@ -609,16 +584,14 @@ class Replica:
                 return False
         return True
 
-    def _maybe_new_view(self, target: int) -> ProtocolOutput:
-        out = ProtocolOutput()
+    def _maybe_new_view(self, target: int, out: ProtocolOutput):
         if primary(target, self.config.n) != self.config.self_id:
-            return out
+            return
         if self.mode != Mode.VIEW_CHANGING or self._pending_view != target:
-            return out
+            return
         msgs = self.vc_messages.get(target, {})
         if len(msgs) < self.config.quorum:
-            return out
-        from .wire import encode
+            return
         senders = sorted(msgs)[:self.config.quorum]
         vcs = [msgs[s][0] for s in senders]
         reproposals = self._compute_reproposals(vcs)
@@ -629,13 +602,12 @@ class Replica:
                 # Own VIEW_CHANGE must carry its signature in the proof.
                 env = crypto.attach(env, crypto.authenticate(
                     env, (), self.config.mode, self.keystore))
-            frames.append(encode(env))
+            frames.append(wire.encode(env))
         nv_body = NewViewBody(target, tuple(frames), reproposals)
         nv_env = self._env(MessageKind.NEW_VIEW, nv_body.encode(), view=target)
-        out.outbound.append((self._peers(), nv_env))
-        out.merge(self._install_view(target, reproposals, leader=True))
+        out.outbound.append((self._peers, nv_env))
+        self._install_view(target, reproposals, True, out)
         self._trace("new_view", target=target, entries=len(reproposals))
-        return out
 
     def _compute_reproposals(self, vcs):
         """The set O: for every seq above the highest stable checkpoint up
@@ -684,29 +656,26 @@ class Replica:
             return body
         return None
 
-    def on_new_view(self, env: WireEnvelope) -> ProtocolOutput:
-        out = ProtocolOutput()
+    def _on_new_view(self, env: WireEnvelope, out: ProtocolOutput):
         target = env.view
         if target <= self.view or env.sender != primary(target, self.config.n):
-            return out
+            return
         try:
             body = NewViewBody.decode(env.payload)
         except Exception:
             self.counters["rejected"] += 1
-            return out
+            return
         check = self._check_new_view(body)
         if check is None:
             self.counters["rejected"] += 1
             # A provably bad NEW_VIEW from the new leader: move past it.
-            out.merge(self._enter_view_change(target + 1))
-            return out
-        out.merge(self._install_view(target, body.reproposals, leader=False))
+            self._enter_view_change(target + 1, out)
+            return
+        self._install_view(target, body.reproposals, False, out)
         self._trace("adopt_new_view", target=target)
-        return out
 
     def _check_new_view(self, body: NewViewBody):
         """Recompute O from the embedded proof and compare with the leader's."""
-        from .wire import decode
         q = self.config.quorum
         if len(body.view_change_proof) != q:
             return None
@@ -714,7 +683,7 @@ class Replica:
         vcs = []
         for frame in body.view_change_proof:
             try:
-                env = decode(frame)
+                env = wire.decode(frame)
                 vc = ViewChangeBody.decode(env.payload)
             except Exception:
                 return None
@@ -740,8 +709,8 @@ class Replica:
                 return None
         return body.reproposals
 
-    def _install_view(self, target: int, reproposals, leader: bool) -> ProtocolOutput:
-        out = ProtocolOutput()
+    def _install_view(self, target: int, reproposals, leader: bool,
+                      out: ProtocolOutput):
         self.view = target
         self.mode = Mode.NORMAL
         self.vc_attempts = 0
@@ -779,20 +748,31 @@ class Replica:
                 entry.prepare_votes[body.digest][self.config.self_id] = \
                     prep.signing_bytes()
                 entry.prepare_sent = True
-                out.outbound.append((self._peers(), prep))
+                out.outbound.append((self._peers, prep))
         self.next_seq = max(max_seq, self.committed_seq, self.h) + 1
         # Drop stale per-view bookkeeping and replay buffered future traffic.
         for v in [v for v in self.vc_messages if v <= target]:
             del self.vc_messages[v]
         for seq, body in reproposals:
-            out.merge(self._check_progress(seq))
+            self._check_progress(seq, out)
         buffered = self.future.pop(target, [])
         self.future = {v: envs for v, envs in self.future.items() if v > target}
         for env in buffered:
-            out.merge(self.on_envelope(env))
+            self._dispatch(env, out)
         # Requests parked during the view change re-enter the protocol.
-        out.merge(self._retry_deferred())
-        return out
+        self._retry_deferred(out)
+
+
+# Message kind -> handler(replica, envelope, output); REPLY has none.
+_HANDLERS = {
+    MessageKind.REQUEST: Replica._on_request_envelope,
+    MessageKind.PRE_PREPARE: Replica._on_pre_prepare,
+    MessageKind.PREPARE: Replica._on_vote,
+    MessageKind.COMMIT: Replica._on_vote,
+    MessageKind.CHECKPOINT: Replica._on_checkpoint,
+    MessageKind.VIEW_CHANGE: Replica._on_view_change,
+    MessageKind.NEW_VIEW: Replica._on_new_view,
+}
 
 
 def _decode_signing_frame(frame: bytes):
@@ -801,7 +781,6 @@ def _decode_signing_frame(frame: bytes):
     Certificates store the signing-bytes form for votes counted locally and
     the framed form for votes received off the wire; both decode here.
     """
-    from . import wire
     import struct as _struct
     if len(frame) >= 4:
         (prefix,) = _struct.unpack_from("<I", frame)

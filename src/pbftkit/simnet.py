@@ -6,6 +6,11 @@ events pop in a total (time, tiebreak) order, so a given (config, workload)
 always produces the identical trace. Fault adapters script the Byzantine
 behaviors the protocol must survive: crashing, going mute, and an
 equivocating leader that shows different batches to different followers.
+
+Every message still crosses the real codec, but once per send rather than
+once per recipient: a broadcast is encoded and the frame decoded at its
+first destination that passes the partition and drop checks, and every
+recipient's ``deliver`` event carries that one decoded envelope.
 """
 
 from __future__ import annotations
@@ -166,14 +171,21 @@ class World:
                 return True
         return False
 
-    def _transmit(self, src: int, dest: int, env: WireEnvelope):
-        if self._partitioned(src, dest):
-            return
-        if self.config.drop_prob > 0 and \
-                self.rng.random() < self.config.drop_prob:
-            return
-        delay = self.rng.uniform(*self.config.latency)
-        self._push(self.now + delay, ("deliver", src, dest, wire.encode(env)))
+    def _transmit(self, src: int, dests, env: WireEnvelope):
+        """Schedule ``env``'s delivery to each of ``dests``. Links draw their
+        drop and delay in destination order; the codec runs only once a
+        link needs the envelope."""
+        cfg = self.config
+        received = None
+        for dest in dests:
+            if cfg.partitions and self._partitioned(src, dest):
+                continue
+            if cfg.drop_prob > 0 and self.rng.random() < cfg.drop_prob:
+                continue
+            delay = self.rng.uniform(*cfg.latency)
+            if received is None:
+                received = wire.decode(wire.encode(env))
+            self._push(self.now + delay, ("deliver", src, dest, received))
 
     def _authenticated(self, env: WireEnvelope, dests, sender_id: int):
         if not self.config.auth:
@@ -196,9 +208,8 @@ class World:
         if node.fault and node.fault[0] == EQUIVOCATE:
             outbound = self._equivocate(outbound)
         for dests, env in outbound:
-            env = self._authenticated(env, dests, node_id)
-            for dest in dests:
-                self._transmit(node_id, dest, env)
+            self._transmit(node_id, dests,
+                           self._authenticated(env, dests, node_id))
         for key, delay in out.timer_starts:
             gen = self._timer_gen.get((node_id, key), 0) + 1
             self._timer_gen[(node_id, key)] = gen
@@ -248,25 +259,20 @@ class World:
     def _handle(self, item):
         kind = item[0]
         if kind == "deliver":
-            _, src, dest, frame = item
-            if dest in self.nodes:
-                node = self.nodes[dest]
-                if not self._node_alive(node):
+            _, src, dest, env = item
+            node = self.nodes.get(dest)
+            if node is None:
+                self._client_deliver(dest, env)
+                return
+            if not self._node_alive(node):
+                return
+            # Client signatures inside REQUESTs are the replica core's to check.
+            if self.config.auth and env.kind != MessageKind.REQUEST:
+                ks = self.keystores[dest]
+                if not crypto.verify_incoming(env, self.config.mode, ks):
+                    node.replica.counters["rejected"] += 1
                     return
-                try:
-                    env = wire.decode(frame)
-                except wire.WireError:
-                    return
-                if self.config.auth and env.kind != MessageKind.REQUEST:
-                    ks = self.keystores[dest]
-                    if not crypto.verify_incoming(env, self.config.mode, ks):
-                        node.replica.counters["rejected"] += 1
-                        return
-                if env.kind == MessageKind.REQUEST and self.config.client_auth:
-                    pass  # the replica core re-checks client signatures
-                self._dispatch(dest, node.replica.on_envelope(env))
-            else:
-                self._client_deliver(dest, frame)
+            self._dispatch(dest, node.replica.on_envelope(env))
         elif kind == "node_timer":
             _, node_id, key, gen = item
             if self._timer_gen.get((node_id, key)) != gen:
@@ -290,7 +296,7 @@ class World:
         cl.remaining -= 1
         payload = self.rng.randbytes(self.config.payload_size)
         req, env, leader = cl.session.make_request(payload, self.now)
-        self._transmit(cid, leader % self.config.n, env)
+        self._transmit(cid, (leader % self.config.n,), env)
         gen = self._timer_gen.get((cid, req.request_id), 0) + 1
         self._timer_gen[(cid, req.request_id)] = gen
         self._push(self.now + self.config.client_timeout,
@@ -307,19 +313,14 @@ class World:
         if action is None:
             return
         dests, env = action
-        for d in dests:
-            self._transmit(cid, d, env)
+        self._transmit(cid, dests, env)
         gen = self._timer_gen[(cid, rid)] + 1
         self._timer_gen[(cid, rid)] = gen
         self._push(self.now + self.config.client_timeout,
                    ("client_timer", cid, rid, gen))
 
-    def _client_deliver(self, cid: int, frame: bytes):
+    def _client_deliver(self, cid: int, env: WireEnvelope):
         cl = self.clients[cid]
-        try:
-            env = wire.decode(frame)
-        except wire.WireError:
-            return
         done = cl.session.on_reply(env, self.now)
         if done is not None:
             self._timer_gen[(cid, done.request_id)] = \
@@ -332,12 +333,15 @@ class World:
     # -- running and checking ----------------------------------------------
 
     def run(self, until: float = None) -> list:
-        """Drain events until quiescent (or past ``until``); returns trace."""
+        """Drain events until quiescent, or until the next event lies past
+        ``until``; that event stays queued, so a run in time slices takes
+        the same course as one call. Returns the trace."""
         processed = 0
-        while self._events:
-            at, _, item = heapq.heappop(self._events)
-            if until is not None and at > until:
+        events = self._events
+        while events:
+            if until is not None and events[0][0] > until:
                 break
+            at, _, item = heapq.heappop(events)
             self.now = at
             self._handle(item)
             processed += 1

@@ -61,6 +61,9 @@ class MessageKind(IntEnum):
     NEW_VIEW = 7
 
 
+_KINDS = tuple(MessageKind)  # indexed by kind byte; the values run 0..7
+
+
 @dataclass(frozen=True)
 class WireEnvelope:
     kind: MessageKind
@@ -113,10 +116,9 @@ def decode(buf: bytes) -> WireEnvelope:
     if frame_len < _HEAD.size + 2:
         raise Malformed("frame shorter than fixed header")
     kind_b, view, seq, sender, payload_len = _HEAD.unpack_from(buf, 4)
-    try:
-        kind = MessageKind(kind_b)
-    except ValueError:
-        raise UnknownKind(f"kind byte {kind_b:#x}") from None
+    if kind_b >= len(_KINDS):
+        raise UnknownKind(f"kind byte {kind_b:#x}")
+    kind = _KINDS[kind_b]
     off = 4 + _HEAD.size
     if payload_len > frame_len - _HEAD.size - 2:
         raise Malformed("payload_len exceeds frame")

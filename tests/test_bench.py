@@ -2,13 +2,18 @@
 
 import csv
 import random
+import time
+from collections import deque
 from pathlib import Path
 
 import pytest
 
 from pbftkit.bench import cli
-from pbftkit.bench.local import RunReport, build_cdf, percentile
+from pbftkit.bench.inline import InlineCluster
+from pbftkit.bench.local import LocalCluster, RunReport, build_cdf, percentile
+from pbftkit.crypto import CryptoMode
 from pbftkit.simnet import CRASH_AT, EQUIVOCATE, MUTE, SimConfig, World
+from pbftkit.wire import decode, encode
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "pbftkit" / \
     "scenarios"
@@ -198,3 +203,42 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main([])
         assert exc.value.code == 2
+
+
+class TestViewChangeCount:
+    """One view change at n=4 is reported as 1, not as the sum of the
+    replicas' views (4)."""
+
+    def test_inline_cluster(self):
+        cluster = InlineCluster(4, 1, CryptoMode.DOMAIN_OPTIMIZED, auth=False)
+        reps = cluster.replicas
+        pending = deque()
+
+        def emit(out):
+            pending.extend((d, env) for dests, env in out.outbound
+                           for d in dests)
+
+        for rep in reps.values():
+            emit(rep.start_view_change())
+        while pending:
+            dest, env = pending.popleft()
+            emit(reps[dest].on_envelope(decode(encode(env))))
+        assert {rep.view for rep in reps.values()} == {1}
+        result = cluster.run_closed_loop(20, value_size=16)
+        assert result["completed"] == 20
+        assert result["view_changes"] == 1
+
+    def test_local_cluster(self):
+        cluster = LocalCluster(4, 1, CryptoMode.DOMAIN_OPTIMIZED, auth=False)
+        try:
+            # A request timer that fires uncommitted on every replica.
+            for pipe in cluster.pipelines.values():
+                pipe.timers.start(("request", 99, 0), 0.0)
+            deadline = time.monotonic() + 10.0
+            while (any(r.view != 1 for r in cluster.replicas.values())
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert {r.view for r in cluster.replicas.values()} == {1}
+            assert cluster.view_changes() == 1
+        finally:
+            cluster.stop()

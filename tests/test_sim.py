@@ -29,6 +29,18 @@ class TestDeterminism:
         assert trace_lines(a.trace) == trace_lines(b.trace)
         assert a.committed == b.committed
 
+    def test_sliced_run_matches_single_run(self):
+        cfg = SimConfig(seed=3, num_clients=2, requests_per_client=50, **FAST)
+        whole = World(cfg)
+        whole.run()
+        sliced = World(cfg)
+        horizon = 0.0
+        while sliced._events:
+            horizon += 0.05
+            sliced.run(until=horizon)
+        assert trace_lines(sliced.trace) == trace_lines(whole.trace)
+        assert sliced.committed == whole.committed
+
     def test_different_seed_different_trace(self):
         a = run_world(seed=1, drop_prob=0.05, requests_per_client=20)
         b = run_world(seed=2, drop_prob=0.05, requests_per_client=20)
@@ -140,7 +152,7 @@ class TestAuthenticatedPath:
         from pbftkit.wire import MessageKind, WireEnvelope
         env = WireEnvelope(MessageKind.PREPARE, 0, 1, 2, b"\x00" * 32,
                            auths=((1, b"\x00" * 32),))
-        world._push(0.001, ("deliver", 2, 1, wire.encode(env)))
+        world._push(0.001, ("deliver", 2, 1, wire.decode(wire.encode(env))))
         world.run()
         assert world.nodes[1].replica.counters["rejected"] >= 1
         world.check_agreement()
