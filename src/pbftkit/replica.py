@@ -329,6 +329,11 @@ class Replica:
         if not body.batch or body.digest != batch_digest(body.batch):
             self.counters["rejected"] += 1
             return
+        # A request repeated within one batch would execute twice.
+        if len({(r.client_id, r.request_id) for r in body.batch}) \
+                != len(body.batch):
+            self.counters["rejected"] += 1
+            return
         entry = self._entry(env.seq)
         if entry.body is not None:
             if entry.digest != body.digest:

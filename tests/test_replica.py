@@ -189,6 +189,14 @@ class TestBatching:
         assert not any(e.kind == MessageKind.PRE_PREPARE
                        for _, e in out.outbound)
 
+    def test_batch_repeating_a_request_rejected(self):
+        rep = make_replica()
+        env, _ = pre_prepare(1, [Request(4, 0, b"a"), Request(4, 0, b"a")])
+        out = rep.on_envelope(env)
+        assert not any(e.kind == MessageKind.PREPARE
+                       for _, e in out.outbound)
+        assert rep.counters["rejected"] == 1
+
     def test_follower_forwards_to_leader(self):
         rep = make_replica(self_id=2)
         out = rep.on_request(Request(100, 0, b"a"))

@@ -118,6 +118,15 @@ class TestFaults:
         world.check_agreement()
         world.check_total_order()
 
+    def test_equivocating_leader_cannot_repeat_a_request(self):
+        kw, _ = GOLDEN["equivocate"]
+        world = World(SimConfig(**kw))
+        world.run()
+        for node, log in world.committed.items():
+            keys = [(r.client_id, r.request_id) for _, _, batch in log
+                    for r in batch]
+            assert len(keys) == len(set(keys)), node
+
     def test_two_crashes_at_f_two(self):
         world = run_world(n=7, f=2, seed=7,
                           faults={0: (CRASH_AT, 0.25), 1: (CRASH_AT, 0.25)},
@@ -199,7 +208,7 @@ GOLDEN = {
     "equivocate": (
         dict(FAST, seed=3, faults={0: (EQUIVOCATE,)}, requests_per_client=10,
              view_change_timeout=0.5, client_timeout=2.0),
-        "d0bd5748e07648413590fb80c25904857f6044e7dd54890a46c47460a7329f59"),
+        "03ae998aefdeac656e890dbe39f375fc9adf53b5f26f889877282602c7949714"),
     "batch4": (
         dict(FAST, seed=9, batch_size=4, num_clients=4,
              requests_per_client=15, checkpoint_interval=5, log_capacity=20),
