@@ -8,7 +8,6 @@ stage is a tag comparison, so unmarshaling and hashing dominate.
 
 from pbftkit.bench.local import BenchConfig, run_benchmark
 from pbftkit.crypto import CryptoMode
-from pbftkit.pipeline import PipelineConfig
 
 
 def main():
@@ -16,9 +15,7 @@ def main():
                       value_size=4096, clients=2, outstanding=4,
                       batch_size=4, duration=5.0, warmup=1.5)
     print("measuring for 5 seconds...")
-    report = run_benchmark(cfg, PipelineConfig(verify_parallelism=1,
-                                               sign_parallelism=1,
-                                               hash_tx_parallelism=1))
+    report = run_benchmark(cfg)
     print(f"committed {report.completed} requests "
           f"at {report.throughput:.0f} ops/s\n")
     print(f"{'stage':<11}{'kind':<13}{'count':>7}{'mean us':>9}")

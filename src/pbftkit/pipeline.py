@@ -1,40 +1,48 @@
-"""Seven-stage message processing pipeline around the single-threaded core.
+"""One-loop message pipeline around the single-threaded replica core.
 
-Inbound, per message: (1) unmarshal, (2) hash + verify, (3) decide.
-Outbound, per decision: (4) hash, (5) clone per recipient, (6) sign or MAC,
-(7) marshal and send. Stage 3 is the only place protocol state is touched,
-so it runs on exactly one thread; stages 2, 4 and 6 are worker pools and
-stages 1 and 7 run one worker per connection.
+Each replica runs one thread. It reads one bounded inbox, to which every
+receive queue of the transport is rebound, and makes the seven stage calls
+in order for each frame: (1) unmarshal, (2) hash and (3) verify, (4) decide
+(``replica.on_envelope``), then for each outbound message (5) hash, (6) sign
+or MAC per recipient and (7) marshal and send. The stages are accounting
+boundaries only: StageMetrics records the thread CPU time of each.
 
-FIFO contract: items from one origin are dispatched to a sticky stage-2
-worker (origin modulo pool size), so they reach the decision stage in
-arrival order no matter how many workers run. Hashing is split from
-verification deliberately: stage 2 first computes the envelope digest and,
-for MAC links, the expected tag; the verify step then only compares tags
-or checks a signature. That split is what makes MAC verification almost
-free while hashing stays on the bill.
+Hashing is split from verification deliberately: the hash stage computes
+the envelope digest and, for MAC links, the expected tag; the verify stage
+then only compares tags or checks a signature. That split is what makes MAC
+verification almost free while hashing stays on the bill.
 
-Backpressure is bounded blocking queues end to end. The pipeline never
-drops an item it accepted; the only exits are delivery to stage 3 or a
-counted verify rejection.
+A PK-signed or unauthenticated broadcast is signed and encoded once and the
+same frame goes to every recipient; a MAC broadcast carries one tag per
+recipient, so it is tagged and encoded per recipient.
+
+Per-origin FIFO order holds by construction: a transport puts one origin's
+frames on the inbox in arrival order and the loop handles one item at a
+time. Timers sit on a heap owned by the loop, which waits on the inbox no
+longer than the next deadline. Backpressure is the bounded inbox: while the
+core is busy, producers block on ``put``. The pipeline never drops a frame
+it took from the inbox; the only exits are delivery to the core or a
+counted rejection (undecodable frame or failed authentication).
 """
 
 from __future__ import annotations
 
 import heapq
-import os
+import hmac
 import queue
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import crypto
-from .wire import MessageKind, WireEnvelope, decode, encode, WireError
+from .wire import WireError, decode, encode
 
 _STAGES = ("unmarshal", "hash_rx", "verify", "decide",
            "hash_tx", "sign", "marshal")
 
 _STOP = object()
+_MAC = crypto.AuthScheme.MAC
+_PK = crypto.AuthScheme.PK
 
 
 def _clock_overhead_ns(samples: int = 512) -> int:
@@ -56,36 +64,30 @@ def _clock_overhead_ns(samples: int = 512) -> int:
 
 @dataclass
 class PipelineConfig:
-    verify_parallelism: int = max(1, (os.cpu_count() or 2) // 2)
-    sign_parallelism: int = max(1, (os.cpu_count() or 2) // 2)
-    hash_tx_parallelism: int = 2
-    queue_capacity: int = 1024
-    merge_hash_sign: bool = False  # set true under PK_ONLY
+    queue_capacity: int = 1024  # frames the inbox holds before put blocks
 
     def __post_init__(self):
-        if min(self.verify_parallelism, self.sign_parallelism,
-               self.hash_tx_parallelism) < 1:
-            raise ValueError("parallelism degrees must be >= 1")
         if self.queue_capacity < 1:
             raise ValueError("queue capacity must be >= 1")
 
 
-@dataclass(frozen=True)
-class StageItem:
-    origin: int
-    stamp: int  # strictly increasing per origin
-    payload: object
+def _kind_name(kind) -> str:
+    return getattr(kind, "name", None) or str(kind)
 
 
 class StageMetrics:
-    """Per (stage, kind) counters; safe for concurrent appends."""
+    """Per (stage, kind) counters; safe for concurrent appends.
+
+    Cells are keyed by the kind as recorded and named only when read, which
+    keeps the enum name lookup off the per-message path.
+    """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._cells = {}
 
     def record(self, stage: str, kind, elapsed_ns: int, count: int = 1):
-        key = (stage, getattr(kind, "name", str(kind)))
+        key = (stage, kind)
         with self._lock:
             cell = self._cells.get(key)
             if cell is None:
@@ -94,10 +96,20 @@ class StageMetrics:
                 cell[0] += count
                 cell[1] += elapsed_ns
 
+    def _named(self) -> dict:
+        """{(stage, kind name): [count, total_ns]}"""
+        with self._lock:
+            cells = [(key, tuple(cell)) for key, cell in self._cells.items()]
+        named = {}
+        for (stage, kind), (count, total) in cells:
+            cell = named.setdefault((stage, _kind_name(kind)), [0, 0])
+            cell[0] += count
+            cell[1] += total
+        return named
+
     def table(self):
         """Rows of (stage, kind, count, total_ns, mean_ns)."""
-        with self._lock:
-            cells = dict(self._cells)
+        cells = self._named()
         rows = []
         for stage in _STAGES:
             for (s, kind), (count, total) in sorted(cells.items()):
@@ -113,62 +125,20 @@ class StageMetrics:
                 fh.write(",".join(str(v) for v in row) + "\n")
 
     def get(self, stage: str, kind) -> tuple:
-        key = (stage, getattr(kind, "name", str(kind)))
-        with self._lock:
-            count, total = self._cells.get(key, (0, 0))
-        return count, total
+        return tuple(self._named().get((stage, _kind_name(kind)), (0, 0)))
 
 
-class _TimerWheel:
-    """Generation-counted timers that feed the decision queue."""
+class _Timers:
+    """Timer calls from any thread: each posts a control item to the loop."""
 
-    def __init__(self, decision_queue):
-        self._queue = decision_queue
-        self._heap = []
-        self._gens = {}
-        self._counter = 0
-        self._cond = threading.Condition()
-        self._stopped = False
-        self._thread = threading.Thread(target=self._loop, daemon=True,
-                                        name="pipeline-timers")
-        self._thread.start()
+    def __init__(self, inbox):
+        self._inbox = inbox
 
     def start(self, key, delay: float):
-        with self._cond:
-            self._counter += 1
-            gen = self._gens[key] = self._counter
-            heapq.heappush(self._heap,
-                           (time.monotonic() + delay, gen, key))
-            self._cond.notify()
+        self._inbox.put((key, time.monotonic() + delay))
 
     def stop(self, key):
-        with self._cond:
-            self._gens.pop(key, None)
-
-    def shutdown(self):
-        with self._cond:
-            self._stopped = True
-            self._cond.notify()
-        self._thread.join()
-
-    def _loop(self):
-        while True:
-            with self._cond:
-                while not self._stopped and (
-                        not self._heap
-                        or self._heap[0][0] > time.monotonic()):
-                    wait = None
-                    if self._heap:
-                        wait = max(0.0, self._heap[0][0] - time.monotonic())
-                    self._cond.wait(timeout=wait)
-                if self._stopped:
-                    return
-                due, gen, key = heapq.heappop(self._heap)
-                live = self._gens.get(key) == gen
-                if live:
-                    del self._gens[key]
-            if live:
-                self._queue.put(("timer", key))
+        self._inbox.put((key, None))
 
 
 class Pipeline:
@@ -185,273 +155,179 @@ class Pipeline:
         self.metrics = metrics if metrics is not None else StageMetrics()
         self.on_commit = on_commit
         self.rejected = 0
-        self._rejected_lock = threading.Lock()
         self._clock_ovh = _clock_overhead_ns()
-        self._stopping = threading.Event()
-        cap = config.queue_capacity
-
-        self._verify_queues = [queue.Queue(cap)
-                               for _ in range(config.verify_parallelism)]
-        self._decision_queue = queue.Queue(cap)
-        self._hash_tx_queue = queue.Queue(cap)
-        self._clone_queue = queue.Queue(cap)
-        self._sign_queues = [queue.Queue(cap)
-                             for _ in range(config.sign_parallelism)]
-        self._marshal_queues = {}
-        self._stamps = {}
-        self.timers = _TimerWheel(self._decision_queue)
-
-        self._threads = []
-        for origin, rx in transport.receive_queues().items():
-            self._spawn(self._unmarshal_loop, (origin, rx),
-                        f"unmarshal-{origin}")
-            mq = self._marshal_queues[origin] = queue.Queue(cap)
-            self._spawn(self._marshal_loop, (origin, mq), f"marshal-{origin}")
-        for i, q in enumerate(self._verify_queues):
-            self._spawn(self._verify_loop, (q,), f"verify-{i}")
-        self._spawn(self._decide_loop, (), "decide")
-        for i in range(config.hash_tx_parallelism):
-            self._spawn(self._hash_tx_loop, (), f"hash-tx-{i}")
-        self._spawn(self._clone_loop, (), "clone")
-        for i, q in enumerate(self._sign_queues):
-            self._spawn(self._sign_loop, (q,), f"sign-{i}")
+        self._inbox = queue.Queue(config.queue_capacity)
+        rx = transport.receive_queues()
+        for peer in rx:
+            rx[peer] = self._inbox
+        self.timers = _Timers(self._inbox)
+        self._heap = []  # (due, generation, key); stale entries are skipped
+        self._gens = {}  # key -> generation of its live entry
+        self._generation = 0
+        self._stopping = False
+        self._thread = threading.Thread(target=self._loop, daemon=True,
+                                        name="pipeline")
+        self._thread.start()
 
     def _rec(self, stage, kind, t0, t1):
         self.metrics.record(stage, kind, max(0, t1 - t0 - self._clock_ovh))
 
-    def _spawn(self, target, args, name):
-        t = threading.Thread(target=target, args=args, daemon=True, name=name)
-        t.start()
-        self._threads.append(t)
-
-    # -- stage 1: per-connection unmarshal ---------------------------------
-
-    def _unmarshal_loop(self, origin, rx):
-        while True:
-            frame = rx.get()
-            if frame is _STOP or self._stopping.is_set():
-                return
-            t0 = time.thread_time_ns()
+    def _loop(self):
+        inbox, heap = self._inbox, self._heap
+        while not self._stopping:
+            timeout = None
+            if heap:
+                timeout = max(0.0, heap[0][0] - time.monotonic())
             try:
-                env = decode(frame)
-            except WireError:
-                continue
-            self._rec("unmarshal", env.kind, t0, time.thread_time_ns())
-            stamp = self._stamps[origin] = self._stamps.get(origin, 0) + 1
-            item = StageItem(origin, stamp, env)
-            self._verify_queues[origin % len(self._verify_queues)].put(item)
-
-    # -- stage 2: hash(RX) then verify -------------------------------------
-
-    def _verify_loop(self, q):
-        ks = self.keystore
-        while True:
-            item = q.get()
+                item = inbox.get(timeout=timeout)
+            except queue.Empty:
+                item = None
             if item is _STOP:
                 return
-            env = item.payload
-            if ks is None:
-                self._decision_queue.put(("env", item))
-                continue
-            scheme = crypto.required_auth(self.mode, crypto.classify(env.kind))
+            if type(item) is tuple:
+                key, due = item
+                if due is None:
+                    self._gens.pop(key, None)
+                else:
+                    self._arm(key, due)
+            elif item is not None:
+                self._on_frame(item)
+            self._fire_due()
+
+    # -- timers --------------------------------------------------------------
+
+    def _arm(self, key, due: float):
+        self._generation += 1
+        self._gens[key] = self._generation
+        heapq.heappush(self._heap, (due, self._generation, key))
+
+    def _fire_due(self):
+        heap, gens = self._heap, self._gens
+        now = time.monotonic()
+        while heap and heap[0][0] <= now:
+            _, gen, key = heapq.heappop(heap)
+            if gens.get(key) == gen:
+                del gens[key]
+                self._apply(self.replica.on_timeout(key))
+
+    # -- inbound: unmarshal, hash, verify, decide ----------------------------
+
+    def _on_frame(self, frame):
+        clock = time.thread_time_ns
+        t0 = clock()
+        try:
+            env = decode(frame)
+        except WireError:
+            self.rejected += 1
+            return
+        kind = env.kind
+        self._rec("unmarshal", kind, t0, clock())
+        ks = self.keystore
+        if ks is not None:
+            scheme = crypto.required_auth(self.mode, crypto.classify(kind))
             # Hash phase: digest always; for MAC links also the expected
             # tag and the offered tag addressed to this replica, so the
             # verify phase is a pure cryptographic comparison.
-            t0 = time.thread_time_ns()
+            t0 = clock()
             d = crypto.envelope_digest(env)
             expect = offered = None
-            if scheme == crypto.AuthScheme.MAC:
+            if scheme is _MAC:
                 try:
                     expect = ks.mac(env.sender, d)
                 except crypto.KeyMissing:
-                    expect = None
-                own = ks.own_id
+                    pass
                 for recipient, tag in env.auths:
-                    if recipient == own:
+                    if recipient == ks.own_id:
                         offered = tag
                         break
-            self._rec("hash_rx", env.kind, t0, time.thread_time_ns())
-            t0 = time.thread_time_ns()
-            if scheme == crypto.AuthScheme.MAC:
+            self._rec("hash_rx", kind, t0, clock())
+            t0 = clock()
+            if scheme is _MAC:
                 ok = (expect is not None and offered is not None
-                      and crypto._hmac.compare_digest(expect, offered))
+                      and hmac.compare_digest(expect, offered))
+            elif scheme is _PK:
+                ok = (len(env.auths) == 1
+                      and ks.verify(env.sender, env.auths[0][1], d))
             else:
-                ok = self._check_auth(env, scheme, d, None)
-            self._rec("verify", env.kind, t0, time.thread_time_ns())
-            if ok:
-                self._decision_queue.put(("env", item))
-            else:
-                with self._rejected_lock:
-                    self.rejected += 1
-
-    def _check_auth(self, env, scheme, d, expect):
-        if scheme == crypto.AuthScheme.NONE:
-            return True
-        if scheme == crypto.AuthScheme.MAC:
-            if expect is None:
-                return False
-            for recipient, tag in env.auths:
-                if recipient == self.keystore.own_id:
-                    return crypto._hmac.compare_digest(expect, tag)
-            return False
-        if len(env.auths) != 1:
-            return False
-        return self.keystore.verify(env.sender, env.auths[0][1], d)
-
-    # -- stage 3: single-threaded decision ---------------------------------
-
-    def _decide_loop(self):
-        last_stamp = {}
-        while True:
-            msg = self._decision_queue.get()
-            if msg is _STOP:
+                ok = True
+            self._rec("verify", kind, t0, clock())
+            if not ok:
+                self.rejected += 1
                 return
-            if msg[0] == "timer":
-                out = self.replica.on_timeout(msg[1])
-            else:
-                item = msg[1]
-                # FIFO contract check is cheap; a violation is a bug.
-                assert item.stamp > last_stamp.get(item.origin, 0), \
-                    "per-origin FIFO violated"
-                last_stamp[item.origin] = item.stamp
-                env = item.payload
-                t0 = time.thread_time_ns()
-                out = self.replica.on_envelope(env)
-                self._rec("decide", env.kind, t0, time.thread_time_ns())
-            for key, delay in out.timer_starts:
-                self.timers.start(key, delay)
-            for key in out.timer_stops:
-                self.timers.stop(key)
-            if self.on_commit is not None:
-                for seq, batch in out.commits:
-                    self.on_commit(seq, batch)
-            for dests, env in out.outbound:
-                self._hash_tx_queue.put((dests, env))
+        t0 = clock()
+        out = self.replica.on_envelope(env)
+        self._rec("decide", kind, t0, clock())
+        self._apply(out)
 
-    # -- stage 4: outbound hash (optionally merged with sign) --------------
+    def _apply(self, out):
+        now = time.monotonic()
+        for key, delay in out.timer_starts:
+            self._arm(key, now + delay)
+        for key in out.timer_stops:
+            self._gens.pop(key, None)
+        if self.on_commit is not None:
+            for seq, batch in out.commits:
+                self.on_commit(seq, batch)
+        for dests, env in out.outbound:
+            self._send(dests, env)
 
-    def _hash_tx_loop(self):
-        ks = self.keystore
-        while True:
-            job = self._hash_tx_queue.get()
-            if job is _STOP:
-                return
-            dests, env = job
-            sig = None
-            t0 = time.thread_time_ns()
+    # -- outbound: hash, sign or MAC, marshal, send --------------------------
+
+    def _send(self, dests, env):
+        clock = time.thread_time_ns
+        ks, kind, send = self.keystore, env.kind, self.transport.send
+        scheme = None
+        if ks is not None and not env.auths:
+            scheme = crypto.required_auth(self.mode, crypto.classify(kind))
+        if scheme is _MAC or scheme is _PK:
+            t0 = clock()
             d = crypto.envelope_digest(env)
-            if (self.config.merge_hash_sign and ks is not None
-                    and not env.auths):
-                scheme = crypto.required_auth(self.mode,
-                                              crypto.classify(env.kind))
-                if scheme == crypto.AuthScheme.PK:
-                    sig = ks.sign(d)
-            self._rec("hash_tx", env.kind, t0, time.thread_time_ns())
-            self._clone_queue.put((dests, env, d, sig))
-
-    # -- stage 5: clone per recipient --------------------------------------
-
-    def _clone_loop(self):
-        while True:
-            job = self._clone_queue.get()
-            if job is _STOP:
-                return
-            dests, env, d, sig = job
+            self._rec("hash_tx", kind, t0, clock())
+        if scheme is _MAC:
             for dest in dests:
-                self._sign_queues[dest % len(self._sign_queues)].put(
-                    (dest, env, d, sig))
+                t0 = clock()
+                tagged = env.with_auths(((dest, ks.mac(dest, d)),))
+                t1 = clock()
+                frame = encode(tagged)
+                t2 = clock()
+                self._rec("sign", kind, t0, t1)
+                self._rec("marshal", kind, t1, t2)
+                send(dest, frame)
+            return
+        if scheme is _PK:
+            t0 = clock()
+            env = env.with_auths(((0, ks.sign(d)),))
+            self._rec("sign", kind, t0, clock())
+        t0 = clock()
+        frame = encode(env)
+        self._rec("marshal", kind, t0, clock())
+        for dest in dests:
+            send(dest, frame)
 
-    # -- stage 6: sign / MAC per clone -------------------------------------
-
-    def _sign_loop(self, q):
-        ks = self.keystore
-        while True:
-            job = q.get()
-            if job is _STOP:
-                return
-            dest, env, d, sig = job
-            t0 = time.thread_time_ns()
-            if ks is not None and not env.auths:
-                scheme = crypto.required_auth(self.mode,
-                                              crypto.classify(env.kind))
-                if scheme == crypto.AuthScheme.MAC:
-                    env = env.with_auths(((dest, ks.mac(dest, d)),))
-                elif scheme == crypto.AuthScheme.PK:
-                    env = env.with_auths(((0, sig if sig is not None
-                                           else ks.sign(d)),))
-            self._rec("sign", env.kind, t0, time.thread_time_ns())
-            mq = self._marshal_queues.get(dest)
-            if mq is not None:
-                mq.put(env)
-
-    # -- stage 7: per-connection marshal and send --------------------------
-
-    def _marshal_loop(self, dest, q):
-        while True:
-            env = q.get()
-            if env is _STOP:
-                return
-            t0 = time.thread_time_ns()
-            frame = encode(env)
-            self._rec("marshal", env.kind, t0, time.thread_time_ns())
-            self.transport.send(dest, frame)
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def submit(self, env: WireEnvelope, origin: int = -1):
-        """Inject a decoded envelope ahead of stage 2 (tests, local client)."""
-        stamp = self._stamps[origin] = self._stamps.get(origin, 0) + 1
-        item = StageItem(origin, stamp, env)
-        self._verify_queues[origin % len(self._verify_queues)].put(item)
-
-    def drain(self, timeout: float = 5.0):
-        """Wait until every inter-stage queue is momentarily empty."""
-        deadline = time.monotonic() + timeout
-        queues = (self._verify_queues + [self._decision_queue,
-                  self._hash_tx_queue, self._clone_queue]
-                  + self._sign_queues + list(self._marshal_queues.values()))
-        while time.monotonic() < deadline:
-            if all(q.empty() for q in queues):
-                time.sleep(0.01)
-                if all(q.empty() for q in queues):
-                    return True
-            time.sleep(0.002)
-        return False
+    # -- lifecycle -----------------------------------------------------------
 
     def stop(self):
-        self._stopping.set()
-        self.timers.shutdown()
-        for origin, rx in self.transport.receive_queues().items():
-            rx.put(_STOP)
-        for q in self._verify_queues:
-            q.put(_STOP)
-        self._decision_queue.put(_STOP)
-        for _ in range(self.config.hash_tx_parallelism):
-            self._hash_tx_queue.put(_STOP)
-        self._clone_queue.put(_STOP)
-        for q in self._sign_queues:
-            q.put(_STOP)
-        for q in self._marshal_queues.values():
-            q.put(_STOP)
-        for t in self._threads:
-            t.join(timeout=5.0)
+        if self._stopping:
+            return
+        self._stopping = True
+        # A live loop frees a slot as soon as it takes its next item and
+        # sees the flag; the timeout covers a loop that died on an error.
+        try:
+            self._inbox.put(_STOP, timeout=5.0)
+        except queue.Full:
+            pass
+        self._thread.join(timeout=5.0)
 
 
 def run_pipeline(config: PipelineConfig, transport, replica,
                  mode=crypto.CryptoMode.MAC_INTER_NODE, keystore=None,
                  metrics=None, on_commit=None) -> Pipeline:
-    """Wire and start the seven stages; returns the running handle.
+    """Start the replica's loop; returns the running handle.
 
     ``transport`` must expose ``receive_queues() -> {peer id: Queue}`` and
-    ``send(peer id, frame bytes)``. Frames put on a receive queue flow
-    through unmarshal, verify, the decision core, and back out through
-    hash/clone/sign/marshal to ``send``.
+    ``send(peer id, frame bytes)``. Every entry of the receive-queue dict is
+    rebound to the loop's inbox, so the transport must look the queue up
+    there for each frame it delivers.
     """
-    if config.merge_hash_sign is False and mode == crypto.CryptoMode.PK_ONLY:
-        config = PipelineConfig(config.verify_parallelism,
-                                config.sign_parallelism,
-                                config.hash_tx_parallelism,
-                                config.queue_capacity,
-                                merge_hash_sign=True)
     return Pipeline(config, transport, replica, mode, keystore,
                     metrics=metrics, on_commit=on_commit)

@@ -2,14 +2,17 @@
 
 Both expose the two methods the pipeline needs: ``receive_queues()``
 returning one inbound frame queue per peer, and ``send(peer, frame)``.
+A consumer may rebind entries of that dict (the pipeline points them all
+at its one inbox); both fabrics look the queue up for every frame.
 Loss is acceptable by design; the protocol's own retransmission (client
 resend, vote re-collection) covers it, so a down connection drops frames
 rather than blocking the sender.
 
 TCP wiring: every node listens; for a node pair the higher id dials the
 lower, and clients dial every node, so each pair shares exactly one
-socket. A dialer identifies itself with a 2-byte hello. Reconnects retry
-on a fixed 200 ms backoff. One reader and one writer thread per socket.
+socket. A dialer identifies itself with a 2-byte hello, which it must send
+within HELLO_TIMEOUT. Reconnects retry on a fixed 200 ms backoff. One
+reader and one writer thread per socket.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ import time
 from .wire import FrameBuffer, WireError
 
 RECONNECT_BACKOFF = 0.2
+# How long an accepted socket may take to send its hello before it is
+# dropped; without a bound one silent connector stalls every later accept.
+HELLO_TIMEOUT = 3.0
 
 
 class _Conn:
@@ -41,13 +47,16 @@ class _Conn:
 
     def _read_loop(self):
         buf = FrameBuffer()
-        rx = self.fabric.receive_queues().get(self.peer_id)
+        # The queue is looked up per frame: a consumer such as the pipeline
+        # may rebind the fabric's receive queues after this socket connects.
+        queues = self.fabric.receive_queues()
         try:
             while not self.dead.is_set():
                 data = self.sock.recv(65536)
                 if not data:
                     break
                 for frame in buf.feed(data):
+                    rx = queues.get(self.peer_id)
                     if rx is not None:
                         rx.put(frame)
         except (OSError, WireError):
@@ -173,15 +182,24 @@ class TcpFabric:
         while not self._stopping.is_set():
             try:
                 sock, _ = self._listener.accept()
+            except OSError:
+                return
+            try:
+                sock.settimeout(HELLO_TIMEOUT)
                 hello = sock.recv(2)
-                if len(hello) != 2:
-                    sock.close()
-                    continue
-                (peer_id,) = struct.unpack("<H", hello)
+                sock.settimeout(None)
+            except OSError:  # includes the hello timeout
+                sock.close()
+                continue
+            if len(hello) != 2:
+                sock.close()
+                continue
+            (peer_id,) = struct.unpack("<H", hello)
+            try:
                 if not self._register(peer_id, sock):
                     sock.close()
             except OSError:
-                return
+                sock.close()
 
     def _dial_loop(self, dest: int):
         while not self._stopping.is_set():
@@ -192,6 +210,9 @@ class TcpFabric:
                 sock = socket.create_connection(self.node_addrs[dest],
                                                 timeout=2.0)
                 sock.sendall(struct.pack("<H", self.self_id))
+                # The connect timeout would otherwise stay on the socket and
+                # end an idle connection after 2 s of silence.
+                sock.settimeout(None)
                 if not self._register(dest, sock):
                     sock.close()
             except OSError:

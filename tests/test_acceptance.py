@@ -19,7 +19,6 @@ from pbftkit.bench.inline import InlineCluster, compare_modes
 from pbftkit.bench.local import BenchConfig, run_benchmark
 from pbftkit.client import ClientSession
 from pbftkit.crypto import AuthScheme, CryptoMode, MessageClass, required_auth
-from pbftkit.pipeline import PipelineConfig
 from pbftkit.replica import Replica, ReplicaConfig, Status
 from pbftkit.simnet import (CRASH_AT, EQUIVOCATE, MUTE, SimConfig, World)
 from pbftkit.wire import (MessageKind, PrePrepareBody, Request, WireEnvelope,
@@ -210,9 +209,7 @@ class TestCriterion7CostBreakdownShape:
         cfg = BenchConfig(mode=CryptoMode.DOMAIN_OPTIMIZED, n=4, f=1,
                           value_size=4096, clients=2, outstanding=4,
                           batch_size=4, duration=6.0, warmup=2.0)
-        report = run_benchmark(cfg, PipelineConfig(verify_parallelism=1,
-                                                   sign_parallelism=1,
-                                                   hash_tx_parallelism=1))
+        report = run_benchmark(cfg)
         assert report.completed > 200
         rows = {(r[0], r[1]): r for r in report.stage_rows}
         ratios = {}
@@ -319,9 +316,7 @@ class TestCriterion11LatencyDistribution:
         cfg = BenchConfig(mode=CryptoMode.DOMAIN_OPTIMIZED, n=4, f=1,
                           value_size=512, clients=4, outstanding=8,
                           batch_size=8, duration=6.0, warmup=2.0)
-        report = run_benchmark(cfg, PipelineConfig(verify_parallelism=1,
-                                                   sign_parallelism=1,
-                                                   hash_tx_parallelism=1))
+        report = run_benchmark(cfg)
         assert report.completed > 200
         fracs = [f for _, f in report.cdf]
         lats = [l for l, _ in report.cdf]

@@ -1,4 +1,4 @@
-"""Pipeline stages: ordering, conservation, fan-out, and flow control."""
+"""Pipeline loop: ordering, conservation, fan-out, and flow control."""
 
 import queue
 import random
@@ -46,20 +46,13 @@ class StubReplica:
         return ProtocolOutput()
 
 
-def small_config(**kw):
-    kw.setdefault("verify_parallelism", 2)
-    kw.setdefault("sign_parallelism", 2)
-    kw.setdefault("hash_tx_parallelism", 2)
-    return PipelineConfig(**kw)
-
-
 def env_for(seq, sender=2, payload=b"\x00" * 32, kind=MessageKind.PREPARE):
     return WireEnvelope(kind, 0, seq, sender, payload)
 
 
 def start(transport, replica, mode=CryptoMode.MAC_INTER_NODE, keystore=None,
           metrics=None, **cfg):
-    return Pipeline(small_config(**cfg), transport, replica, mode,
+    return Pipeline(PipelineConfig(**cfg), transport, replica, mode,
                     keystore=keystore, metrics=metrics)
 
 
@@ -75,11 +68,10 @@ def wait_for(pred, timeout=5.0):
 class TestOrdering:
     def test_per_origin_fifo_under_mixed_load(self):
         # Each origin's payload carries its own counter; the decision
-        # stage must observe every counter strictly increasing. The
-        # stage-3 loop also asserts this internally on stamps.
+        # stage must observe every counter strictly increasing.
         transport = FakeTransport(origins=(0, 1, 2, 3))
         replica = StubReplica()
-        pipe = start(transport, replica, verify_parallelism=3)
+        pipe = start(transport, replica)
         rng = random.Random(5)
         counters = {o: 0 for o in transport.rx}
         try:
@@ -168,42 +160,68 @@ class TestConservation:
             assert wait_for(lambda: len(replica.seen) == 1)
         finally:
             pipe.stop()
+        # accepted = delivered + rejected holds for undecodable frames too
+        assert pipe.rejected == 1
 
 
 class TestFanOut:
-    def test_one_decision_clones_per_recipient(self, stores):
+    DESTS = (1, 2, 3)
+
+    def broadcast_commit(self, stores, mode):
+        """Feed one authenticated PREPARE to replica 0, whose core answers
+        with a COMMIT to DESTS; returns the metrics and the sent frames."""
         transport = FakeTransport(origins=(2,))
-        dests = (1, 2, 3)
 
         def respond(env):
             out = ProtocolOutput()
-            out.outbound.append((dests, env_for(env.seq,
-                                                sender=0,
-                                                kind=MessageKind.COMMIT)))
+            out.outbound.append((self.DESTS, env_for(env.seq, sender=0,
+                                                     kind=MessageKind.COMMIT)))
             return out
 
         metrics = StageMetrics()
-        replica = StubReplica(respond)
-        pipe = start(transport, replica, keystore=stores[0], metrics=metrics)
+        pipe = start(transport, StubReplica(respond), mode=mode,
+                     keystore=stores[0], metrics=metrics)
         try:
             env = env_for(1)
-            d = crypto.envelope_digest(env)
-            transport.rx[2].put(encode(
-                env.with_auths(((0, stores[2].mac(0, d)),))))
-            # only dest 2 has a connection on this transport
-            assert wait_for(lambda: len(transport.sent) == 1)
-            assert wait_for(
-                lambda: metrics.get("sign", MessageKind.COMMIT)[0] == 3)
+            transport.rx[2].put(encode(crypto.attach(env, crypto.authenticate(
+                env, (0,), mode, stores[2]))))
+            assert wait_for(lambda: len(transport.sent) == len(self.DESTS))
         finally:
             pipe.stop()
+        assert sorted(dest for dest, _ in transport.sent) == list(self.DESTS)
+        for dest, frame in transport.sent:
+            out = decode(frame)
+            assert out.kind == MessageKind.COMMIT
+            assert crypto.verify_incoming(out, mode, stores[dest])
+        return metrics, transport.sent
+
+    def test_one_decision_clones_per_recipient(self, stores):
+        metrics, sent = self.broadcast_commit(stores,
+                                              CryptoMode.MAC_INTER_NODE)
         assert metrics.get("hash_tx", MessageKind.COMMIT)[0] == 1
-        dest, frame = transport.sent[0]
-        out = decode(frame)
-        assert out.kind == MessageKind.COMMIT
-        # the MAC on the clone is addressed to its one recipient
-        assert out.auths[0][0] == 2
-        assert crypto.verify_incoming(out, CryptoMode.MAC_INTER_NODE,
-                                      stores[2])
+        assert metrics.get("sign", MessageKind.COMMIT)[0] == 3
+        assert metrics.get("marshal", MessageKind.COMMIT)[0] == 3
+        # each frame's one MAC is addressed to its recipient
+        assert all(decode(frame).auths[0][0] == dest for dest, frame in sent)
+
+    def test_pk_broadcast_signs_and_encodes_once(self, stores):
+        metrics, sent = self.broadcast_commit(stores, CryptoMode.PK_ONLY)
+        assert metrics.get("hash_tx", MessageKind.COMMIT)[0] == 1
+        assert metrics.get("sign", MessageKind.COMMIT)[0] == 1
+        assert metrics.get("marshal", MessageKind.COMMIT)[0] == 1
+        assert len({frame for _, frame in sent}) == 1
+
+
+class TestLoop:
+    def test_one_thread_per_pipeline(self):
+        before = set(threading.enumerate())
+        pipe = start(FakeTransport(origins=(1, 2, 3)), StubReplica())
+        try:
+            started = set(threading.enumerate()) - before
+        finally:
+            pipe.stop()
+        assert len(started) == 1
+        assert not started.pop().is_alive()
 
 
 class TestMetrics:
@@ -236,17 +254,25 @@ class TestBackpressure:
             return ProtocolOutput()
 
         replica = StubReplica(respond)
-        pipe = start(transport, replica, queue_capacity=4,
-                     verify_parallelism=1)
+        pipe = start(transport, replica, queue_capacity=4)
         total = 50
-        try:
+
+        def produce():
             for i in range(total):
                 transport.rx[2].put(encode(env_for(i + 1)))
+
+        producer = threading.Thread(target=produce, daemon=True)
+        try:
+            producer.start()
             time.sleep(0.2)
-            # the core is blocked; bounded queues must be holding the rest
+            # the core is blocked; the bounded inbox holds the rest and
+            # the producer waits on it
             assert len(replica.seen) <= 2
+            assert producer.is_alive()
             gate.set()
             assert wait_for(lambda: len(replica.seen) == total)
+            producer.join(timeout=5.0)
+            assert not producer.is_alive()
         finally:
             gate.set()
             pipe.stop()

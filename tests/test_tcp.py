@@ -66,6 +66,36 @@ class TestFabric:
             for n in nodes:
                 n.close()
 
+    def test_silent_connector_does_not_stall_accepts(self):
+        addrs = addrs_for(2)
+        a = TcpFabric(0, addrs)
+        silent = socket.create_connection(addrs[0])  # never sends a hello
+        b = None
+        try:
+            time.sleep(0.1)  # node 0 accepts the silent socket first
+            b = TcpFabric(1, addrs)
+            assert a.wait_connected([1])
+            b.send(0, frame(b"ping"))
+            assert a.receive_queues()[1].get(timeout=5) == frame(b"ping")
+        finally:
+            silent.close()
+            a.close()
+            if b is not None:
+                b.close()
+
+    def test_idle_connection_outlives_connect_timeout(self):
+        addrs = addrs_for(2)
+        a = TcpFabric(0, addrs)
+        b = TcpFabric(1, addrs)
+        try:
+            assert a.wait_connected([1]) and b.wait_connected([0])
+            dialed = b._conns[0]
+            time.sleep(2.5)  # longer than the 2 s connect timeout
+            assert b._conns.get(0) is dialed and not dialed.dead.is_set()
+        finally:
+            a.close()
+            b.close()
+
     def test_send_to_unconnected_peer_is_dropped(self):
         addrs = addrs_for(2)
         a = TcpFabric(0, addrs)
@@ -108,9 +138,7 @@ def run_tcp_cluster(total_requests=20):
             fab = TcpFabric(i, addrs, client_ids=[cid])
             rep = Replica(ReplicaConfig(n=n, f=f, self_id=i, batch_size=1,
                                         view_change_timeout=30.0))
-            cfg = PipelineConfig(verify_parallelism=1, sign_parallelism=1,
-                                 hash_tx_parallelism=1)
-            pipe = run_pipeline(cfg, fab, rep,
+            pipe = run_pipeline(PipelineConfig(), fab, rep,
                                 mode=CryptoMode.MAC_INTER_NODE,
                                 on_commit=lambda s, b, i=i:
                                 commits[i].append((s, b)))
