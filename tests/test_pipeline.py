@@ -2,6 +2,7 @@
 
 import queue
 import random
+import sys
 import threading
 import time
 
@@ -87,6 +88,37 @@ class TestOrdering:
         for env in replica.seen:
             assert env.seq > last.get(env.sender, 0)
             last[env.sender] = env.seq
+
+    def test_per_origin_fifo_with_concurrent_producers(self):
+        # One producer thread per origin, more threads than cores, and a
+        # short switch interval so the producers interleave on the inbox.
+        transport = FakeTransport(origins=(0, 1, 2, 3))
+        replica = StubReplica()
+        pipe = start(transport, replica, queue_capacity=8)
+        per_origin = 200
+
+        def produce(origin):
+            for seq in range(1, per_origin + 1):
+                transport.rx[origin].put(encode(env_for(seq, sender=origin)))
+
+        producers = [threading.Thread(target=produce, args=(o,), daemon=True)
+                     for o in transport.rx]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in producers:
+                t.start()
+            assert wait_for(lambda: len(replica.seen) == 4 * per_origin)
+            for t in producers:
+                t.join(timeout=5.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            pipe.stop()
+        assert pipe.rejected == 0
+        for origin in transport.rx:
+            seqs = [e.seq for e in replica.seen if e.sender == origin]
+            assert seqs == list(range(1, per_origin + 1))
 
     def test_timer_feeds_decision_stage(self):
         transport = FakeTransport()
