@@ -213,6 +213,13 @@ GOLDEN = {
         dict(FAST, seed=9, batch_size=4, num_clients=4,
              requests_per_client=15, checkpoint_interval=5, log_capacity=20),
         "b69611c8bdbc9d47570a04c196e72ed58e55461dd4836872bb6d8f2e7f8b6a2b"),
+    # A small copy of the sim-leader-crash benchmark world: it crosses the
+    # same codec, event and vote paths, plus three view changes.
+    "benchmark_shape": (
+        dict(FAST, seed=2, num_clients=8, requests_per_client=100,
+             latency=(0.0005, 0.002), payload_size=512,
+             faults={0: (CRASH_AT, 0.2)}, checkpoint_interval=50),
+        "a8e063dffc7167541dc0a7d1d84827203182f3ab31a99a00b6c88a9176346ad3"),
 }
 
 
