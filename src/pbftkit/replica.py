@@ -468,6 +468,12 @@ class Replica:
     def _on_checkpoint(self, env: WireEnvelope, out: ProtocolOutput):
         if len(env.payload) != 32 or env.seq <= self.h:
             return
+        # Votes are kept only where a checkpoint can fall, so a peer cannot
+        # grow ``checkpoints`` past log_capacity / checkpoint_interval seqs.
+        if (env.seq % self.config.checkpoint_interval != 0
+                or env.seq > self.h + self.config.log_capacity):
+            self.counters["rejected"] += 1
+            return
         self.checkpoints.setdefault(env.seq, {})[env.sender] = \
             (env.payload, env.signing_bytes())
         self._advance_watermark(env.seq, out)

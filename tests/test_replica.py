@@ -271,6 +271,20 @@ class TestCheckpointGC:
         cert = rep.stable_proof
         assert cert.seq == 5 and len(cert.votes) >= rep.config.quorum
 
+    def test_checkpoint_votes_off_the_grid_rejected(self):
+        rep = make_replica(checkpoint_interval=5, log_capacity=20)
+        for i in range(5_000):
+            # One seq between checkpoint seqs, one on the grid past the window.
+            for seq in (5 * i + 1, 25 + 5 * i):
+                rep.on_envelope(WireEnvelope(MessageKind.CHECKPOINT, 0, seq,
+                                             2, b"\x00" * 32))
+        assert len(rep.checkpoints) == 0
+        assert rep.counters["rejected"] == 10_000
+        # A vote on the grid inside the window is still kept.
+        rep.on_envelope(WireEnvelope(MessageKind.CHECKPOINT, 0, 20, 2,
+                                     b"\x00" * 32))
+        assert list(rep.checkpoints) == [20]
+
 
 class TestViewChange:
     def crash_leader_cluster(self, requests=3):
