@@ -174,11 +174,7 @@ class KeyStore:
 
 def envelope_digest(env: WireEnvelope) -> bytes:
     """SHA-256 over head + payload; excludes the auths and frame length."""
-    cached = env.__dict__.get("_sdigest")
-    if cached is None:
-        cached = digest(env.signing_bytes())
-        object.__setattr__(env, "_sdigest", cached)
-    return cached
+    return digest(env.signing_bytes())
 
 
 def authenticate(env: WireEnvelope, recipients, mode: CryptoMode,

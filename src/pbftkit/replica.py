@@ -40,16 +40,15 @@ class ReplicaConfig:
     checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL
     log_capacity: int = DEFAULT_LOG_CAPACITY
     view_change_timeout: float = 1.0
+    # 2f+1, fixed at construction: the vote path reads it on every vote.
+    quorum: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 3 * self.f + 1:
             raise ValueError(f"n={self.n} < 3f+1 with f={self.f}")
         if self.checkpoint_interval >= self.log_capacity:
             raise ValueError("checkpoint_interval must be < log_capacity")
-
-    @property
-    def quorum(self) -> int:
-        return 2 * self.f + 1
+        self.quorum = 2 * self.f + 1
 
 
 def primary(view: int, n: int) -> int:
@@ -65,6 +64,19 @@ class Status(Enum):
 class Mode(Enum):
     NORMAL = "normal"
     VIEW_CHANGING = "view_changing"
+
+
+# Module-level aliases for the per-request paths: an enum member read off
+# its class costs a slow attribute lookup. Compared by identity.
+_PRE_PREPARED = Status.PRE_PREPARED
+_PREPARED = Status.PREPARED
+_COMMITTED = Status.COMMITTED
+_NORMAL = Mode.NORMAL
+_VIEW_CHANGING = Mode.VIEW_CHANGING
+_PRE_PREPARE = MessageKind.PRE_PREPARE
+_PREPARE = MessageKind.PREPARE
+_COMMIT = MessageKind.COMMIT
+_REPLY = MessageKind.REPLY
 
 
 @dataclass
@@ -90,7 +102,7 @@ class LogEntry:
                            tuple(sorted(votes.items())))
 
 
-@dataclass
+@dataclass(slots=True)
 class ProtocolOutput:
     outbound: list = field(default_factory=list)  # (dest id tuple, envelope)
     commits: list = field(default_factory=list)  # (seq, batch tuple)
@@ -249,7 +261,7 @@ class Replica:
             return
         if cached is not None and cached[0] > req.request_id:
             return  # stale duplicate
-        if self.mode == Mode.VIEW_CHANGING:
+        if self.mode is _VIEW_CHANGING:
             if key not in self.deferred_keys:
                 self.deferred_keys.add(key)
                 self.deferred.append(req)
@@ -272,7 +284,7 @@ class Replica:
             out.timer_starts.append((("batch",), self.config.batch_timeout))
 
     def _flush_batch(self, out: ProtocolOutput):
-        if not self.pending_batch or self.mode != Mode.NORMAL:
+        if not self.pending_batch or self.mode is not _NORMAL:
             return
         out.timer_stops.append(("batch",))
         if not self._in_window(self.next_seq):
@@ -289,9 +301,9 @@ class Replica:
         seq = self.next_seq
         self.next_seq += 1
         body = PrePrepareBody.for_batch(batch)
-        env = self._env(MessageKind.PRE_PREPARE, body.encode(), seq=seq)
+        env = self._env(_PRE_PREPARE, body.encode(), seq=seq)
         entry = self._entry(seq)
-        entry.view, entry.body, entry.status = self.view, body, Status.PRE_PREPARED
+        entry.view, entry.body, entry.status = self.view, body, _PRE_PREPARED
         frame = env.signing_bytes()
         entry.pre_prepare_frame = frame
         entry.prepare_votes.setdefault(body.digest, {})[self.config.self_id] = frame
@@ -309,7 +321,7 @@ class Replica:
     # -- normal case -------------------------------------------------------
 
     def _on_pre_prepare(self, env: WireEnvelope, out: ProtocolOutput):
-        if env.view != self.view or self.mode != Mode.NORMAL:
+        if env.view != self.view or self.mode is not _NORMAL:
             if env.view > self.view:
                 self.future.setdefault(env.view, []).append(env)
             else:
@@ -347,7 +359,7 @@ class Replica:
         if not all(self._verify_request(r) for r in body.batch):
             self.counters["rejected"] += 1
             return
-        entry.view, entry.body, entry.status = env.view, body, Status.PRE_PREPARED
+        entry.view, entry.body, entry.status = env.view, body, _PRE_PREPARED
         entry.pre_prepare_frame = env.signing_bytes()
         entry.prepare_votes.setdefault(body.digest, {})[env.sender] = \
             entry.pre_prepare_frame
@@ -359,7 +371,7 @@ class Replica:
                 out.timer_starts.append((("request", req.client_id,
                                           req.request_id),
                                          self.config.view_change_timeout))
-        prep = self._env(MessageKind.PREPARE, body.digest, seq=env.seq)
+        prep = self._env(_PREPARE, body.digest, seq=env.seq)
         entry.prepare_votes[body.digest][self.config.self_id] = prep.signing_bytes()
         entry.prepare_sent = True
         out.outbound.append((self._peers, prep))
@@ -368,71 +380,84 @@ class Replica:
 
     def _on_vote(self, env: WireEnvelope, out: ProtocolOutput):
         """A PREPARE or COMMIT vote; the payload is the voted digest."""
-        if env.view != self.view or self.mode != Mode.NORMAL:
-            if env.view > self.view:
-                self.future.setdefault(env.view, []).append(env)
+        view = env.view
+        if view != self.view or self.mode is not _NORMAL:
+            if view > self.view:
+                self.future.setdefault(view, []).append(env)
             else:
                 self.counters["rejected"] += 1
             return
-        if not self._in_window(env.seq) or len(env.payload) != 32:
+        seq = env.seq
+        h = self.h
+        if (not h < seq <= h + self.config.log_capacity
+                or len(env.payload) != 32):
             self.counters["rejected"] += 1
             return
-        entry = self._entry(env.seq)
-        votes = (entry.commit_votes if env.kind == MessageKind.COMMIT
+        entry = self.log.get(seq)
+        if entry is None:
+            entry = self.log[seq] = LogEntry(seq)
+        votes = (entry.commit_votes if env.kind is _COMMIT
                  else entry.prepare_votes).setdefault(env.payload, {})
         if env.sender not in votes:
             votes[env.sender] = env.signing_bytes()
-        self._check_progress(env.seq, out)
+        self._check_progress(seq, out)
 
     def _check_progress(self, seq: int, out: ProtocolOutput):
         """Drive an entry through prepared -> committed as quorums complete."""
         entry = self.log.get(seq)
-        if (entry is None or entry.body is None
-                or entry.status == Status.COMMITTED):
+        if entry is None or entry.body is None:
+            return
+        status = entry.status
+        if status is _COMMITTED:
             return
         q = self.config.quorum
         digest = entry.body.digest
-        if (entry.status == Status.PRE_PREPARED and not entry.commit_sent
+        if status is _PREPARED:
+            if len(entry.commit_votes.get(digest, ())) >= q:
+                self._try_commit(out)
+            return
+        if (status is _PRE_PREPARED and not entry.commit_sent
                 and len(entry.prepare_votes.get(digest, ())) >= q):
-            entry.status = Status.PREPARED
+            entry.status = _PREPARED
             entry.commit_sent = True
-            com = self._env(MessageKind.COMMIT, digest, seq=seq,
+            com = self._env(_COMMIT, digest, seq=seq,
                             view=entry.view)
             entry.commit_votes.setdefault(digest, {})[self.config.self_id] = \
                 com.signing_bytes()
             out.outbound.append((self._peers, com))
             self._trace("prepared", seq=seq)
-        if (entry.status == Status.PREPARED
-                and len(entry.commit_votes.get(digest, ())) >= q):
-            self._try_commit(out)
+            if len(entry.commit_votes[digest]) >= q:
+                self._try_commit(out)
 
     def _try_commit(self, out: ProtocolOutput):
         """Commit eligible entries strictly in sequence order."""
         q = self.config.quorum
+        log = self.log
         while True:
             seq = self.committed_seq + 1
-            entry = self.log.get(seq)
-            if (entry is None or entry.body is None
-                    or entry.status != Status.PREPARED
-                    or len(entry.commit_votes.get(entry.digest, {})) < q):
+            entry = log.get(seq)
+            # A PREPARED entry always has its body.
+            if (entry is None or entry.status is not _PREPARED
+                    or len(entry.commit_votes.get(entry.body.digest, ())) < q):
                 break
-            entry.status = Status.COMMITTED
+            entry.status = _COMMITTED
             self.committed_seq = seq
+            batch = entry.body.batch
             self.chain_digest = hashlib.sha256(
-                self.chain_digest + entry.digest).digest()
+                self.chain_digest + entry.body.digest).digest()
             self._chain_at[seq] = self.chain_digest
-            out.commits.append((seq, entry.body.batch))
-            for req in entry.body.batch:
+            out.commits.append((seq, batch))
+            for req in batch:
                 reply = ReplyBody(req.client_id, req.request_id, seq,
                                   crypto.digest(req.canonical_bytes()))
                 self.reply_cache[req.client_id] = (req.request_id, reply)
                 self.watching.discard((req.client_id, req.request_id))
                 out.outbound.append(((req.client_id,),
-                                     self._env(MessageKind.REPLY,
-                                               reply.encode(), seq=seq)))
+                                     self._env(_REPLY, reply.encode(),
+                                               seq=seq)))
                 out.timer_stops.append(("request", req.client_id,
                                         req.request_id))
-            self._trace("committed", seq=seq, batch=len(entry.body.batch))
+            self._trace("committed", seq=seq, batch=len(batch))
             self._maybe_checkpoint(out)
 
     # -- checkpointing -----------------------------------------------------

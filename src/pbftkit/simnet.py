@@ -11,12 +11,17 @@ Every message still crosses the real codec, but once per send rather than
 once per recipient: a broadcast is encoded and the frame decoded at its
 first destination that passes the partition and drop checks, and every
 recipient's ``deliver`` event carries that one decoded envelope.
+
+A ``deliver`` or replica timer that would land at or after its node's
+``CRASH_AT`` time is not scheduled at all; the link's drop and delay are
+still drawn, so the RNG sequence and every trace stay the same.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -93,11 +98,20 @@ def build_keystores(n: int, client_ids, seed: int = 0):
     return stores
 
 
-@dataclass
 class _SimNode:
-    replica: Replica
-    fault: tuple = None
-    crashed: bool = False
+    __slots__ = ("replica", "fault", "crash_at", "_world")
+
+    def __init__(self, replica: Replica, fault: tuple, crash_at: float,
+                 world: "World"):
+        self.replica = replica
+        self.fault = fault
+        self.crash_at = crash_at
+        self._world = world
+
+    @property
+    def crashed(self) -> bool:
+        """True once virtual time reaches the node's CRASH_AT time."""
+        return self._world.now >= self.crash_at
 
 
 @dataclass
@@ -114,7 +128,10 @@ class World:
         self.rng = random.Random(config.seed)
         self._tiebreak = itertools.count()
         self._events: list = []
-        self._timer_gen: dict = {}
+        # (owner, key) -> id of that timer's one live event in _events; a
+        # stopped or superseded timer's event stays queued and is skipped.
+        self._timers: dict = {}
+        self._timer_ids = itertools.count()
         self.trace: list = []
         self.committed: dict = {i: [] for i in range(config.n)}
         self.client_ids = [config.n + k for k in range(config.num_clients)]
@@ -124,6 +141,12 @@ class World:
                                              config.seed)
         else:
             self.keystores = None
+
+        # Per principal id: the virtual time from which nothing reaches it.
+        self._crash_at = [math.inf] * (config.n + config.num_clients)
+        for i, fault in config.faults.items():
+            if fault[0] == CRASH_AT:
+                self._crash_at[i] = fault[1]
 
         self.nodes = {}
         for i in range(config.n):
@@ -139,7 +162,8 @@ class World:
             vc_verifier = None if config.auth else (lambda env: True)
             rep = Replica(rc, keystore=ks, request_verifier=verifier,
                           vc_verifier=vc_verifier, tracer=self._node_trace)
-            self.nodes[i] = _SimNode(rep, config.faults.get(i))
+            self.nodes[i] = _SimNode(rep, config.faults.get(i),
+                                     self._crash_at[i], self)
 
         self.clients = {}
         for cid in self.client_ids:
@@ -154,6 +178,21 @@ class World:
 
     def _push(self, at: float, item):
         heapq.heappush(self._events, (at, next(self._tiebreak), item))
+
+    def _arm(self, at: float, kind: str, owner: int, key):
+        """Queue the timer event (kind, owner, key, id), superseding any
+        event still queued for (owner, key)."""
+        timer_id = next(self._timer_ids)
+        self._timers[(owner, key)] = timer_id
+        self._push(at, (kind, owner, key, timer_id))
+
+    def _take_timer(self, item) -> bool:
+        """Consume a popped timer event; False when it is stale."""
+        timer = (item[1], item[2])
+        if self._timers.get(timer) != item[3]:
+            return False
+        del self._timers[timer]
+        return True
 
     def _node_trace(self, record):
         record["t"] = round(self.now, 9)
@@ -174,22 +213,28 @@ class World:
     def _transmit(self, src: int, dests, env: WireEnvelope):
         """Schedule ``env``'s delivery to each of ``dests``. Links draw their
         drop and delay in destination order; the codec runs only once a
-        link needs the envelope."""
+        link needs the envelope, even one to a crashed node."""
         cfg = self.config
+        random_ = self.rng.random
+        lo, hi = cfg.latency
+        now = self.now
+        crash_at = self._crash_at
         received = None
         for dest in dests:
             if cfg.partitions and self._partitioned(src, dest):
                 continue
-            if cfg.drop_prob > 0 and self.rng.random() < cfg.drop_prob:
+            if cfg.drop_prob > 0 and random_() < cfg.drop_prob:
                 continue
-            delay = self.rng.uniform(*cfg.latency)
+            # random.uniform's own formula, so the draw is the same.
+            at = now + (lo + (hi - lo) * random_())
             if received is None:
                 received = wire.decode(wire.encode(env))
-            self._push(self.now + delay, ("deliver", src, dest, received))
+            if at < crash_at[dest]:
+                heapq.heappush(self._events, (at, next(self._tiebreak),
+                                              ("deliver", src, dest,
+                                               received)))
 
     def _authenticated(self, env: WireEnvelope, dests, sender_id: int):
-        if not self.config.auth:
-            return env
         if env.auths:  # forwarded client request keeps its own signature
             return env
         if env.kind == MessageKind.REQUEST:
@@ -203,20 +248,24 @@ class World:
     def _dispatch(self, node_id: int, out):
         node = self.nodes[node_id]
         outbound = out.outbound
-        if node.fault and node.fault[0] == MUTE:
+        fault = node.fault
+        if fault and fault[0] == MUTE:
             outbound = []
-        if node.fault and node.fault[0] == EQUIVOCATE:
+        if fault and fault[0] == EQUIVOCATE:
             outbound = self._equivocate(outbound)
+        auth = self.config.auth
         for dests, env in outbound:
             self._transmit(node_id, dests,
-                           self._authenticated(env, dests, node_id))
+                           self._authenticated(env, dests, node_id)
+                           if auth else env)
         for key, delay in out.timer_starts:
-            gen = self._timer_gen.get((node_id, key), 0) + 1
-            self._timer_gen[(node_id, key)] = gen
-            self._push(self.now + delay, ("node_timer", node_id, key, gen))
+            at = self.now + delay
+            if at < node.crash_at:
+                self._arm(at, "node_timer", node_id, key)
+            else:
+                self._timers.pop((node_id, key), None)
         for key in out.timer_stops:
-            self._timer_gen[(node_id, key)] = \
-                self._timer_gen.get((node_id, key), 0) + 1
+            self._timers.pop((node_id, key), None)
 
     def _equivocate(self, outbound):
         """Scripted conflicting proposals: odd-id recipients get a batch with
@@ -247,15 +296,6 @@ class World:
 
     # -- event handlers ----------------------------------------------------
 
-    def _node_alive(self, node: _SimNode) -> bool:
-        if node.crashed:
-            return False
-        if node.fault and node.fault[0] == CRASH_AT and \
-                self.now >= node.fault[1]:
-            node.crashed = True
-            return False
-        return True
-
     def _handle(self, item):
         kind = item[0]
         if kind == "deliver":
@@ -264,30 +304,27 @@ class World:
             if node is None:
                 self._client_deliver(dest, env)
                 return
-            if not self._node_alive(node):
+            if self.now >= node.crash_at:
                 return
             # Client signatures inside REQUESTs are the replica core's to check.
-            if self.config.auth and env.kind != MessageKind.REQUEST:
+            if self.config.auth and env.kind is not MessageKind.REQUEST:
                 ks = self.keystores[dest]
                 if not crypto.verify_incoming(env, self.config.mode, ks):
                     node.replica.counters["rejected"] += 1
                     return
             self._dispatch(dest, node.replica.on_envelope(env))
         elif kind == "node_timer":
-            _, node_id, key, gen = item
-            if self._timer_gen.get((node_id, key)) != gen:
+            if not self._take_timer(item):
                 return
-            self._timer_gen[(node_id, key)] = gen + 1
+            _, node_id, key, _ = item
             node = self.nodes[node_id]
-            if self._node_alive(node):
+            if self.now < node.crash_at:
                 self._dispatch(node_id, node.replica.on_timeout(key))
         elif kind == "client_submit":
             self._client_submit(item[1])
         elif kind == "client_timer":
-            _, cid, rid, gen = item
-            if self._timer_gen.get((cid, rid)) != gen:
-                return
-            self._client_timeout(cid, rid)
+            if self._take_timer(item):
+                self._client_timeout(item[1], item[2])
 
     def _client_submit(self, cid: int):
         cl = self.clients[cid]
@@ -297,10 +334,8 @@ class World:
         payload = self.rng.randbytes(self.config.payload_size)
         req, env, leader = cl.session.make_request(payload, self.now)
         self._transmit(cid, (leader % self.config.n,), env)
-        gen = self._timer_gen.get((cid, req.request_id), 0) + 1
-        self._timer_gen[(cid, req.request_id)] = gen
-        self._push(self.now + self.config.client_timeout,
-                   ("client_timer", cid, req.request_id, gen))
+        self._arm(self.now + self.config.client_timeout, "client_timer", cid,
+                  req.request_id)
 
     def _client_timeout(self, cid: int, rid: int):
         cl = self.clients[cid]
@@ -314,17 +349,14 @@ class World:
             return
         dests, env = action
         self._transmit(cid, dests, env)
-        gen = self._timer_gen[(cid, rid)] + 1
-        self._timer_gen[(cid, rid)] = gen
-        self._push(self.now + self.config.client_timeout,
-                   ("client_timer", cid, rid, gen))
+        self._arm(self.now + self.config.client_timeout, "client_timer", cid,
+                  rid)
 
     def _client_deliver(self, cid: int, env: WireEnvelope):
         cl = self.clients[cid]
         done = cl.session.on_reply(env, self.now)
         if done is not None:
-            self._timer_gen[(cid, done.request_id)] = \
-                self._timer_gen.get((cid, done.request_id), 0) + 1
+            self._timers.pop((cid, done.request_id), None)
             self.trace.append({"node": cid, "event": "client_done",
                                "view": env.view, "rid": done.request_id,
                                "t": round(self.now, 9)})
@@ -338,15 +370,17 @@ class World:
         the same course as one call. Returns the trace."""
         processed = 0
         events = self._events
+        pop, handle = heapq.heappop, self._handle
+        max_events = self.config.max_events
         while events:
             if until is not None and events[0][0] > until:
                 break
-            at, _, item = heapq.heappop(events)
+            at, _, item = pop(events)
             self.now = at
-            self._handle(item)
+            handle(item)
             processed += 1
-            if processed > self.config.max_events:
-                raise NonQuiescent(f"exceeded {self.config.max_events} events")
+            if processed > max_events:
+                raise NonQuiescent(f"exceeded {max_events} events")
         return self.trace
 
     def correct_nodes(self):

@@ -17,13 +17,18 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 MAX_PAYLOAD = 1 << 20  # 1 MiB application payload bound
 MAX_FRAME = 2 << 20  # 2 MiB whole-frame bound
 
 _HEAD = struct.Struct("<BQQHI")  # kind, view, seq, sender, payload_len
+_PAYLOAD_START = 4 + _HEAD.size  # after the length prefix and the head
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_AUTH = struct.Struct("<HH")  # recipient, auth_len
+_REQUEST_ID = struct.Struct("<HQ")  # client_id, request_id
 
 
 class WireError(Exception):
@@ -64,85 +69,113 @@ class MessageKind(IntEnum):
 _KINDS = tuple(MessageKind)  # indexed by kind byte; the values run 0..7
 
 
-@dataclass(frozen=True)
 class WireEnvelope:
-    kind: MessageKind
-    view: int
-    seq: int
-    sender: int
-    payload: bytes = b""
-    auths: tuple = ()  # ((recipient, auth_bytes), ...)
+    """One protocol message: head fields, opaque payload, authenticators.
+
+    Treated as immutable. A plain class with slots rather than a frozen
+    dataclass, because the simulator builds hundreds of thousands per run;
+    equality, hashing and repr follow the six fields as a dataclass would.
+    """
+
+    __slots__ = ("kind", "view", "seq", "sender", "payload", "auths",
+                 "_sbytes")
+
+    def __init__(self, kind: MessageKind, view: int, seq: int, sender: int,
+                 payload: bytes = b"", auths: tuple = ()):
+        self.kind = kind
+        self.view = view
+        self.seq = seq
+        self.sender = sender
+        self.payload = payload
+        self.auths = auths  # ((recipient, auth_bytes), ...)
+        self._sbytes = None
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.view, self.seq, self.sender, self.payload,
+                self.auths)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return (f"WireEnvelope(kind={self.kind!r}, view={self.view!r}, "
+                f"seq={self.seq!r}, sender={self.sender!r}, "
+                f"payload={self.payload!r}, auths={self.auths!r})")
 
     def signing_bytes(self) -> bytes:
         """Bytes covered by digests/authenticators: head + payload, no auths."""
-        cached = self.__dict__.get("_sbytes")
-        if cached is None:
-            cached = _HEAD.pack(self.kind, self.view, self.seq, self.sender,
-                                len(self.payload)) + self.payload
-            object.__setattr__(self, "_sbytes", cached)
-        return cached
+        sb = self._sbytes
+        if sb is None:
+            sb = self._sbytes = _HEAD.pack(
+                self.kind, self.view, self.seq, self.sender,
+                len(self.payload)) + self.payload
+        return sb
 
     def with_auths(self, auths) -> "WireEnvelope":
         env = WireEnvelope(self.kind, self.view, self.seq, self.sender,
                            self.payload, tuple(auths))
-        cached = self.__dict__.get("_sbytes")
-        if cached is not None:  # auths are outside the signed region
-            object.__setattr__(env, "_sbytes", cached)
+        env._sbytes = self._sbytes  # auths are outside the signed region
         return env
 
 
 def encode(env: WireEnvelope) -> bytes:
     if len(env.payload) > MAX_PAYLOAD:
         raise EncodeTooLarge(f"payload {len(env.payload)} > {MAX_PAYLOAD}")
-    parts = [env.signing_bytes(), struct.pack("<H", len(env.auths))]
+    if not env.auths:  # head + payload + a zero auth count fit MAX_FRAME
+        signed = env.signing_bytes()
+        return _U32.pack(len(signed) + 2) + signed + b"\x00\x00"
+    parts = [env.signing_bytes(), _U16.pack(len(env.auths))]
     for recipient, auth in env.auths:
-        parts.append(struct.pack("<HH", recipient, len(auth)))
+        parts.append(_AUTH.pack(recipient, len(auth)))
         parts.append(auth)
     body = b"".join(parts)
     if 4 + len(body) > MAX_FRAME:
         raise EncodeTooLarge(f"frame {4 + len(body)} > {MAX_FRAME}")
-    return struct.pack("<I", len(body)) + body
+    return _U32.pack(len(body)) + body
 
 
 def decode(buf: bytes) -> WireEnvelope:
     """Decode one complete frame. Raises a typed WireError, never crashes."""
-    if len(buf) < 4:
+    size = len(buf)
+    if size < 4:
         raise Incomplete("missing length prefix")
-    (frame_len,) = struct.unpack_from("<I", buf)
+    (frame_len,) = _U32.unpack_from(buf)
     if frame_len > MAX_FRAME - 4:
         raise FrameTooLarge(str(frame_len))
-    if len(buf) != 4 + frame_len:
-        raise Incomplete(f"have {len(buf) - 4} of {frame_len} frame bytes")
+    if size != 4 + frame_len:
+        raise Incomplete(f"have {size - 4} of {frame_len} frame bytes")
     if frame_len < _HEAD.size + 2:
         raise Malformed("frame shorter than fixed header")
     kind_b, view, seq, sender, payload_len = _HEAD.unpack_from(buf, 4)
     if kind_b >= len(_KINDS):
         raise UnknownKind(f"kind byte {kind_b:#x}")
-    kind = _KINDS[kind_b]
-    off = 4 + _HEAD.size
     if payload_len > frame_len - _HEAD.size - 2:
         raise Malformed("payload_len exceeds frame")
-    payload = buf[off:off + payload_len]
-    off += payload_len
-    (auth_count,) = struct.unpack_from("<H", buf, off)
-    off += 2
+    signed_end = _PAYLOAD_START + payload_len
+    (auth_count,) = _U16.unpack_from(buf, signed_end)
+    off = signed_end + 2
     auths = []
     for _ in range(auth_count):
-        if off + 4 > len(buf):
+        if off + 4 > size:
             raise Malformed("truncated auth entry")
-        recipient, auth_len = struct.unpack_from("<HH", buf, off)
+        recipient, auth_len = _AUTH.unpack_from(buf, off)
         off += 4
-        if off + auth_len > len(buf):
+        if off + auth_len > size:
             raise Malformed("auth bytes exceed frame")
         auths.append((recipient, buf[off:off + auth_len]))
         off += auth_len
-    if off != len(buf):
-        raise Malformed(f"{len(buf) - off} trailing bytes")
-    env = WireEnvelope(kind, view, seq, sender, payload, tuple(auths))
+    if off != size:
+        raise Malformed(f"{size - off} trailing bytes")
+    env = WireEnvelope(_KINDS[kind_b], view, seq, sender,
+                       buf[_PAYLOAD_START:signed_end], tuple(auths))
     # The signed region is a straight slice of the frame; seed the cache so
     # digest checks on received traffic skip re-encoding the head.
-    object.__setattr__(env, "_sbytes",
-                       bytes(buf[4:4 + _HEAD.size + payload_len]))
+    env._sbytes = bytes(buf[4:signed_end])
     return env
 
 
@@ -189,7 +222,7 @@ class Request:
 
     def canonical_bytes(self) -> bytes:
         """Identity + payload, excluding the signature; what digests cover."""
-        return struct.pack("<HQ", self.client_id, self.request_id) + self.payload
+        return _REQUEST_ID.pack(self.client_id, self.request_id) + self.payload
 
 
 def request_envelope(req: Request) -> WireEnvelope:
@@ -204,19 +237,19 @@ def request_from_envelope(env: WireEnvelope) -> Request:
         raise Malformed(f"not a REQUEST: {env.kind!r}")
     if len(env.payload) < 10:
         raise Malformed("REQUEST payload shorter than its header")
-    client_id, request_id = struct.unpack_from("<HQ", env.payload)
+    client_id, request_id = _REQUEST_ID.unpack_from(env.payload)
     sig = env.auths[0][1] if env.auths else b""
     return Request(client_id, request_id, env.payload[10:], sig)
 
 
 def _pack_bytes(b: bytes) -> bytes:
-    return struct.pack("<I", len(b)) + b
+    return _U32.pack(len(b)) + b
 
 
 def _unpack_bytes(buf: bytes, off: int):
     if off + 4 > len(buf):
         raise Malformed("truncated length field")
-    (n,) = struct.unpack_from("<I", buf, off)
+    (n,) = _U32.unpack_from(buf, off)
     off += 4
     if off + n > len(buf):
         raise Malformed("length field exceeds buffer")
@@ -225,7 +258,7 @@ def _unpack_bytes(buf: bytes, off: int):
 
 def _encode_request_item(req: Request) -> bytes:
     return (_pack_bytes(req.canonical_bytes())
-            + struct.pack("<H", len(req.signature)) + req.signature)
+            + _U16.pack(len(req.signature)) + req.signature)
 
 
 def _decode_request_item(buf: bytes, off: int):
@@ -234,11 +267,11 @@ def _decode_request_item(buf: bytes, off: int):
         raise Malformed("request item shorter than its header")
     if off + 2 > len(buf):
         raise Malformed("truncated signature length")
-    (sig_len,) = struct.unpack_from("<H", buf, off)
+    (sig_len,) = _U16.unpack_from(buf, off)
     off += 2
     if off + sig_len > len(buf):
         raise Malformed("signature exceeds buffer")
-    client_id, request_id = struct.unpack_from("<HQ", canon)
+    client_id, request_id = _REQUEST_ID.unpack_from(canon)
     return Request(client_id, request_id, canon[10:],
                    bytes(buf[off:off + sig_len])), off + sig_len
 
@@ -262,7 +295,7 @@ class PrePrepareBody:
     digest: bytes
 
     def encode(self) -> bytes:
-        parts = [struct.pack("<I", len(self.batch))]
+        parts = [_U32.pack(len(self.batch))]
         parts += [_encode_request_item(r) for r in self.batch]
         parts.append(self.digest)
         return b"".join(parts)
@@ -271,7 +304,7 @@ class PrePrepareBody:
     def decode(cls, buf: bytes) -> "PrePrepareBody":
         if len(buf) < 4:
             raise Malformed("truncated batch count")
-        (count,) = struct.unpack_from("<I", buf)
+        (count,) = _U32.unpack_from(buf)
         off = 4
         batch = []
         for _ in range(count):

@@ -97,6 +97,31 @@ class TestFaults:
         for i in (0, 1, 3):
             assert world.total_requests_committed(i) == 10
 
+    def test_nothing_scheduled_for_a_crashed_node(self):
+        world = World(SimConfig(seed=7, num_clients=2, requests_per_client=30,
+                                faults={0: (CRASH_AT, 0.25)},
+                                view_change_timeout=0.5, **FAST))
+        horizon = 0.0
+        while world._events:
+            horizon += 0.05
+            world.run(until=horizon)
+            for at, _, item in world._events:
+                if item[0] == "deliver":
+                    assert item[2] != 0 or at < 0.25, item
+                elif item[0] == "node_timer":
+                    assert item[1] != 0 or at < 0.25, item
+        assert world.nodes[0].crashed
+        assert world.max_view() == 1
+
+    def test_crashed_without_traffic_after_the_crash(self):
+        # Node 2 is cut off for the whole run, so no event ever reaches it.
+        world = run_world(faults={2: (CRASH_AT, 0.1)},
+                          partitions=((0.0, 1e9, frozenset({2})),),
+                          requests_per_client=30)
+        assert world.now > 0.1
+        assert world.nodes[2].crashed
+        assert not world.nodes[1].crashed
+
     def test_leader_crash_triggers_view_change(self):
         world = run_world(seed=7, num_clients=2, faults={0: (CRASH_AT, 0.25)},
                           requests_per_client=50, view_change_timeout=0.5)

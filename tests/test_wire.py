@@ -1,6 +1,7 @@
 """Codec: golden frames, round trips, fuzz, and framing."""
 
 import struct
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -57,16 +58,58 @@ class TestGoldenFrames:
         assert env.auths == ((1, b"\x01" * 32), (3, b"\x02" * 32))
 
 
-envelopes = st.builds(
-    WireEnvelope,
-    kind=st.sampled_from(list(MessageKind)),
-    view=st.integers(0, 2**64 - 1),
-    seq=st.integers(0, 2**64 - 1),
-    sender=st.integers(0, 2**16 - 1),
-    payload=st.binary(max_size=512),
-    auths=st.lists(st.tuples(st.integers(0, 2**16 - 1),
-                             st.binary(max_size=300)),
-                   max_size=4).map(tuple))
+envelope_fields = st.tuples(
+    st.sampled_from(list(MessageKind)),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**64 - 1),
+    st.integers(0, 2**16 - 1),
+    st.binary(max_size=512),
+    st.lists(st.tuples(st.integers(0, 2**16 - 1), st.binary(max_size=300)),
+             max_size=4).map(tuple))
+envelopes = envelope_fields.map(lambda fields: WireEnvelope(*fields))
+
+
+@dataclass(frozen=True)
+class DataclassEnvelope:
+    """The envelope as a frozen dataclass: the reference for the slotted
+    WireEnvelope's equality, hash and repr."""
+
+    kind: MessageKind
+    view: int
+    seq: int
+    sender: int
+    payload: bytes = b""
+    auths: tuple = ()
+
+
+class TestSlottedEnvelope:
+    @settings(max_examples=300, deadline=None)
+    @given(envelope_fields, envelope_fields, st.integers(0, 6))
+    def test_behaves_like_the_dataclass(self, f1, f2, shared):
+        f2 = f1[:shared] + f2[shared:]  # shared == 6 gives equal envelopes
+        a, b = WireEnvelope(*f1), WireEnvelope(*f2)
+        ref_a, ref_b = DataclassEnvelope(*f1), DataclassEnvelope(*f2)
+        assert (a == b) == (ref_a == ref_b)
+        assert (a != b) == (ref_a != ref_b)
+        assert hash(a) == hash(ref_a)
+        assert repr(a) == "WireEnvelope" + repr(ref_a)[len("DataclassEnvelope"):]
+        assert a != ref_a
+        back = decode(encode(a))
+        assert back == a and hash(back) == hash(a)
+        assert encode(back) == encode(a)
+
+    @settings(max_examples=200, deadline=None)
+    @given(envelopes, st.lists(st.tuples(st.integers(0, 2**16 - 1),
+                                         st.binary(max_size=64)), max_size=3))
+    def test_with_auths_keeps_signing_bytes(self, env, auths):
+        signed = env.signing_bytes()
+        for source in (env, decode(encode(env))):
+            tagged = source.with_auths(auths)
+            assert tagged.auths == tuple(auths)
+            assert tagged.signing_bytes() == signed
+            assert (tagged.kind, tagged.view, tagged.seq, tagged.sender,
+                    tagged.payload) == (env.kind, env.view, env.seq,
+                                        env.sender, env.payload)
 
 
 class TestRoundTrip:
