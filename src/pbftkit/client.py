@@ -74,15 +74,8 @@ class ClientSession:
         """Policy check for an incoming REPLY; rejects never raise."""
         if env.kind != MessageKind.REPLY or not (0 <= env.sender < self.n):
             return False
-        if self.keystore is None:
-            return True
-        scheme = crypto.required_auth(self.mode, crypto.MessageClass.CLIENT_REPLY)
-        if scheme == crypto.AuthScheme.PK:
-            if len(env.auths) != 1 or len(env.auths[0][1]) <= crypto.MAC_TAG_LEN:
-                return False
-        elif len(env.auths) == 1 and len(env.auths[0][1]) > crypto.MAC_TAG_LEN:
-            return False  # signature offered where a MAC is required
-        return crypto.verify_incoming(env, self.mode, self.keystore)
+        return (self.keystore is None
+                or crypto.verify_incoming(env, self.mode, self.keystore))
 
     def on_reply(self, env: WireEnvelope, now: float):
         """Count one verified reply; returns a Completion on quorum."""

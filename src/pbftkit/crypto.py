@@ -12,6 +12,14 @@ lets a malicious client show different-looking requests to different
 replicas). MACs are HMAC-SHA-256 over 256-bit pairwise secrets; the signer
 and MAC backends sit behind small wrappers so either primitive can be
 swapped without touching callers.
+
+PK replies are signed once per committed batch per replica: every REPLY of
+the batch carries ``((0, sig), (0, D))``, where ``D`` concatenates the
+envelope digests of the batch's replies in batch order and ``sig`` signs
+``digest(D)``. A client checks that its own reply's digest is one of
+``D``'s 32-byte chunks and that ``sig`` verifies; it learns the digests of
+the other replies, never their contents. A lone reply carries the same
+form with a one-digest ``D``.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from .wire import MessageKind, WireEnvelope
 
 MAC_TAG_LEN = 32
 MAC_KEY_LEN = 32
+DIGEST_LEN = 32
 RSA_BITS = 2048
 
 
@@ -118,6 +127,12 @@ class Signature:
 
 
 @dataclass(frozen=True)
+class ReplySignature:
+    value: bytes  # signature over digest(digests)
+    digests: bytes  # the envelope digests of a batch's replies, concatenated
+
+
+@dataclass(frozen=True)
 class MacVector:
     tags: tuple  # ((recipient, 32-byte tag), ...), recipients distinct
 
@@ -182,9 +197,12 @@ def authenticate(env: WireEnvelope, recipients, mode: CryptoMode,
     """Produce the authenticator the policy demands for this envelope.
 
     PK schemes yield one signature over the envelope digest regardless of
-    recipient count; MAC schemes yield one tag per recipient.
+    recipient count; MAC schemes yield one tag per recipient. A PK REPLY
+    gets the batch form of :func:`sign_replies` with a batch of one.
     """
     scheme = required_auth(mode, classify(env.kind))
+    if scheme == AuthScheme.PK and env.kind is MessageKind.REPLY:
+        return sign_replies((env,), ks)
     d = envelope_digest(env)
     if scheme == AuthScheme.MAC:
         tags = tuple((r, ks.mac(r, d)) for r in recipients)
@@ -192,9 +210,17 @@ def authenticate(env: WireEnvelope, recipients, mode: CryptoMode,
     return Signature(ks.sign(d))
 
 
+def sign_replies(envs, ks: KeyStore) -> ReplySignature:
+    """One signature covering every REPLY envelope of a committed batch."""
+    digests = b"".join([envelope_digest(env) for env in envs])
+    return ReplySignature(ks.sign(digest(digests)), digests)
+
+
 def attach(env: WireEnvelope, auth) -> WireEnvelope:
     if isinstance(auth, Signature):
         return env.with_auths(((0, auth.value),))
+    if isinstance(auth, ReplySignature):
+        return env.with_auths(((0, auth.value), (0, auth.digests)))
     return env.with_auths(auth.tags)
 
 
@@ -214,9 +240,24 @@ def verify_incoming(env: WireEnvelope, mode: CryptoMode, ks: KeyStore) -> bool:
         return False
     if scheme == AuthScheme.NONE:
         return True
+    if env.kind is MessageKind.REPLY:
+        return _verify_reply_signature(env, d, ks)
     if len(env.auths) != 1:
         return False
     return ks.verify(env.sender, env.auths[0][1], d)
+
+
+def _verify_reply_signature(env: WireEnvelope, d: bytes, ks: KeyStore) -> bool:
+    """The batch form of a PK REPLY: ``d`` must be one of the aligned
+    digests the sender signed together."""
+    if len(env.auths) != 2:
+        return False
+    sig, digests = env.auths[0][1], env.auths[1][1]
+    if len(digests) % DIGEST_LEN or not any(
+            digests[i:i + DIGEST_LEN] == d
+            for i in range(0, len(digests), DIGEST_LEN)):
+        return False
+    return ks.verify(env.sender, sig, digest(digests))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ verification almost free while hashing stays on the bill.
 
 A PK-signed or unauthenticated broadcast is signed and encoded once and the
 same frame goes to every recipient; a MAC broadcast carries one tag per
-recipient, so it is tagged and encoded per recipient.
+recipient, so it is tagged and encoded per recipient. A PK REPLY comes out
+of the core already signed, one signature per committed batch, and is only
+marshalled.
 
 Per-origin FIFO order holds by construction: a transport puts one origin's
 frames on the inbox in arrival order and the loop handles one item at a

@@ -27,6 +27,13 @@ from .wire import (Certificate, MessageKind, NewViewBody, PrePrepareBody,
 
 DEFAULT_CHECKPOINT_INTERVAL = 500
 DEFAULT_LOG_CAPACITY = 10_000
+# A batch's reply digests travel in one auth entry, whose length is a u16.
+MAX_BATCH_SIZE = 0xFFFF // crypto.DIGEST_LEN
+# Modes whose policy signs client replies: once per committed batch.
+_PK_REPLY_MODES = frozenset(
+    mode for mode in crypto.CryptoMode
+    if crypto.required_auth(mode, crypto.MessageClass.CLIENT_REPLY)
+    is crypto.AuthScheme.PK)
 
 
 @dataclass
@@ -42,13 +49,19 @@ class ReplicaConfig:
     view_change_timeout: float = 1.0
     # 2f+1, fixed at construction: the vote path reads it on every vote.
     quorum: int = field(init=False, repr=False, compare=False)
+    # Whether the mode signs client replies, fixed like the quorum.
+    pk_replies: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 3 * self.f + 1:
             raise ValueError(f"n={self.n} < 3f+1 with f={self.f}")
         if self.checkpoint_interval >= self.log_capacity:
             raise ValueError("checkpoint_interval must be < log_capacity")
+        if self.batch_size > MAX_BATCH_SIZE:
+            raise ValueError(f"batch_size {self.batch_size} > "
+                             f"{MAX_BATCH_SIZE}")
         self.quorum = 2 * self.f + 1
+        self.pk_replies = self.mode in _PK_REPLY_MODES
 
 
 def primary(view: int, n: int) -> int:
@@ -148,7 +161,7 @@ class Replica:
         self.checkpoints: dict[int, dict] = {}  # seq -> {sender: (digest, frame)}
         self.checkpoint_sent: set = set()
         self.stable_proof = Certificate(0, 0, b"\x00" * 32, ())
-        self.reply_cache: dict[int, tuple] = {}  # client -> (rid, ReplyBody)
+        self.reply_cache: dict[int, tuple] = {}  # client -> (rid, REPLY env)
         self.pending_batch: list[Request] = []
         self.deferred: list[Request] = []  # backpressured beyond the window
         self.deferred_keys: set = set()
@@ -253,11 +266,15 @@ class Replica:
         key = (req.client_id, req.request_id)
         cached = self.reply_cache.get(req.client_id)
         if cached is not None and cached[0] == req.request_id:
-            # Already committed: re-emit the cached reply only.
-            out.outbound.append(((req.client_id,),
-                                 self._env(MessageKind.REPLY,
-                                           cached[1].encode(),
-                                           seq=cached[1].seq)))
+            # Already committed: re-emit the cached reply only. It names the
+            # current view, from which the client learns the leader; a reply
+            # signed in this view goes out again without a new signature.
+            reply = cached[1]
+            if reply.view != self.view or not reply.auths:
+                (reply,) = self._seal_replies(
+                    [self._env(_REPLY, reply.payload, seq=reply.seq)])
+                self.reply_cache[req.client_id] = (req.request_id, reply)
+            out.outbound.append(((req.client_id,), reply))
             return
         if cached is not None and cached[0] > req.request_id:
             return  # stale duplicate
@@ -447,18 +464,26 @@ class Replica:
                 self.chain_digest + entry.body.digest).digest()
             self._chain_at[seq] = self.chain_digest
             out.commits.append((seq, batch))
-            for req in batch:
-                reply = ReplyBody(req.client_id, req.request_id, seq,
-                                  crypto.digest(req.canonical_bytes()))
+            replies = [self._env(_REPLY, ReplyBody(
+                req.client_id, req.request_id, seq,
+                crypto.digest(req.canonical_bytes())).encode(), seq=seq)
+                for req in batch]
+            for req, reply in zip(batch, self._seal_replies(replies)):
                 self.reply_cache[req.client_id] = (req.request_id, reply)
                 self.watching.discard((req.client_id, req.request_id))
-                out.outbound.append(((req.client_id,),
-                                     self._env(_REPLY, reply.encode(),
-                                               seq=seq)))
+                out.outbound.append(((req.client_id,), reply))
                 out.timer_stops.append(("request", req.client_id,
                                         req.request_id))
             self._trace("committed", seq=seq, batch=len(batch))
             self._maybe_checkpoint(out)
+
+    def _seal_replies(self, replies: list) -> list:
+        """Give a batch's REPLYs one shared signature when the mode signs
+        replies; otherwise leave them for the driver to authenticate."""
+        if not self.config.pk_replies or self.keystore is None:
+            return replies
+        auth = crypto.sign_replies(replies, self.keystore)
+        return [crypto.attach(env, auth) for env in replies]
 
     # -- checkpointing -----------------------------------------------------
 
@@ -466,8 +491,7 @@ class Replica:
         chain = self._chain_at[seq]
         h = hashlib.sha256(chain)
         for client in sorted(self.reply_cache):
-            rid, reply = self.reply_cache[client]
-            h.update(reply.encode())
+            h.update(self.reply_cache[client][1].payload)
         return h.digest()
 
     def _maybe_checkpoint(self, out: ProtocolOutput):

@@ -235,7 +235,7 @@ class World:
                                                received)))
 
     def _authenticated(self, env: WireEnvelope, dests, sender_id: int):
-        if env.auths:  # forwarded client request keeps its own signature
+        if env.auths:  # a PK reply leaves the core already signed
             return env
         if env.kind == MessageKind.REQUEST:
             return env

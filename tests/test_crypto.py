@@ -8,7 +8,7 @@ from pbftkit import crypto
 from pbftkit.crypto import (AuthScheme, CryptoMode, KeyStore, MessageClass,
                             classify, required_auth)
 from pbftkit.simnet import build_keystores
-from pbftkit.wire import MessageKind, WireEnvelope
+from pbftkit.wire import MessageKind, ReplyBody, WireEnvelope
 
 
 class TestDigest:
@@ -150,6 +150,85 @@ class TestAuthenticateVerify:
     def test_signature_deterministic(self, stores):
         # PKCS#1 v1.5 padding keeps golden fixtures stable
         assert stores[0].sign(b"data") == stores[0].sign(b"data")
+
+
+def _reply(rid, sender=1):
+    body = ReplyBody(4, rid, 1, bytes([rid]) * 32).encode()
+    return WireEnvelope(MessageKind.REPLY, 0, 1, sender, body)
+
+
+def _signed_over(env, digests, signer):
+    """``env`` with a well-formed reply authenticator: ``signer``'s
+    signature over ``digest(digests)`` next to ``digests``."""
+    return env.with_auths(((0, signer.sign(crypto.digest(digests))),
+                           (0, digests)))
+
+
+class TestReplySignature:
+    """A PK REPLY carries one signature over the batch's reply digests."""
+
+    def check(self, env, stores):
+        return crypto.verify_incoming(env, CryptoMode.PK_ONLY, stores[4])
+
+    def test_batch_shares_one_signature_and_each_verifies(self, stores):
+        envs = [_reply(rid) for rid in range(3)]
+        auth = crypto.sign_replies(envs, stores[1])
+        signed = [crypto.attach(env, auth) for env in envs]
+        assert len({env.auths for env in signed}) == 1
+        assert signed[0].auths[1][1] == b"".join(
+            crypto.envelope_digest(env) for env in envs)
+        assert all(self.check(env, stores) for env in signed)
+
+    def test_lone_reply_sealed_by_authenticate_verifies(self, stores):
+        env = _reply(0)
+        signed = crypto.attach(env, crypto.authenticate(
+            env, [4], CryptoMode.PK_ONLY, stores[1]))
+        assert signed.auths[1] == (0, crypto.envelope_digest(env))
+        assert self.check(signed, stores)
+
+    def test_digest_missing_rejected(self, stores):
+        others = b"".join(crypto.envelope_digest(_reply(r)) for r in (1, 2))
+        assert self.check(_signed_over(_reply(0), others, stores[1]),
+                          stores) is False
+
+    def test_digest_only_at_unaligned_offset_rejected(self, stores):
+        env = _reply(0)
+        digests = b"\x00" * 16 + crypto.envelope_digest(env) + b"\x00" * 16
+        assert self.check(_signed_over(env, digests, stores[1]),
+                          stores) is False
+
+    def test_digests_length_not_a_multiple_of_32_rejected(self, stores):
+        env = _reply(0)
+        digests = crypto.envelope_digest(env) + b"\x00"
+        assert self.check(_signed_over(env, digests, stores[1]),
+                          stores) is False
+
+    def test_empty_digests_rejected(self, stores):
+        assert self.check(_signed_over(_reply(0), b"", stores[1]),
+                          stores) is False
+
+    def test_digests_changed_after_signing_rejected(self, stores):
+        envs = [_reply(0), _reply(1)]
+        signed = crypto.attach(envs[0], crypto.sign_replies(envs, stores[1]))
+        (_, sig), (_, digests) = signed.auths
+        changed = digests[:32] + crypto.envelope_digest(_reply(2))
+        bad = envs[0].with_auths(((0, sig), (0, changed)))
+        assert self.check(bad, stores) is False
+
+    def test_signature_by_another_replica_rejected(self, stores):
+        env = _reply(0, sender=1)
+        forged = crypto.attach(env, crypto.sign_replies([env], stores[2]))
+        assert self.check(forged, stores) is False
+
+    def test_authenticator_moved_to_another_batch_rejected(self, stores):
+        auth = crypto.sign_replies([_reply(0), _reply(1)], stores[1])
+        moved = crypto.attach(_reply(2), auth)
+        assert self.check(moved, stores) is False
+
+    def test_single_auth_entry_rejected(self, stores):
+        env = _reply(0)
+        signed = crypto.attach(env, crypto.sign_replies([env], stores[1]))
+        assert self.check(env.with_auths(signed.auths[:1]), stores) is False
 
 
 class TestKeyFiles:

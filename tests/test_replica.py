@@ -4,9 +4,12 @@ from collections import deque
 
 import pytest
 
+from pbftkit.client import ClientSession
+from pbftkit.crypto import CryptoMode, KeyStore
 from pbftkit.replica import (Mode, Replica, ReplicaConfig, Status, primary)
-from pbftkit.wire import (MessageKind, PrePrepareBody, Request, WireEnvelope,
-                          batch_digest)
+from pbftkit.simnet import build_keystores
+from pbftkit.wire import (MessageKind, PrePrepareBody, ReplyBody, Request,
+                          WireEnvelope, batch_digest, request_envelope)
 
 
 def make_replica(self_id=1, n=4, f=1, **kw):
@@ -77,6 +80,13 @@ class TestConfig:
 
     def test_primary_rotation(self):
         assert [primary(v, 4) for v in range(6)] == [0, 1, 2, 3, 0, 1]
+
+    def test_batch_size_bounded_by_reply_digest_entry(self):
+        # A batch's reply digests share one auth entry of at most 65535 B.
+        assert ReplicaConfig(n=4, f=1, self_id=0,
+                             batch_size=2047).batch_size == 2047
+        with pytest.raises(ValueError):
+            ReplicaConfig(n=4, f=1, self_id=0, batch_size=2048)
 
 
 class TestQuorumBoundaries:
@@ -367,3 +377,56 @@ class TestNewViewValidation:
             bus.absorb(i, out)
         bus.run()
         assert bus.replicas[1].view == 1
+
+
+class CountingKeyStore(KeyStore):
+    signs = 0
+
+    def sign(self, data):
+        self.signs += 1
+        return super().sign(data)
+
+
+class TestSignedReplies:
+    """PK replies: one signature per committed batch, kept for re-sending."""
+
+    @pytest.fixture
+    def committed(self):
+        stores = build_keystores(4, [4, 5])
+        ks = stores[1]
+        ks = CountingKeyStore(ks.own_id, ks.signing_key, ks.verify_keys,
+                              ks.mac_keys)
+        rep = Replica(ReplicaConfig(n=4, f=1, self_id=1,
+                                    mode=CryptoMode.PK_ONLY, batch_size=8),
+                      keystore=ks)
+        sessions = {c: ClientSession(c, 4, 1, CryptoMode.PK_ONLY,
+                                     keystore=stores[c]) for c in (4, 5)}
+        batch = [sessions[4 + k % 2].make_request(bytes([k]), 0.0)[0]
+                 for k in range(8)]
+        env, digest = pre_prepare(1, batch)
+        outs = [rep.on_envelope(env),
+                rep.on_envelope(vote(MessageKind.PREPARE, 1, digest, 2))]
+        outs += [rep.on_envelope(vote(MessageKind.COMMIT, 1, digest, s))
+                 for s in (0, 2)]
+        assert rep.log[1].status == Status.COMMITTED
+        replies = [(dests, e) for out in outs for dests, e in out.outbound
+                   if e.kind == MessageKind.REPLY]
+        return rep, ks, sessions, batch, replies
+
+    def test_one_signature_per_committed_batch(self, committed):
+        rep, ks, sessions, batch, replies = committed
+        assert ks.signs == 1
+        assert len(replies) == 8
+        assert len({e.auths for _, e in replies}) == 1
+        for (dests, env), req in zip(replies, batch):
+            assert dests == (req.client_id,)
+            assert ReplyBody.decode(env.payload).request_id == req.request_id
+            assert sessions[req.client_id].verify_reply(env)
+
+    def test_resent_request_reuses_the_signed_reply(self, committed):
+        rep, ks, sessions, batch, replies = committed
+        last = batch[-1]
+        out = rep.on_envelope(request_envelope(last))
+        assert out.outbound == [replies[-1]]
+        assert ks.signs == 1
+        assert sessions[last.client_id].verify_reply(out.outbound[0][1])

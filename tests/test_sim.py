@@ -1,6 +1,7 @@
 """Discrete-event simulator: determinism, faults, and safety checks."""
 
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -8,6 +9,7 @@ from pbftkit import simnet
 from pbftkit.crypto import CryptoMode
 from pbftkit.simnet import (CRASH_AT, EQUIVOCATE, MUTE, NonQuiescent,
                             SimConfig, World, trace_lines)
+from pbftkit.wire import MessageKind, ReplyBody
 
 FAST = dict(auth=False, client_auth=False)
 
@@ -191,6 +193,31 @@ class TestAuthenticatedPath:
         assert world.nodes[1].replica.counters["rejected"] >= 1
         world.check_agreement()
         assert world.total_requests_committed(0) == 2
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_pk_replies_resent_after_commit(self, seed):
+        # Lost replies and slow commits make clients retransmit requests
+        # that replicas have already committed; each such replica answers
+        # from its reply cache with the batch-signed reply it stored.
+        world = World(SimConfig(seed=seed, mode=CryptoMode.PK_ONLY,
+                                drop_prob=0.05, num_clients=2,
+                                requests_per_client=10, client_timeout=1.0))
+        sent = Counter()
+        transmit = world._transmit
+
+        def counting(src, dests, env):
+            if env.kind == MessageKind.REPLY:
+                body = ReplyBody.decode(env.payload)
+                sent[src, body.client_id, body.request_id] += 1
+            transmit(src, dests, env)
+
+        world._transmit = counting
+        world.run(until=30.0)
+        world.check_agreement()
+        assert any(count > 1 for count in sent.values())
+        for cl in world.clients.values():
+            assert cl.failed == 0
+            assert len(cl.session.completions) == 10
 
 
 def fingerprint(world) -> str:
