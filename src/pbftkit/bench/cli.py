@@ -119,114 +119,38 @@ def cmd_node(args):
 
 
 def cmd_loadgen(args):
-    import queue as _q
-    import statistics
-    import threading
     from ..client import ClientSession
     from ..tcpnet import TcpFabric
-    from ..wire import decode, encode
-    from .local import RunReport, build_cdf, percentile
+    from .local import ClientDriver, RunReport, run_drivers
 
     dep = _load_deployment(args.deployment)
     n, f = dep["n"], dep["f"]
-    client_ids = dep["clients"] or [n]
-    latencies = []
-    lat_lock = threading.Lock()
-    stop = threading.Event()
-    failures = [0]
-
-    def run_client(cid):
-        ks = (crypto.load_keystore(dep["keys"], cid)
-              if dep["keys"] else None)
-        fabric = TcpFabric(cid, dep["nodes"], queue_capacity=4096)
-        if not fabric.wait_connected(list(dep["nodes"]), timeout=10.0):
-            reachable = sum(fabric.connected(i) for i in dep["nodes"])
-            if reachable < f + 1:
-                print(f"client {cid}: only {reachable} replicas reachable",
-                      file=sys.stderr)
-                failures[0] += 1
-                return
-        sess = ClientSession(cid, n, f, dep["mode"], keystore=ks)
-        inbox = _q.Queue()
-
-        def pump(rx):
-            while not stop.is_set():
-                frame = rx.get()
-                if frame is None:
-                    return
-                inbox.put(frame)
-
-        pumps = []
-        for rx in fabric.receive_queues().values():
-            t = threading.Thread(target=pump, args=(rx,), daemon=True)
-            t.start()
-            pumps.append(t)
-        deadlines = {}
-        warm_until = time.monotonic() + args.warmup
-        try:
-            while not stop.is_set():
-                while len(sess.pending) < args.outstanding:
-                    req, env, leader = sess.make_request(
-                        bytes(args.value_size), time.monotonic())
-                    deadlines[req.request_id] = (time.monotonic()
-                                                 + args.request_timeout)
-                    fabric.send(leader, encode(env))
-                try:
-                    frame = inbox.get(timeout=0.05)
-                except _q.Empty:
-                    frame = None
-                if frame is not None:
-                    try:
-                        env = decode(frame)
-                    except Exception:
-                        env = None
-                    if env is not None:
-                        done = sess.on_reply(env, time.monotonic())
-                        if done is not None:
-                            deadlines.pop(done.request_id, None)
-                            if time.monotonic() > warm_until:
-                                with lat_lock:
-                                    latencies.append(done.latency)
-                now = time.monotonic()
-                for rid, due in list(deadlines.items()):
-                    if now >= due and rid in sess.pending:
-                        try:
-                            dests, env = sess.on_timeout(rid)
-                            deadlines[rid] = now + args.request_timeout
-                            frame = encode(env)
-                            for d in dests:
-                                fabric.send(d, frame)
-                        except Exception:
-                            deadlines.pop(rid, None)
-                            failures[0] += 1
-        finally:
-            for rx in fabric.receive_queues().values():
-                rx.put(None)
+    failed = 0
+    fabrics, drivers = [], []
+    try:
+        for cid in dep["clients"] or [n]:
+            fabric = TcpFabric(cid, dep["nodes"], queue_capacity=4096)
+            fabrics.append(fabric)
+            if not fabric.wait_connected(list(dep["nodes"]), timeout=10.0):
+                reachable = sum(fabric.connected(i) for i in dep["nodes"])
+                if reachable < f + 1:
+                    print(f"client {cid}: only {reachable} replicas "
+                          f"reachable", file=sys.stderr)
+                    failed += 1
+                    continue
+            ks = (crypto.load_keystore(dep["keys"], cid) if dep["keys"]
+                  else None)
+            drivers.append(ClientDriver(
+                ClientSession(cid, n, f, dep["mode"], keystore=ks), fabric,
+                args.value_size, outstanding=args.outstanding,
+                request_timeout=args.request_timeout))
+        lat, window = run_drivers(drivers, args.warmup, args.duration)
+    finally:
+        for fabric in fabrics:
             fabric.close()
-
-    threads = [threading.Thread(target=run_client, args=(cid,), daemon=True)
-               for cid in client_ids]
-    t_start = time.monotonic()
-    for t in threads:
-        t.start()
-    time.sleep(args.duration)
-    window = time.monotonic() - t_start - args.warmup
-    stop.set()
-    for t in threads:
-        t.join(timeout=5.0)
-
-    lat = sorted(latencies)
-    report = RunReport()
-    report.completed = len(lat)
-    report.failed = failures[0]
-    if lat:
-        report.throughput = len(lat) / max(window, 1e-9)
-        report.latency_mean = statistics.fmean(lat)
-        report.latency_median = percentile(lat, 0.50)
-        report.latency_p95 = percentile(lat, 0.95)
-        report.latency_p99 = percentile(lat, 0.99)
-        report.cdf = build_cdf(lat)
-        report.goodput_gbps = (report.throughput * args.value_size * 8 / 1e9)
+    report = RunReport(completed=len(lat),
+                       failed=failed + sum(d.failed for d in drivers))
+    report.add_latencies(lat, window, args.value_size)
     report.write_csv(args.out)
     print(f"completed={report.completed} throughput={report.throughput:.1f} "
           f"ops/s median={report.latency_median * 1e3:.2f} ms "

@@ -25,7 +25,6 @@ class InlineCluster:
                  batch_size: int = 1, num_clients: int = 2,
                  batch_timeout: float = 0.002, auth: bool = True):
         self.n, self.f, self.mode = n, f, mode
-        self.auth = auth
         self.client_ids = list(range(n, n + num_clients))
         self.keystores = (build_keystores(n, self.client_ids) if auth
                           else {i: None
@@ -40,35 +39,19 @@ class InlineCluster:
         self.pre_prepares_sent = 0
         self.commit_counts = {i: 0 for i in range(n)}
 
-    def _auth_encode(self, src: int, dests, env):
-        """Authenticate and marshal for each recipient; (dest, frame) list."""
-        if not self.auth or env.auths:
-            frame = encode(env)
-            return [(d, frame) for d in dests]
-        ks = self.keystores[src]
-        scheme = crypto.required_auth(self.mode, crypto.classify(env.kind))
-        if scheme == crypto.AuthScheme.PK:
-            # One signature covers every recipient; marshal once.
-            signed = crypto.attach(env, crypto.Signature(
-                ks.sign(crypto.envelope_digest(env))))
-            frame = encode(signed)
-            return [(d, frame) for d in dests]
-        if scheme == crypto.AuthScheme.NONE:
-            frame = encode(env)
-            return [(d, frame) for d in dests]
-        d_bytes = crypto.envelope_digest(env)
-        out = []
-        for d in dests:
-            tagged = env.with_auths(((d, ks.mac(d, d_bytes)),))
-            out.append((d, encode(tagged)))
-        return out
+    def deliver(self, dest: int, frame: bytes):
+        """Hand one frame to replica ``dest``; its output, or None when the
+        frame fails the transport check."""
+        env = decode(frame)
+        if not crypto.verify_incoming(env, self.mode, self.keystores[dest]):
+            return None
+        return self.replicas[dest].on_envelope(env)
 
     def run_closed_loop(self, total_requests: int, value_size: int = 512,
                         outstanding: int = 8):
         """Commit ``total_requests`` end to end; returns a result dict."""
         sessions = {c: ClientSession(c, self.n, self.f, self.mode,
-                                     keystore=self.keystores[c]
-                                     if self.auth else None)
+                                     keystore=self.keystores[c])
                     for c in self.client_ids}
         # Pre-sign the full workload outside the measured window.
         per_client = total_requests // len(self.client_ids)
@@ -106,8 +89,8 @@ class InlineCluster:
             for dests, env in out.outbound:
                 if env.kind == MessageKind.PRE_PREPARE:
                     self.pre_prepares_sent += 1
-                wire.extend((d, src, f)
-                            for d, f in self._auth_encode(src, dests, env))
+                frame = crypto.seal(env, dests, self.mode, self.keystores[src])
+                wire.extend((d, src, frame) for d in dests)
 
         completed = 0
         t0 = now()
@@ -127,11 +110,9 @@ class InlineCluster:
                 continue
             dest, src, frame = wire.popleft()
             if dest < self.n:
-                env = decode(frame)
-                if self.auth and not crypto.verify_incoming(
-                        env, self.mode, self.keystores[dest]):
-                    continue
-                emit(dest, self.replicas[dest].on_envelope(env))
+                out = self.deliver(dest, frame)
+                if out is not None:
+                    emit(dest, out)
             else:
                 sess = sessions[dest]
                 done = sess.on_reply(decode(frame), now())

@@ -1,10 +1,11 @@
-"""In-process cluster and closed-loop load driver.
+"""In-process cluster and the closed-loop client driver.
 
 One cluster hosts n replica pipelines over the loopback fabric in a single
 process. Clients run real ClientSessions on their own threads: each keeps a
 fixed number of requests outstanding, signs every request, and completes on
 f+1 matching replies, so the measured path exercises the same codec, auth,
-and pipeline code as a socket deployment without socket noise.
+and pipeline code as a socket deployment without socket noise. The same
+driver runs over a ``TcpFabric`` in ``pbftkit loadgen``.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ import time
 from dataclasses import dataclass, field
 
 from .. import crypto
-from ..client import ClientSession
+from ..client import ClientSession, RequestFailed
 from ..pipeline import PipelineConfig, StageMetrics, run_pipeline
 from ..replica import Replica, ReplicaConfig
 from ..simnet import build_keystores
-from ..tcpnet import LoopbackFabric
-from ..wire import MessageKind, decode
+from ..tcpnet import LoopbackFabric, merge_inbound
+from ..wire import MessageKind, WireError, decode, encode
 
 
 @dataclass
@@ -82,6 +83,20 @@ class RunReport:
             fh.write("stage,kind,count,total_ns,mean_ns\n")
             for row in self.stage_rows:
                 fh.write(",".join(str(v) for v in row) + "\n")
+
+    def add_latencies(self, lat: list, window: float, value_size: int):
+        """Fill the throughput and latency fields from the latencies of the
+        requests completed in a measured window of ``window`` seconds."""
+        if not lat:
+            return
+        lat.sort()
+        self.throughput = len(lat) / max(window, 1e-9)
+        self.latency_mean = statistics.fmean(lat)
+        self.latency_median = percentile(lat, 0.50)
+        self.latency_p95 = percentile(lat, 0.95)
+        self.latency_p99 = percentile(lat, 0.99)
+        self.cdf = build_cdf(lat)
+        self.goodput_gbps = self.throughput * value_size * 8 / 1e9
 
 
 def percentile(sorted_vals, frac):
@@ -168,39 +183,31 @@ class LocalCluster:
 
 
 class ClientDriver:
-    """One thread per session keeping ``outstanding`` requests in flight."""
+    """One thread keeping ``outstanding`` requests of a session in flight
+    over ``port``, any transport with ``receive_queues`` and ``send``."""
 
-    def __init__(self, cluster: LocalCluster, cid: int, value_size: int,
+    def __init__(self, session: ClientSession, port, value_size: int,
                  outstanding: int = 1, request_timeout: float = 5.0):
-        self.cluster = cluster
-        self.cid = cid
+        self.session = session
+        self.port = port
         self.value_size = value_size
         self.outstanding = outstanding
         self.request_timeout = request_timeout
-        self.session = ClientSession(cid, cluster.n, cluster.f, cluster.mode,
-                                     keystore=cluster.keystores[cid])
-        self.port = cluster.client_port(cid)
-        self._inbox = self.port.merge_inbound()
+        self._inbox = merge_inbound(port)
         self.latencies = []
         self.failed = 0
         self._stop = threading.Event()
-        self._threads = []
+        self._thread = threading.Thread(target=self._run, daemon=True)
 
     def start(self):
-        t = threading.Thread(target=self._run, daemon=True)
-        t.start()
-        self._threads.append(t)
+        self._thread.start()
 
     def stop(self):
         self._stop.set()
         self._inbox.put(None)
-
-    def join(self, timeout=10.0):
-        for t in self._threads:
-            t.join(timeout=timeout)
+        self._thread.join(timeout=10.0)
 
     def _send(self, env, dests):
-        from ..wire import encode
         frame = encode(env)
         for d in dests:
             self.port.send(d, frame)
@@ -222,14 +229,12 @@ class ClientDriver:
                 frame = None
             if frame is not None:
                 try:
-                    env = decode(frame)
-                except Exception:
-                    env = None
-                if env is not None:
-                    done = self.session.on_reply(env, now())
-                    if done is not None:
-                        deadlines.pop(done.request_id, None)
-                        self.latencies.append(done.latency)
+                    done = self.session.on_reply(decode(frame), now())
+                except WireError:
+                    done = None
+                if done is not None:
+                    deadlines.pop(done.request_id, None)
+                    self.latencies.append(done.latency)
             t = now()
             for rid, due in list(deadlines.items()):
                 if t >= due:
@@ -240,9 +245,29 @@ class ClientDriver:
                         dests, env = self.session.on_timeout(rid)
                         deadlines[rid] = t + self.request_timeout
                         self._send(env, dests)
-                    except Exception:
+                    except RequestFailed:
                         del deadlines[rid]
                         self.failed += 1
+
+
+def run_drivers(drivers, warmup: float, duration: float) -> tuple:
+    """Run the drivers for ``duration`` seconds and stop them; returns the
+    latencies of the requests completed after ``warmup`` and the length of
+    that measured window in seconds."""
+    for d in drivers:
+        d.start()
+    time.sleep(warmup)
+    # Snapshot at window start; measure only what completes inside it.
+    start_counts = [len(d.latencies) for d in drivers]
+    t0 = time.monotonic()
+    time.sleep(max(0.0, duration - warmup))
+    window = time.monotonic() - t0
+    lat = []
+    for d, skip in zip(drivers, start_counts):
+        lat.extend(d.latencies[skip:])
+    for d in drivers:
+        d.stop()
+    return lat, window
 
 
 def run_benchmark(config: BenchConfig,
@@ -253,42 +278,21 @@ def run_benchmark(config: BenchConfig,
                            num_clients=config.clients,
                            batch_size=config.batch_size,
                            auth=auth, pipeline_config=pipeline_config)
-    drivers = [ClientDriver(cluster, cid, config.value_size,
+    drivers = [ClientDriver(ClientSession(cid, config.n, config.f,
+                                          config.mode,
+                                          keystore=cluster.keystores[cid]),
+                            cluster.client_port(cid), config.value_size,
                             outstanding=config.outstanding)
                for cid in cluster.client_ids]
-    lat = []
     try:
-        for d in drivers:
-            d.start()
-        time.sleep(config.warmup)
-        # Snapshot at window start; measure only what completes inside it.
-        start_counts = [len(d.latencies) for d in drivers]
-        t0 = time.monotonic()
-        time.sleep(config.duration - config.warmup)
-        window = time.monotonic() - t0
-        lat = []
-        for d, skip in zip(drivers, start_counts):
-            lat.extend(d.latencies[skip:])
-        for d in drivers:
-            d.stop()
+        lat, window = run_drivers(drivers, config.warmup, config.duration)
+        report = RunReport(
+            completed=len(lat), failed=sum(d.failed for d in drivers),
+            view_changes=cluster.view_changes(),
+            pre_prepares=cluster.pre_prepare_count(),
+            rejected=sum(p.rejected for p in cluster.pipelines.values()),
+            stage_rows=cluster.metrics[0].table())
     finally:
-        report = RunReport()
-        report.completed = len(lat)
-        report.failed = sum(d.failed for d in drivers)
-        report.view_changes = cluster.view_changes()
-        report.pre_prepares = cluster.pre_prepare_count()
-        report.rejected = sum(p.rejected for p in cluster.pipelines.values())
-        leader_metrics = cluster.metrics[0]
-        report.stage_rows = leader_metrics.table()
         cluster.stop()
-    if lat:
-        lat.sort()
-        report.throughput = len(lat) / window
-        report.latency_mean = statistics.fmean(lat)
-        report.latency_median = percentile(lat, 0.50)
-        report.latency_p95 = percentile(lat, 0.95)
-        report.latency_p99 = percentile(lat, 0.99)
-        report.cdf = build_cdf(lat)
-        report.goodput_gbps = (report.throughput * config.value_size * 8
-                               / 1e9)
+    report.add_latencies(lat, window, config.value_size)
     return report

@@ -64,18 +64,14 @@ class ClientSession:
         self.next_request_id += 1
         req = Request(self.client_id, rid, payload)
         if self.keystore is not None:
-            env = request_envelope(req)
-            sig = self.keystore.sign(crypto.envelope_digest(env))
-            req = Request(self.client_id, rid, payload, sig)
+            req = crypto.sign_request(req, self.keystore)
         self.pending[rid] = PendingRequest(req, now)
         return req, request_envelope(req), self.believed_leader
 
     def verify_reply(self, env: WireEnvelope) -> bool:
         """Policy check for an incoming REPLY; rejects never raise."""
-        if env.kind != MessageKind.REPLY or not (0 <= env.sender < self.n):
-            return False
-        return (self.keystore is None
-                or crypto.verify_incoming(env, self.mode, self.keystore))
+        return (env.kind == MessageKind.REPLY and 0 <= env.sender < self.n
+                and crypto.verify_incoming(env, self.mode, self.keystore))
 
     def on_reply(self, env: WireEnvelope, now: float):
         """Count one verified reply; returns a Completion on quorum."""

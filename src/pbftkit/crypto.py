@@ -20,6 +20,14 @@ envelope digests of the batch's replies in batch order and ``sig`` signs
 ``D``'s 32-byte chunks and that ``sig`` verifies; it learns the digests of
 the other replies, never their contents. A lone reply carries the same
 form with a one-digest ``D``.
+
+Every driver, the client and the replica core apply the policy through
+this module alone. :func:`seal` authenticates a broadcast once (one
+signature, or one authenticator with a tag per recipient) and encodes it
+once. :func:`verify_incoming` is a hash step and a verify step, which the
+pipeline times as separate stages; a REQUEST passes it, since the replica
+core checks client signatures (:func:`verify_request`). Without a keystore
+nothing is sealed or checked.
 """
 
 from __future__ import annotations
@@ -36,7 +44,8 @@ from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
 from cryptography.exceptions import InvalidSignature
 
-from .wire import MessageKind, WireEnvelope
+from . import wire
+from .wire import MessageKind, Request, WireEnvelope, request_envelope
 
 MAC_TAG_LEN = 32
 MAC_KEY_LEN = 32
@@ -192,21 +201,34 @@ def envelope_digest(env: WireEnvelope) -> bytes:
     return digest(env.signing_bytes())
 
 
+def sign_request(req: Request, ks: KeyStore) -> Request:
+    """``req`` signed by its client over the canonical REQUEST envelope."""
+    return Request(req.client_id, req.request_id, req.payload,
+                   ks.sign(envelope_digest(request_envelope(req))))
+
+
+def verify_request(req: Request, ks: KeyStore) -> bool:
+    """Whether ``req`` carries a valid signature of the client it names."""
+    return ks is None or bool(req.signature) and ks.verify(
+        req.client_id, req.signature, envelope_digest(request_envelope(req)))
+
+
 def authenticate(env: WireEnvelope, recipients, mode: CryptoMode,
-                 ks: KeyStore):
+                 ks: KeyStore, d: bytes = None):
     """Produce the authenticator the policy demands for this envelope.
 
-    PK schemes yield one signature over the envelope digest regardless of
-    recipient count; MAC schemes yield one tag per recipient. A PK REPLY
-    gets the batch form of :func:`sign_replies` with a batch of one.
+    PK schemes yield one signature over the envelope digest ``d`` (computed
+    when not given) regardless of recipient count; MAC schemes yield one
+    tag per recipient. A PK REPLY gets the batch form of
+    :func:`sign_replies` with a batch of one.
     """
-    scheme = required_auth(mode, classify(env.kind))
-    if scheme == AuthScheme.PK and env.kind is MessageKind.REPLY:
-        return sign_replies((env,), ks)
-    d = envelope_digest(env)
-    if scheme == AuthScheme.MAC:
-        tags = tuple((r, ks.mac(r, d)) for r in recipients)
-        return MacVector(tags)
+    scheme = _POLICY[mode][_KIND_CLASS[env.kind]]
+    if d is None:
+        d = envelope_digest(env)
+    if scheme is AuthScheme.MAC:
+        return MacVector(tuple((r, ks.mac(r, d)) for r in recipients))
+    if env.kind is MessageKind.REPLY:
+        return ReplySignature(ks.sign(digest(d)), d)
     return Signature(ks.sign(d))
 
 
@@ -214,6 +236,25 @@ def sign_replies(envs, ks: KeyStore) -> ReplySignature:
     """One signature covering every REPLY envelope of a committed batch."""
     digests = b"".join([envelope_digest(env) for env in envs])
     return ReplySignature(ks.sign(digest(digests)), digests)
+
+
+def seal_replies(replies: list, mode: CryptoMode, ks: KeyStore) -> list:
+    """A committed batch's REPLYs, sharing one signature when the mode signs
+    replies; otherwise as given, for :func:`seal` to authenticate."""
+    if (ks is None or _POLICY[mode][MessageClass.CLIENT_REPLY]
+            is not AuthScheme.PK):
+        return replies
+    auth = sign_replies(replies, ks)
+    return [attach(env, auth) for env in replies]
+
+
+def block_signature(state_digest: bytes, mode: CryptoMode, ks: KeyStore):
+    """The PK signature over a checkpointed state; None if the mode has
+    none."""
+    if (ks is None or _POLICY[mode][MessageClass.CHECKPOINT_BLOCK_SIG]
+            is not AuthScheme.PK):
+        return None
+    return ks.sign(state_digest)
 
 
 def attach(env: WireEnvelope, auth) -> WireEnvelope:
@@ -224,27 +265,62 @@ def attach(env: WireEnvelope, auth) -> WireEnvelope:
     return env.with_auths(auth.tags)
 
 
+def sealable(env: WireEnvelope, ks: KeyStore) -> bool:
+    """Whether :func:`seal` authenticates ``env``: a REQUEST or a signed PK
+    REPLY already carries its authenticator."""
+    return (ks is not None and not env.auths
+            and env.kind is not MessageKind.REQUEST)
+
+
+def seal(env: WireEnvelope, dests, mode: CryptoMode, ks: KeyStore) -> bytes:
+    """Authenticate ``env`` for ``dests`` as the policy says and encode it
+    once: the same frame goes to every destination."""
+    if sealable(env, ks):
+        env = attach(env, authenticate(env, dests, mode, ks))
+    return wire.encode(env)
+
+
+def checked(env: WireEnvelope, ks: KeyStore) -> bool:
+    """Whether :func:`verify_incoming` checks ``env`` (not a REQUEST)."""
+    return ks is not None and env.kind is not MessageKind.REQUEST
+
+
+def hash_incoming(env: WireEnvelope, mode: CryptoMode, ks: KeyStore) -> tuple:
+    """The hash step of :func:`verify_incoming`: ``(scheme, digest,
+    expected, offered)``; on a MAC link the tag computed for the sender and
+    the one addressed to this principal, each None when missing."""
+    scheme = _POLICY[mode][_KIND_CLASS[env.kind]]
+    d = envelope_digest(env)
+    expect = offered = None
+    if scheme is AuthScheme.MAC:
+        try:
+            expect = ks.mac(env.sender, d)
+        except KeyMissing:
+            pass
+        for recipient, tag in env.auths:
+            if recipient == ks.own_id:
+                offered = tag
+                break
+    return scheme, d, expect, offered
+
+
+def verify_hashed(env: WireEnvelope, hashed: tuple, ks: KeyStore) -> bool:
+    """The verify step: compare the tags or check the signature."""
+    scheme, d, expect, offered = hashed
+    if scheme is AuthScheme.MAC:
+        return (expect is not None and offered is not None
+                and _hmac.compare_digest(expect, offered))
+    if env.kind is MessageKind.REPLY:
+        return _verify_reply_signature(env, d, ks)
+    return len(env.auths) == 1 and ks.verify(env.sender, env.auths[0][1], d)
+
+
 def verify_incoming(env: WireEnvelope, mode: CryptoMode, ks: KeyStore) -> bool:
     """Check the envelope's authenticator. Rejection is a value, never an
     exception, so Byzantine input cannot crash the verify stage."""
-    scheme = required_auth(mode, classify(env.kind))
-    d = envelope_digest(env)
-    if scheme == AuthScheme.MAC:
-        for recipient, tag in env.auths:
-            if recipient == ks.own_id:
-                try:
-                    expect = ks.mac(env.sender, d)
-                except KeyMissing:
-                    return False
-                return _hmac.compare_digest(expect, tag)
-        return False
-    if scheme == AuthScheme.NONE:
+    if not checked(env, ks):
         return True
-    if env.kind is MessageKind.REPLY:
-        return _verify_reply_signature(env, d, ks)
-    if len(env.auths) != 1:
-        return False
-    return ks.verify(env.sender, env.auths[0][1], d)
+    return verify_hashed(env, hash_incoming(env, mode, ks), ks)
 
 
 def _verify_reply_signature(env: WireEnvelope, d: bytes, ks: KeyStore) -> bool:

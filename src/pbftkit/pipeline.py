@@ -4,19 +4,20 @@ Each replica runs one thread. It reads one bounded inbox, to which every
 receive queue of the transport is rebound, and makes the seven stage calls
 in order for each frame: (1) unmarshal, (2) hash and (3) verify, (4) decide
 (``replica.on_envelope``), then for each outbound message (5) hash, (6) sign
-or MAC per recipient and (7) marshal and send. The stages are accounting
+or MAC and (7) marshal and send. The stages are accounting
 boundaries only: StageMetrics records the thread CPU time of each.
 
-Hashing is split from verification deliberately: the hash stage computes
-the envelope digest and, for MAC links, the expected tag; the verify stage
-then only compares tags or checks a signature. That split is what makes MAC
-verification almost free while hashing stays on the bill.
-
-A PK-signed or unauthenticated broadcast is signed and encoded once and the
-same frame goes to every recipient; a MAC broadcast carries one tag per
-recipient, so it is tagged and encoded per recipient. A PK REPLY comes out
-of the core already signed, one signature per committed batch, and is only
-marshalled.
+The authentication work is ``crypto``'s; the pipeline only times it.
+Inbound, the hash stage is ``crypto.hash_incoming`` (the envelope digest
+and, for MAC links, the expected tag) and the verify stage
+``crypto.verify_hashed``, which only compares tags or checks a signature.
+That split is what makes MAC verification almost free while hashing stays
+on the bill. A REQUEST skips both: its client signature is checked by the
+core, so the leader's one RSA verify per request falls in ``decide``.
+Outbound, a broadcast is hashed, authenticated once (one signature, or one
+authenticator holding a tag per recipient) and encoded once, and the same
+frame goes to every recipient. A PK REPLY comes out of the core already
+signed, one signature per committed batch, and is only marshalled.
 
 Per-origin FIFO order holds by construction: a transport puts one origin's
 frames on the inbox in arrival order and the loop handles one item at a
@@ -30,21 +31,19 @@ counted rejection (undecodable frame or failed authentication).
 from __future__ import annotations
 
 import heapq
-import hmac
 import queue
 import threading
 import time
 from dataclasses import dataclass
 
 from . import crypto
+from .tcpnet import merge_inbound
 from .wire import WireError, decode, encode
 
 _STAGES = ("unmarshal", "hash_rx", "verify", "decide",
            "hash_tx", "sign", "marshal")
 
 _STOP = object()
-_MAC = crypto.AuthScheme.MAC
-_PK = crypto.AuthScheme.PK
 
 
 def _clock_overhead_ns(samples: int = 512) -> int:
@@ -158,10 +157,8 @@ class Pipeline:
         self.on_commit = on_commit
         self.rejected = 0
         self._clock_ovh = _clock_overhead_ns()
-        self._inbox = queue.Queue(config.queue_capacity)
-        rx = transport.receive_queues()
-        for peer in rx:
-            rx[peer] = self._inbox
+        self._inbox = merge_inbound(transport,
+                                    queue.Queue(config.queue_capacity))
         self.timers = _Timers(self._inbox)
         self._heap = []  # (due, generation, key); stale entries are skipped
         self._gens = {}  # key -> generation of its live entry
@@ -225,34 +222,14 @@ class Pipeline:
         kind = env.kind
         self._rec("unmarshal", kind, t0, clock())
         ks = self.keystore
-        if ks is not None:
-            scheme = crypto.required_auth(self.mode, crypto.classify(kind))
-            # Hash phase: digest always; for MAC links also the expected
-            # tag and the offered tag addressed to this replica, so the
-            # verify phase is a pure cryptographic comparison.
+        if crypto.checked(env, ks):
             t0 = clock()
-            d = crypto.envelope_digest(env)
-            expect = offered = None
-            if scheme is _MAC:
-                try:
-                    expect = ks.mac(env.sender, d)
-                except crypto.KeyMissing:
-                    pass
-                for recipient, tag in env.auths:
-                    if recipient == ks.own_id:
-                        offered = tag
-                        break
-            self._rec("hash_rx", kind, t0, clock())
-            t0 = clock()
-            if scheme is _MAC:
-                ok = (expect is not None and offered is not None
-                      and hmac.compare_digest(expect, offered))
-            elif scheme is _PK:
-                ok = (len(env.auths) == 1
-                      and ks.verify(env.sender, env.auths[0][1], d))
-            else:
-                ok = True
-            self._rec("verify", kind, t0, clock())
+            hashed = crypto.hash_incoming(env, self.mode, ks)
+            t1 = clock()
+            ok = crypto.verify_hashed(env, hashed, ks)
+            t2 = clock()
+            self._rec("hash_rx", kind, t0, t1)
+            self._rec("verify", kind, t1, t2)
             if not ok:
                 self.rejected += 1
                 return
@@ -277,32 +254,20 @@ class Pipeline:
 
     def _send(self, dests, env):
         clock = time.thread_time_ns
-        ks, kind, send = self.keystore, env.kind, self.transport.send
-        scheme = None
-        if ks is not None and not env.auths:
-            scheme = crypto.required_auth(self.mode, crypto.classify(kind))
-        if scheme is _MAC or scheme is _PK:
+        ks, kind = self.keystore, env.kind
+        if crypto.sealable(env, ks):
             t0 = clock()
             d = crypto.envelope_digest(env)
-            self._rec("hash_tx", kind, t0, clock())
-        if scheme is _MAC:
-            for dest in dests:
-                t0 = clock()
-                tagged = env.with_auths(((dest, ks.mac(dest, d)),))
-                t1 = clock()
-                frame = encode(tagged)
-                t2 = clock()
-                self._rec("sign", kind, t0, t1)
-                self._rec("marshal", kind, t1, t2)
-                send(dest, frame)
-            return
-        if scheme is _PK:
-            t0 = clock()
-            env = env.with_auths(((0, ks.sign(d)),))
-            self._rec("sign", kind, t0, clock())
+            t1 = clock()
+            env = crypto.attach(env, crypto.authenticate(env, dests, self.mode,
+                                                         ks, d))
+            t2 = clock()
+            self._rec("hash_tx", kind, t0, t1)
+            self._rec("sign", kind, t1, t2)
         t0 = clock()
         frame = encode(env)
         self._rec("marshal", kind, t0, clock())
+        send = self.transport.send
         for dest in dests:
             send(dest, frame)
 
@@ -328,8 +293,8 @@ def run_pipeline(config: PipelineConfig, transport, replica,
 
     ``transport`` must expose ``receive_queues() -> {peer id: Queue}`` and
     ``send(peer id, frame bytes)``. Every entry of the receive-queue dict is
-    rebound to the loop's inbox, so the transport must look the queue up
-    there for each frame it delivers.
+    rebound to the loop's inbox (``tcpnet.merge_inbound``), so the transport
+    must look the queue up there for each frame it delivers.
     """
     return Pipeline(config, transport, replica, mode, keystore,
                     metrics=metrics, on_commit=on_commit)

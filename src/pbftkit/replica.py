@@ -29,11 +29,6 @@ DEFAULT_CHECKPOINT_INTERVAL = 500
 DEFAULT_LOG_CAPACITY = 10_000
 # A batch's reply digests travel in one auth entry, whose length is a u16.
 MAX_BATCH_SIZE = 0xFFFF // crypto.DIGEST_LEN
-# Modes whose policy signs client replies: once per committed batch.
-_PK_REPLY_MODES = frozenset(
-    mode for mode in crypto.CryptoMode
-    if crypto.required_auth(mode, crypto.MessageClass.CLIENT_REPLY)
-    is crypto.AuthScheme.PK)
 
 
 @dataclass
@@ -49,8 +44,6 @@ class ReplicaConfig:
     view_change_timeout: float = 1.0
     # 2f+1, fixed at construction: the vote path reads it on every vote.
     quorum: int = field(init=False, repr=False, compare=False)
-    # Whether the mode signs client replies, fixed like the quorum.
-    pk_replies: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 3 * self.f + 1:
@@ -61,7 +54,6 @@ class ReplicaConfig:
             raise ValueError(f"batch_size {self.batch_size} > "
                              f"{MAX_BATCH_SIZE}")
         self.quorum = 2 * self.f + 1
-        self.pk_replies = self.mode in _PK_REPLY_MODES
 
 
 def primary(view: int, n: int) -> int:
@@ -136,19 +128,11 @@ class Replica:
         self.config = config
         self.keystore = keystore
         self.tracer = tracer
-        if request_verifier is not None:
-            self._verify_request = request_verifier
-        elif keystore is not None:
-            self._verify_request = self._verify_request_pk
-        else:
-            self._verify_request = lambda req: True
-        if vc_verifier is not None:
-            self._verify_vc_envelope = vc_verifier
-        elif keystore is not None:
-            self._verify_vc_envelope = lambda env: crypto.verify_incoming(
-                env, self.config.mode, self.keystore)
-        else:
-            self._verify_vc_envelope = lambda env: True
+        self._verify_request = request_verifier or (
+            lambda req: crypto.verify_request(req, self.keystore))
+        self._verify_vc_envelope = vc_verifier or (
+            lambda env: crypto.verify_incoming(env, self.config.mode,
+                                               self.keystore))
 
         self.view = 0
         self.mode = Mode.NORMAL
@@ -195,13 +179,6 @@ class Replica:
         if self.tracer is not None:
             self.tracer({"node": self.config.self_id, "event": event,
                          "view": self.view, **fields})
-
-    def _verify_request_pk(self, req: Request) -> bool:
-        if not req.signature:
-            return False
-        env = request_envelope(req)
-        return self.keystore.verify(req.client_id, req.signature,
-                                    crypto.envelope_digest(env))
 
     def _in_window(self, seq: int) -> bool:
         return self.h < seq <= self.h + self.config.log_capacity
@@ -253,14 +230,16 @@ class Replica:
         try:
             req = request_from_envelope(env)
         except Exception:
+            req = None
+        # The client signature is checked once, on intake: the leader
+        # batches and a follower forwards or watches only verified requests.
+        if req is None or not self._verify_request(req):
             self.counters["rejected"] += 1
             return
         self._on_request(req, out)
 
     def on_request(self, req: Request) -> ProtocolOutput:
-        out = ProtocolOutput()
-        self._on_request(req, out)
-        return out
+        return self.on_envelope(request_envelope(req))
 
     def _on_request(self, req: Request, out: ProtocolOutput):
         key = (req.client_id, req.request_id)
@@ -271,8 +250,9 @@ class Replica:
             # signed in this view goes out again without a new signature.
             reply = cached[1]
             if reply.view != self.view or not reply.auths:
-                (reply,) = self._seal_replies(
-                    [self._env(_REPLY, reply.payload, seq=reply.seq)])
+                (reply,) = crypto.seal_replies(
+                    [self._env(_REPLY, reply.payload, seq=reply.seq)],
+                    self.config.mode, self.keystore)
                 self.reply_cache[req.client_id] = (req.request_id, reply)
             out.outbound.append(((req.client_id,), reply))
             return
@@ -468,7 +448,9 @@ class Replica:
                 req.client_id, req.request_id, seq,
                 crypto.digest(req.canonical_bytes())).encode(), seq=seq)
                 for req in batch]
-            for req, reply in zip(batch, self._seal_replies(replies)):
+            replies = crypto.seal_replies(replies, self.config.mode,
+                                          self.keystore)
+            for req, reply in zip(batch, replies):
                 self.reply_cache[req.client_id] = (req.request_id, reply)
                 self.watching.discard((req.client_id, req.request_id))
                 out.outbound.append(((req.client_id,), reply))
@@ -476,14 +458,6 @@ class Replica:
                                         req.request_id))
             self._trace("committed", seq=seq, batch=len(batch))
             self._maybe_checkpoint(out)
-
-    def _seal_replies(self, replies: list) -> list:
-        """Give a batch's REPLYs one shared signature when the mode signs
-        replies; otherwise leave them for the driver to authenticate."""
-        if not self.config.pk_replies or self.keystore is None:
-            return replies
-        auth = crypto.sign_replies(replies, self.keystore)
-        return [crypto.attach(env, auth) for env in replies]
 
     # -- checkpointing -----------------------------------------------------
 
@@ -507,11 +481,11 @@ class Replica:
             (sd, env.signing_bytes())
         out.outbound.append((self._peers, env))
         self._trace("checkpoint", seq=seq)
-        if (self.config.mode == crypto.CryptoMode.DOMAIN_OPTIMIZED
-                and self.keystore is not None):
-            # Periodic PK block signature over the checkpointed range so
-            # third parties can audit the log at coarse granularity.
-            out.block_signatures.append((seq, self.keystore.sign(sd)))
+        # Periodic PK block signature over the checkpointed range, where the
+        # mode takes one, so third parties can audit the log coarsely.
+        sig = crypto.block_signature(sd, self.config.mode, self.keystore)
+        if sig is not None:
+            out.block_signatures.append((seq, sig))
         self._advance_watermark(seq, out)
 
     def _on_checkpoint(self, env: WireEnvelope, out: ProtocolOutput):
@@ -657,12 +631,10 @@ class Replica:
         reproposals = self._compute_reproposals(vcs)
         frames = []
         for s in senders:
-            body, env = msgs[s]
-            if s == self.config.self_id and self.keystore is not None:
-                # Own VIEW_CHANGE must carry its signature in the proof.
-                env = crypto.attach(env, crypto.authenticate(
-                    env, (), self.config.mode, self.keystore))
-            frames.append(wire.encode(env))
+            env = msgs[s][1]
+            # Own VIEW_CHANGE must carry its signature in the proof.
+            frames.append(crypto.seal(env, (), self.config.mode, self.keystore)
+                          if s == self.config.self_id else wire.encode(env))
         nv_body = NewViewBody(target, tuple(frames), reproposals)
         nv_env = self._env(MessageKind.NEW_VIEW, nv_body.encode(), view=target)
         out.outbound.append((self._peers, nv_env))

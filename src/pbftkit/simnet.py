@@ -7,10 +7,14 @@ always produces the identical trace. Fault adapters script the Byzantine
 behaviors the protocol must survive: crashing, going mute, and an
 equivocating leader that shows different batches to different followers.
 
-Every message still crosses the real codec, but once per send rather than
-once per recipient: a broadcast is encoded and the frame decoded at its
-first destination that passes the partition and drop checks, and every
-recipient's ``deliver`` event carries that one decoded envelope.
+Every message still crosses the real codec and, with ``auth`` on, the real
+authenticators of ``crypto``, but once per send rather than once per
+recipient: a broadcast is sealed (``crypto.seal``: one signature, or one
+tag per recipient in one authenticator) and the frame decoded at its first
+destination that passes the partition and drop checks, and every
+recipient's ``deliver`` event carries that one decoded envelope, which the
+recipient checks with ``crypto.verify_incoming``. Client signatures inside
+REQUESTs are checked by the replica core.
 
 A ``deliver`` or replica timer that would land at or after its node's
 ``CRASH_AT`` time is not scheduled at all; the link's drop and delay are
@@ -212,8 +216,8 @@ class World:
 
     def _transmit(self, src: int, dests, env: WireEnvelope):
         """Schedule ``env``'s delivery to each of ``dests``. Links draw their
-        drop and delay in destination order; the codec runs only once a
-        link needs the envelope, even one to a crashed node."""
+        drop and delay in destination order; sealing and the codec run only
+        once a link needs the envelope, even one to a crashed node."""
         cfg = self.config
         random_ = self.rng.random
         lo, hi = cfg.latency
@@ -228,20 +232,12 @@ class World:
             # random.uniform's own formula, so the draw is the same.
             at = now + (lo + (hi - lo) * random_())
             if received is None:
-                received = wire.decode(wire.encode(env))
+                ks = self.keystores[src] if cfg.auth else None
+                received = wire.decode(crypto.seal(env, dests, cfg.mode, ks))
             if at < crash_at[dest]:
                 heapq.heappush(self._events, (at, next(self._tiebreak),
                                               ("deliver", src, dest,
                                                received)))
-
-    def _authenticated(self, env: WireEnvelope, dests, sender_id: int):
-        if env.auths:  # a PK reply leaves the core already signed
-            return env
-        if env.kind == MessageKind.REQUEST:
-            return env
-        ks = self.keystores[sender_id]
-        return crypto.attach(env, crypto.authenticate(
-            env, dests, self.config.mode, ks))
 
     # -- replica output dispatch -------------------------------------------
 
@@ -253,11 +249,8 @@ class World:
             outbound = []
         if fault and fault[0] == EQUIVOCATE:
             outbound = self._equivocate(outbound)
-        auth = self.config.auth
         for dests, env in outbound:
-            self._transmit(node_id, dests,
-                           self._authenticated(env, dests, node_id)
-                           if auth else env)
+            self._transmit(node_id, dests, env)
         for key, delay in out.timer_starts:
             at = self.now + delay
             if at < node.crash_at:
@@ -306,12 +299,10 @@ class World:
                 return
             if self.now >= node.crash_at:
                 return
-            # Client signatures inside REQUESTs are the replica core's to check.
-            if self.config.auth and env.kind is not MessageKind.REQUEST:
-                ks = self.keystores[dest]
-                if not crypto.verify_incoming(env, self.config.mode, ks):
-                    node.replica.counters["rejected"] += 1
-                    return
+            if self.config.auth and not crypto.verify_incoming(
+                    env, self.config.mode, self.keystores[dest]):
+                node.replica.counters["rejected"] += 1
+                return
             self._dispatch(dest, node.replica.on_envelope(env))
         elif kind == "node_timer":
             if not self._take_timer(item):
@@ -407,9 +398,7 @@ class World:
         for i in self.correct_nodes():
             for seq, digest, batch in self.committed[i]:
                 for req in batch:
-                    env = wire.request_envelope(req)
-                    if not ks.verify(req.client_id, req.signature,
-                                     crypto.envelope_digest(env)):
+                    if not crypto.verify_request(req, ks):
                         raise AssertionError(
                             f"validity violation at node {i} seq {seq}")
 

@@ -2,8 +2,8 @@
 
 Both expose the two methods the pipeline needs: ``receive_queues()``
 returning one inbound frame queue per peer, and ``send(peer, frame)``.
-A consumer may rebind entries of that dict (the pipeline points them all
-at its one inbox); both fabrics look the queue up for every frame.
+A consumer may rebind entries of that dict (``merge_inbound`` points them
+all at one inbox); both fabrics look the queue up for every frame.
 Loss is acceptable by design; the protocol's own retransmission (client
 resend, vote re-collection) covers it, so a down connection drops frames
 rather than blocking the sender.
@@ -29,6 +29,17 @@ RECONNECT_BACKOFF = 0.2
 # How long an accepted socket may take to send its hello before it is
 # dropped; without a bound one silent connector stalls every later accept.
 HELLO_TIMEOUT = 3.0
+
+
+def merge_inbound(transport, inbox=None):
+    """Rebind every receive queue of ``transport`` to one inbox (a new
+    unbounded queue unless given) and return it, so that one consumer
+    blocks on a single read point."""
+    inbox = queue.Queue() if inbox is None else inbox
+    rx = transport.receive_queues()
+    for peer in rx:
+        rx[peer] = inbox
+    return inbox
 
 
 class _Conn:
@@ -257,16 +268,6 @@ class _LoopbackPort:
         self.hub = hub
         self.closed = threading.Event()
         self._rx = {p: queue.Queue(cap) for p in hub.ids if p != pid}
-
-    def merge_inbound(self):
-        """Collapse all per-peer inbound queues into one shared queue.
-
-        For plain consumers (client drivers) that do not run a pipeline
-        and want a single blocking read point.
-        """
-        shared = queue.Queue()
-        self._rx = {p: shared for p in self._rx}
-        return shared
 
     def receive_queues(self) -> dict:
         return self._rx

@@ -1,18 +1,24 @@
 """Benchmark harness: scenario files, CSV outputs, CDF math, CLI wiring."""
 
 import csv
+import json
 import random
+import socket
 import time
 from collections import deque
 from pathlib import Path
 
 import pytest
 
+from pbftkit import crypto
 from pbftkit.bench import cli
 from pbftkit.bench.inline import InlineCluster
 from pbftkit.bench.local import LocalCluster, RunReport, build_cdf, percentile
 from pbftkit.crypto import CryptoMode
+from pbftkit.pipeline import PipelineConfig, run_pipeline
+from pbftkit.replica import Replica, ReplicaConfig
 from pbftkit.simnet import CRASH_AT, EQUIVOCATE, MUTE, SimConfig, World
+from pbftkit.tcpnet import TcpFabric
 from pbftkit.wire import decode, encode
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "pbftkit" / \
@@ -188,6 +194,47 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main(["node", "--deployment", str(dep), "--id", "0"])
         assert exc.value.code == 2
+
+    def test_loadgen_completes_against_tcp_replicas(self, tmp_path):
+        keys = tmp_path / "keys"
+        assert cli.main(["keygen", "--n", "4", "--clients", "1",
+                         "--outdir", str(keys)]) == 0
+        socks = [socket.create_server(("127.0.0.1", 0)) for _ in range(4)]
+        nodes = {str(i): f"127.0.0.1:{s.getsockname()[1]}"
+                 for i, s in enumerate(socks)}
+        for s in socks:
+            s.close()
+        dep = tmp_path / "dep.json"
+        dep.write_text(json.dumps({"n": 4, "f": 1, "mode": "mac_inter_node",
+                                   "keys": str(keys), "nodes": nodes,
+                                   "clients": [4]}))
+        addrs = cli._load_deployment(dep)["nodes"]
+        fabrics, pipes = [], []
+        out = tmp_path / "out"
+        try:
+            for i in range(4):
+                ks = crypto.load_keystore(keys, i)
+                fabrics.append(TcpFabric(i, addrs, client_ids=[4]))
+                rep = Replica(ReplicaConfig(
+                    n=4, f=1, self_id=i, mode=CryptoMode.MAC_INTER_NODE,
+                    batch_timeout=0.005, view_change_timeout=5.0),
+                    keystore=ks)
+                pipes.append(run_pipeline(
+                    PipelineConfig(), fabrics[-1], rep,
+                    mode=CryptoMode.MAC_INTER_NODE, keystore=ks))
+            rc = cli.main(["loadgen", "--deployment", str(dep),
+                           "--duration", "2", "--warmup", "0.5",
+                           "--out", str(out)])
+        finally:
+            for pipe in pipes:
+                pipe.stop()
+            for fabric in fabrics:
+                fabric.close()
+        assert rc == 0
+        with open(out / "summary.csv") as fh:
+            row = next(csv.DictReader(fh))
+        assert int(row["completed"]) > 0
+        assert int(row["failed"]) == 0
 
     def test_keygen_writes_keys(self, tmp_path):
         out = tmp_path / "keys"

@@ -199,9 +199,12 @@ class TestConservation:
 class TestFanOut:
     DESTS = (1, 2, 3)
 
-    def broadcast_commit(self, stores, mode):
+    @pytest.mark.parametrize("mode", list(CryptoMode), ids=lambda m: m.name)
+    def test_broadcast_sealed_once(self, stores, mode):
         """Feed one authenticated PREPARE to replica 0, whose core answers
-        with a COMMIT to DESTS; returns the metrics and the sent frames."""
+        with a COMMIT to DESTS: the COMMIT is hashed, authenticated and
+        encoded once, and every recipient verifies the one frame with its
+        own key."""
         transport = FakeTransport(origins=(2,))
 
         def respond(env):
@@ -214,34 +217,18 @@ class TestFanOut:
         pipe = start(transport, StubReplica(respond), mode=mode,
                      keystore=stores[0], metrics=metrics)
         try:
-            env = env_for(1)
-            transport.rx[2].put(encode(crypto.attach(env, crypto.authenticate(
-                env, (0,), mode, stores[2]))))
+            transport.rx[2].put(crypto.seal(env_for(1), (0,), mode, stores[2]))
             assert wait_for(lambda: len(transport.sent) == len(self.DESTS))
         finally:
             pipe.stop()
+        for stage in ("hash_tx", "sign", "marshal"):
+            assert metrics.get(stage, MessageKind.COMMIT)[0] == 1
         assert sorted(dest for dest, _ in transport.sent) == list(self.DESTS)
+        assert len({frame for _, frame in transport.sent}) == 1
         for dest, frame in transport.sent:
             out = decode(frame)
             assert out.kind == MessageKind.COMMIT
             assert crypto.verify_incoming(out, mode, stores[dest])
-        return metrics, transport.sent
-
-    def test_one_decision_clones_per_recipient(self, stores):
-        metrics, sent = self.broadcast_commit(stores,
-                                              CryptoMode.MAC_INTER_NODE)
-        assert metrics.get("hash_tx", MessageKind.COMMIT)[0] == 1
-        assert metrics.get("sign", MessageKind.COMMIT)[0] == 3
-        assert metrics.get("marshal", MessageKind.COMMIT)[0] == 3
-        # each frame's one MAC is addressed to its recipient
-        assert all(decode(frame).auths[0][0] == dest for dest, frame in sent)
-
-    def test_pk_broadcast_signs_and_encodes_once(self, stores):
-        metrics, sent = self.broadcast_commit(stores, CryptoMode.PK_ONLY)
-        assert metrics.get("hash_tx", MessageKind.COMMIT)[0] == 1
-        assert metrics.get("sign", MessageKind.COMMIT)[0] == 1
-        assert metrics.get("marshal", MessageKind.COMMIT)[0] == 1
-        assert len({frame for _, frame in sent}) == 1
 
 
 class TestLoop:

@@ -430,3 +430,41 @@ class TestSignedReplies:
         assert out.outbound == [replies[-1]]
         assert ks.signs == 1
         assert sessions[last.client_id].verify_reply(out.outbound[0][1])
+
+
+class TestForgedRequest:
+    """A REQUEST whose client signature fails is rejected on intake, at the
+    leader and at a follower alike."""
+
+    @pytest.fixture(scope="class")
+    def stores(self):
+        return build_keystores(4, [4, 5])
+
+    def replica(self, stores, self_id):
+        return Replica(ReplicaConfig(n=4, f=1, self_id=self_id,
+                                     mode=CryptoMode.MAC_INTER_NODE),
+                       keystore=stores[self_id])
+
+    def forged(self, stores):
+        # Client 5 signs a request in client 4's name.
+        req = ClientSession(5, 4, 1, CryptoMode.MAC_INTER_NODE,
+                            keystore=stores[5]).make_request(b"x", 0.0)[0]
+        return request_envelope(Request(4, 0, req.payload, req.signature))
+
+    def test_leader_rejects_without_pre_prepare(self, stores):
+        leader = self.replica(stores, 0)
+        out = leader.on_envelope(self.forged(stores))
+        assert out.outbound == [] and out.timer_starts == []
+        assert leader.counters["rejected"] == 1
+        assert leader.pending_batch == [] and leader.assigned == {}
+        genuine = ClientSession(4, 4, 1, CryptoMode.MAC_INTER_NODE,
+                                keystore=stores[4]).make_request(b"x", 0.0)[1]
+        out = leader.on_envelope(genuine)
+        assert [e.kind for _, e in out.outbound] == [MessageKind.PRE_PREPARE]
+
+    def test_follower_neither_forwards_nor_watches(self, stores):
+        follower = self.replica(stores, 2)
+        out = follower.on_envelope(self.forged(stores))
+        assert out.outbound == [] and out.timer_starts == []
+        assert follower.counters["rejected"] == 1
+        assert follower.watching == set()

@@ -5,11 +5,12 @@ from collections import Counter
 
 import pytest
 
-from pbftkit import simnet
+from pbftkit import simnet, wire
+from pbftkit.client import ClientSession
 from pbftkit.crypto import CryptoMode
 from pbftkit.simnet import (CRASH_AT, EQUIVOCATE, MUTE, NonQuiescent,
                             SimConfig, World, trace_lines)
-from pbftkit.wire import MessageKind, ReplyBody
+from pbftkit.wire import MessageKind, ReplyBody, Request, request_envelope
 
 FAST = dict(auth=False, client_auth=False)
 
@@ -193,6 +194,27 @@ class TestAuthenticatedPath:
         assert world.nodes[1].replica.counters["rejected"] >= 1
         world.check_agreement()
         assert world.total_requests_committed(0) == 2
+
+    def test_forged_request_does_not_stall_its_batch(self):
+        # Before client 4's first request reaches the leader, a REQUEST in
+        # its name signed with client 5's key does. The leader rejects it on
+        # intake, so no batch carries it and no view change is needed.
+        world = World(SimConfig(seed=1, num_clients=2, requests_per_client=5,
+                                batch_size=2))
+        forger = ClientSession(5, 4, 1, world.config.mode,
+                               keystore=world.keystores[5])
+        req = forger.make_request(b"forged", 0.0)[0]
+        env = request_envelope(Request(4, 0, req.payload, req.signature))
+        world._push(0.0, ("deliver", 5, 0, wire.decode(wire.encode(env))))
+        world.run()
+        assert max(node.replica.counters["view_changes"]
+                   for node in world.nodes.values()) == 0
+        assert world.nodes[0].replica.counters["rejected"] == 1
+        for cl in world.clients.values():
+            assert cl.failed == 0
+            assert len(cl.session.completions) == 5
+        world.check_agreement()
+        world.check_validity()
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_pk_replies_resent_after_commit(self, seed):

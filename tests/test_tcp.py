@@ -11,7 +11,7 @@ from pbftkit.crypto import CryptoMode
 from pbftkit.pipeline import PipelineConfig, run_pipeline
 from pbftkit.replica import Replica, ReplicaConfig
 from pbftkit.simnet import SimConfig, World
-from pbftkit.tcpnet import LoopbackFabric, TcpFabric
+from pbftkit.tcpnet import LoopbackFabric, TcpFabric, merge_inbound
 from pbftkit.wire import MessageKind, encode, request_envelope
 
 
@@ -117,13 +117,28 @@ class TestLoopback:
     def test_merge_inbound_collapses_queues(self):
         hub = LoopbackFabric([0, 1, 2])
         try:
-            merged = hub.port(0).merge_inbound()
+            merged = merge_inbound(hub.port(0))
             hub.port(1).send(0, b"a")
             hub.port(2).send(0, b"b")
             got = {merged.get(timeout=1), merged.get(timeout=1)}
             assert got == {b"a", b"b"}
         finally:
             hub.close()
+        addrs = addrs_for(2)
+        a = TcpFabric(0, addrs, client_ids=[9])
+        client = TcpFabric(9, addrs)
+        b = TcpFabric(1, addrs, client_ids=[9])
+        try:
+            merged = merge_inbound(a)
+            assert set(a.receive_queues()) == {1, 9}
+            assert a.wait_connected([1, 9]) and client.wait_connected([0])
+            b.send(0, frame(b"a"))
+            client.send(0, frame(b"b"))
+            got = {merged.get(timeout=5), merged.get(timeout=5)}
+            assert got == {frame(b"a"), frame(b"b")}
+        finally:
+            for fabric in (a, b, client):
+                fabric.close()
 
 
 def run_tcp_cluster(total_requests=20):
