@@ -8,22 +8,41 @@ discrete-event simulator replay it bit-for-bit.
 
 Quorum rules: an entry is *prepared* with 2f+1 matching votes counting the
 leader's PRE_PREPARE as its prepare vote, and *committed* with 2f+1 COMMIT
-votes once every lower sequence has committed. The in-memory log is a
-bounded window above the last stable checkpoint; collecting 2f+1 matching
-CHECKPOINT messages advances the watermark and evicts older entries.
+votes once every lower sequence has committed. A vote is kept as its
+sender's id only. The in-memory log is a bounded window above the last
+stable checkpoint; collecting 2f+1 matching CHECKPOINT messages advances
+the watermark and evicts older entries.
+
+View changes follow Castro & Liskov (ACM TOCS 20(4), 2002, §4.4-4.5).
+Each log entry keeps, across views, its P entry (the latest view in which
+it prepared, with the batch) and its Q entries (each digest pre-prepared,
+with the latest view). A VIEW_CHANGE reports C (the checkpoints held), P
+and Q; only its own signature vouches for it. The new leader and every
+follower run one pure decision over the set S of 2f+1 to n VIEW_CHANGEs:
+the checkpoint is the highest seq that f+1 hold in C with one digest and
+at or above 2f+1 stable checkpoints. Above it, seq n gets digest d from a
+P entry (n, d, v) when 2f+1 messages with a stable checkpoint below n
+report no contradicting P entry for n (each has none, a lower view, or v
+with d) and f+1 report (n, d) pre-prepared in view v or later; else the
+NOOP if 2f+1 of them have no P entry for n; else the leader waits for
+more VIEW_CHANGEs. Replicas vote on every re-proposed seq, also one they
+committed (and do not run again), so one that missed COMMITs catches up.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from operator import itemgetter
 
 from . import crypto, wire
-from .wire import (Certificate, MessageKind, NewViewBody, PrePrepareBody,
-                   ReplyBody, Request, ViewChangeBody, WireEnvelope,
-                   batch_digest, request_envelope, request_from_envelope)
+from .wire import (NOOP_BODY_DIGEST, MessageKind, NewViewBody,
+                   PrePrepareBody, ReplyBody, Request, ViewChangeBody,
+                   WireEnvelope, batch_digest, request_envelope,
+                   request_from_envelope)
 
 DEFAULT_CHECKPOINT_INTERVAL = 500
 DEFAULT_LOG_CAPACITY = 10_000
@@ -82,29 +101,39 @@ _PRE_PREPARE = MessageKind.PRE_PREPARE
 _PREPARE = MessageKind.PREPARE
 _COMMIT = MessageKind.COMMIT
 _REPLY = MessageKind.REPLY
+_NOOP = PrePrepareBody((), NOOP_BODY_DIGEST)
 
 
 @dataclass
 class LogEntry:
+    """One seq's state. ``view``, ``body``, ``status`` and the votes belong
+    to the current view; ``prepared`` (P) and ``pre_prepared`` (Q) outlive
+    views and are what this replica reports in its VIEW_CHANGEs."""
+
     seq: int
     view: int = 0
     body: PrePrepareBody = None
-    pre_prepare_frame: bytes = None
     status: Status = None
-    # digest -> {sender: frame}; votes may arrive before the body does
+    # digest -> set of senders; votes may arrive before the body does
     prepare_votes: dict = field(default_factory=dict)
     commit_votes: dict = field(default_factory=dict)
-    prepare_sent: bool = False
-    commit_sent: bool = False
+    prepared: tuple = None  # (view, body): the latest view it prepared in
+    pre_prepared: dict = field(default_factory=dict)  # digest -> latest view
 
     @property
     def digest(self):
         return self.body.digest if self.body is not None else None
 
-    def prepare_cert(self) -> Certificate:
-        votes = self.prepare_votes.get(self.digest, {})
-        return Certificate(self.view, self.seq, self.digest,
-                           tuple(sorted(votes.items())))
+    def pre_prepare(self, view: int, body: PrePrepareBody, *voters):
+        """Accept ``body`` in ``view``; ``voters`` count as its PREPAREs."""
+        self.view, self.body, self.status = view, body, _PRE_PREPARED
+        self.pre_prepared[body.digest] = view
+        self.prepare_votes.setdefault(body.digest, set()).update(voters)
+
+    def start_view(self, view: int):
+        """Drop the per-view state; P and Q stay."""
+        self.view, self.body, self.status = view, None, None
+        self.prepare_votes, self.commit_votes = {}, {}
 
 
 @dataclass(slots=True)
@@ -142,9 +171,9 @@ class Replica:
         self.log: dict[int, LogEntry] = {}
         self.chain_digest = b"\x00" * 32  # running digest over committed batches
         self._chain_at: dict[int, bytes] = {0: self.chain_digest}
-        self.checkpoints: dict[int, dict] = {}  # seq -> {sender: (digest, frame)}
+        # seq -> {sender: state digest}; kept from h up, so C names h too
+        self.checkpoints: dict[int, dict] = {}
         self.checkpoint_sent: set = set()
-        self.stable_proof = Certificate(0, 0, b"\x00" * 32, ())
         self.reply_cache: dict[int, tuple] = {}  # client -> (rid, REPLY env)
         self.pending_batch: list[Request] = []
         self.deferred: list[Request] = []  # backpressured beyond the window
@@ -155,7 +184,6 @@ class Replica:
         self.vc_attempts = 0
         self._pending_view = 0
         self.future: dict[int, list] = {}  # view -> buffered envelopes
-        self.equivocation: list = []
         self.counters = {"equivocations": 0, "rejected": 0, "view_changes": 0,
                          "pre_prepares": 0}
 
@@ -299,11 +327,7 @@ class Replica:
         self.next_seq += 1
         body = PrePrepareBody.for_batch(batch)
         env = self._env(_PRE_PREPARE, body.encode(), seq=seq)
-        entry = self._entry(seq)
-        entry.view, entry.body, entry.status = self.view, body, _PRE_PREPARED
-        frame = env.signing_bytes()
-        entry.pre_prepare_frame = frame
-        entry.prepare_votes.setdefault(body.digest, {})[self.config.self_id] = frame
+        self._entry(seq).pre_prepare(self.view, body, self.config.self_id)
         self.counters["pre_prepares"] += 1
         self._trace("pre_prepare", seq=seq, batch=len(batch))
         out.outbound.append((self._peers, env))
@@ -335,31 +359,22 @@ class Replica:
         except Exception:
             self.counters["rejected"] += 1
             return
-        if not body.batch or body.digest != batch_digest(body.batch):
-            self.counters["rejected"] += 1
-            return
-        # A request repeated within one batch would execute twice.
-        if len({(r.client_id, r.request_id) for r in body.batch}) \
-                != len(body.batch):
+        if (not body.batch or body.digest != batch_digest(body.batch)
+                or _repeats_request(body.batch)):
             self.counters["rejected"] += 1
             return
         entry = self._entry(env.seq)
         if entry.body is not None:
             if entry.digest != body.digest:
                 # Conflicting proposal at an assigned sequence number:
-                # keep the accepted entry frozen and record the evidence.
+                # keep the accepted entry frozen and count it.
                 self.counters["equivocations"] += 1
-                self.equivocation.append((env.view, env.seq, entry.digest,
-                                          body.digest, env.signing_bytes()))
                 self._trace("equivocation", seq=env.seq)
             return
         if not all(self._verify_request(r) for r in body.batch):
             self.counters["rejected"] += 1
             return
-        entry.view, entry.body, entry.status = env.view, body, _PRE_PREPARED
-        entry.pre_prepare_frame = env.signing_bytes()
-        entry.prepare_votes.setdefault(body.digest, {})[env.sender] = \
-            entry.pre_prepare_frame
+        entry.pre_prepare(env.view, body, env.sender, self.config.self_id)
         for req in body.batch:
             key = (req.client_id, req.request_id)
             self.assigned[key] = env.seq
@@ -368,10 +383,8 @@ class Replica:
                 out.timer_starts.append((("request", req.client_id,
                                           req.request_id),
                                          self.config.view_change_timeout))
-        prep = self._env(_PREPARE, body.digest, seq=env.seq)
-        entry.prepare_votes[body.digest][self.config.self_id] = prep.signing_bytes()
-        entry.prepare_sent = True
-        out.outbound.append((self._peers, prep))
+        out.outbound.append((self._peers,
+                             self._env(_PREPARE, body.digest, seq=env.seq)))
         self._trace("accept_pre_prepare", seq=env.seq)
         self._check_progress(env.seq, out)
 
@@ -393,10 +406,9 @@ class Replica:
         entry = self.log.get(seq)
         if entry is None:
             entry = self.log[seq] = LogEntry(seq)
-        votes = (entry.commit_votes if env.kind is _COMMIT
-                 else entry.prepare_votes).setdefault(env.payload, {})
-        if env.sender not in votes:
-            votes[env.sender] = env.signing_bytes()
+        (entry.commit_votes if env.kind is _COMMIT
+         else entry.prepare_votes).setdefault(env.payload, set()).add(
+            env.sender)
         self._check_progress(seq, out)
 
     def _check_progress(self, seq: int, out: ProtocolOutput):
@@ -413,15 +425,14 @@ class Replica:
             if len(entry.commit_votes.get(digest, ())) >= q:
                 self._try_commit(out)
             return
-        if (status is _PRE_PREPARED and not entry.commit_sent
+        if (status is _PRE_PREPARED
                 and len(entry.prepare_votes.get(digest, ())) >= q):
             entry.status = _PREPARED
-            entry.commit_sent = True
-            com = self._env(_COMMIT, digest, seq=seq,
-                            view=entry.view)
-            entry.commit_votes.setdefault(digest, {})[self.config.self_id] = \
-                com.signing_bytes()
-            out.outbound.append((self._peers, com))
+            entry.prepared = (entry.view, entry.body)
+            entry.commit_votes.setdefault(digest, set()).add(
+                self.config.self_id)
+            out.outbound.append((self._peers, self._env(
+                _COMMIT, digest, seq=seq, view=entry.view)))
             self._trace("prepared", seq=seq)
             if len(entry.commit_votes[digest]) >= q:
                 self._try_commit(out)
@@ -477,8 +488,7 @@ class Replica:
         self.checkpoint_sent.add(seq)
         sd = self._state_digest(seq)
         env = self._env(MessageKind.CHECKPOINT, sd, seq=seq)
-        self.checkpoints.setdefault(seq, {})[self.config.self_id] = \
-            (sd, env.signing_bytes())
+        self.checkpoints.setdefault(seq, {})[self.config.self_id] = sd
         out.outbound.append((self._peers, env))
         self._trace("checkpoint", seq=seq)
         # Periodic PK block signature over the checkpointed range, where the
@@ -497,35 +507,27 @@ class Replica:
                 or env.seq > self.h + self.config.log_capacity):
             self.counters["rejected"] += 1
             return
-        self.checkpoints.setdefault(env.seq, {})[env.sender] = \
-            (env.payload, env.signing_bytes())
+        self.checkpoints.setdefault(env.seq, {})[env.sender] = env.payload
         self._advance_watermark(env.seq, out)
 
     def _advance_watermark(self, seq: int, out: ProtocolOutput):
-        votes = self.checkpoints.get(seq, {})
         if seq <= self.h or self.committed_seq < seq:
             return
-        by_digest = {}
-        for sender, (d, frame) in votes.items():
-            by_digest.setdefault(d, []).append((sender, frame))
-        for d, senders in by_digest.items():
-            if len(senders) >= self.config.quorum:
-                self.stable_proof = Certificate(0, seq, d, tuple(sorted(senders)))
-                self.h = seq
-                for s in [s for s in self.log if s <= seq]:
-                    del self.log[s]
-                for s in [s for s in self.checkpoints if s <= seq]:
-                    del self.checkpoints[s]
-                for s in [s for s in self._chain_at if s < seq]:
-                    del self._chain_at[s]
-                for k in [k for k, s in self.assigned.items()
-                          if 0 <= s <= seq]:
-                    del self.assigned[k]
-                self.checkpoint_sent = {s for s in self.checkpoint_sent
-                                        if s > seq}
-                self._trace("stable_checkpoint", seq=seq)
-                self._retry_deferred(out)
-                break
+        tally = Counter(self.checkpoints.get(seq, {}).values())
+        if max(tally.values(), default=0) < self.config.quorum:
+            return
+        self.h = seq
+        for s in [s for s in self.log if s <= seq]:
+            del self.log[s]
+        for s in [s for s in self.checkpoints if s < seq]:
+            del self.checkpoints[s]
+        for s in [s for s in self._chain_at if s < seq]:
+            del self._chain_at[s]
+        for k in [k for k, s in self.assigned.items() if 0 <= s <= seq]:
+            del self.assigned[k]
+        self.checkpoint_sent = {s for s in self.checkpoint_sent if s > seq}
+        self._trace("stable_checkpoint", seq=seq)
+        self._retry_deferred(out)
 
     def _retry_deferred(self, out: ProtocolOutput):
         if self.mode != Mode.NORMAL:
@@ -546,16 +548,17 @@ class Replica:
         self._enter_view_change(self.view + 1 if self.mode == Mode.NORMAL
                                 else self._pending_view + 1, out)
 
-    def _prepared_set(self):
-        entries = []
-        for seq in sorted(self.log):
-            entry = self.log[seq]
-            if entry.body is None or entry.status is None:
-                continue
-            if entry.status in (Status.PREPARED, Status.COMMITTED) and seq > self.h:
-                entries.append((seq, entry.view, entry.digest,
-                                entry.prepare_cert()))
-        return tuple(entries)
+    def _view_change_body(self, target: int) -> ViewChangeBody:
+        """VIEW_CHANGE(target, h, C, P, Q) from this replica's log."""
+        me = self.config.self_id
+        log = [(seq, self.log[seq]) for seq in sorted(self.log)]
+        return ViewChangeBody(
+            target, self.h,
+            tuple((seq, votes[me]) for seq, votes
+                  in sorted(self.checkpoints.items()) if me in votes),
+            tuple((seq, *e.prepared) for seq, e in log if e.prepared),
+            tuple((seq, d, view) for seq, e in log
+                  for d, view in e.pre_prepared.items()))
 
     def _enter_view_change(self, target: int, out: ProtocolOutput):
         if self.mode == Mode.VIEW_CHANGING and target <= self._pending_view:
@@ -565,8 +568,7 @@ class Replica:
         self.mode = Mode.VIEW_CHANGING
         self._pending_view = target
         self.counters["view_changes"] += 1
-        body = ViewChangeBody(target, self.h, self.stable_proof,
-                              self._prepared_set())
+        body = self._view_change_body(target)
         env = self._env(MessageKind.VIEW_CHANGE, body.encode(), view=target)
         out.outbound.append((self._peers, env))
         # Exponent cap keeps a lone stalled replica's backoff finite; without
@@ -587,7 +589,7 @@ class Replica:
             return
         try:
             body = ViewChangeBody.decode(env.payload)
-        except Exception:
+        except wire.WireError:
             self.counters["rejected"] += 1
             return
         if body.new_view != target or not self._valid_view_change(body):
@@ -606,17 +608,20 @@ class Replica:
         self._maybe_new_view(target, out)
 
     def _valid_view_change(self, body: ViewChangeBody) -> bool:
-        q = self.config.quorum
-        proof = body.checkpoint_proof
-        if body.last_stable_seq > 0:
-            if proof.seq != body.last_stable_seq or len(proof.senders()) < q:
-                return False
-        for seq, view, d, cert in body.prepared_set:
-            if seq <= body.last_stable_seq:
-                return False
-            if cert.seq != seq or cert.digest != d or len(cert.senders()) < q:
-                return False
-        return True
+        """Structural checks only: every entry lies in the sender's window
+        and names an earlier view, each P body matches its digest and
+        repeats no request, and P has one entry per seq. What the entries
+        claim is weighed by :meth:`_decide`, never trusted here."""
+        low = body.last_stable_seq
+        high = low + self.config.log_capacity
+        return (len({e[0] for e in body.prepared}) == len(body.prepared)
+                and all(low <= seq <= high for seq, _ in body.checkpoints)
+                and all(low < seq <= high and view < body.new_view
+                        for seq, _, view in body.pre_prepared)
+                and all(low < seq <= high and view < body.new_view
+                        and b.digest == batch_digest(b.batch)
+                        and not _repeats_request(b.batch)
+                        for seq, view, b in body.prepared))
 
     def _maybe_new_view(self, target: int, out: ProtocolOutput):
         if primary(target, self.config.n) != self.config.self_id:
@@ -626,66 +631,74 @@ class Replica:
         msgs = self.vc_messages.get(target, {})
         if len(msgs) < self.config.quorum:
             return
-        senders = sorted(msgs)[:self.config.quorum]
-        vcs = [msgs[s][0] for s in senders]
-        reproposals = self._compute_reproposals(vcs)
-        frames = []
-        for s in senders:
-            env = msgs[s][1]
-            # Own VIEW_CHANGE must carry its signature in the proof.
-            frames.append(crypto.seal(env, (), self.config.mode, self.keystore)
-                          if s == self.config.self_id else wire.encode(env))
-        nv_body = NewViewBody(target, tuple(frames), reproposals)
+        senders = sorted(msgs)
+        chosen = self._decide([msgs[s][0] for s in senders])
+        if chosen is None:
+            return  # some seq is undecided: wait for more VIEW_CHANGEs
+        # Own VIEW_CHANGE must carry its signature in the proof.
+        frames = tuple(
+            crypto.seal(msgs[s][1], (), self.config.mode, self.keystore)
+            if s == self.config.self_id else wire.encode(msgs[s][1])
+            for s in senders)
+        nv_body = NewViewBody(target, frames,
+                              tuple((seq, b.digest) for seq, b in chosen))
         nv_env = self._env(MessageKind.NEW_VIEW, nv_body.encode(), view=target)
         out.outbound.append((self._peers, nv_env))
-        self._install_view(target, reproposals, True, out)
-        self._trace("new_view", target=target, entries=len(reproposals))
+        self._install_view(target, chosen, True, out)
+        self._trace("new_view", target=target, entries=len(chosen))
 
-    def _compute_reproposals(self, vcs):
-        """The set O: for every seq above the highest stable checkpoint up
-        to the highest prepared seq, the highest-view prepared batch, or the
-        NOOP filler when no certificate covers the gap."""
-        base = max(vc.last_stable_seq for vc in vcs)
-        best = {}
-        top = base
-        for vc in vcs:
-            for seq, view, d, cert in vc.prepared_set:
-                if seq <= base:
-                    continue
-                top = max(top, seq)
-                cur = best.get(seq)
-                if cur is None or view > cur[0]:
-                    body = self._batch_from_cert(cert)
-                    if body is not None:
-                        best[seq] = (view, body)
-        repro = []
+    def _decide(self, vcs):
+        """The set O decided over the VIEW_CHANGEs ``vcs`` of distinct
+        senders: ((seq, body), ...) in seq order, or None while a seq is
+        undecided or a chosen batch has no body this replica can accept."""
+        f, q = self.config.f, self.config.quorum
+        held = Counter(c for vc in vcs for c in set(vc.checkpoints))
+        base = max((seq for (seq, _), k in held.items() if k > f and sum(
+            vc.last_stable_seq <= seq for vc in vcs) >= q), default=0)
+        prepared = [{seq: (view, b) for seq, view, b in vc.prepared}
+                    for vc in vcs]
+        # Per message: (seq, digest) -> the latest view it pre-prepared in.
+        pre_prepared = [{(seq, d): view for seq, d, view
+                         in sorted(vc.pre_prepared, key=itemgetter(2))}
+                        for vc in vcs]
+        high = base + self.config.log_capacity  # O stays in base's window
+        top = max((seq for p in prepared for seq in p if base < seq <= high),
+                  default=base)
+        chosen = []
         for seq in range(base + 1, top + 1):
-            if seq in best:
-                repro.append((seq, best[seq][1]))
+            # P entries at seq of the messages whose window covers it.
+            live = [p.get(seq) for vc, p in zip(vcs, prepared)
+                    if vc.last_stable_seq < seq]
+            claims = sorted({(e[0], e[1].digest) for p in prepared
+                             for e in [p.get(seq)] if e}, reverse=True)
+            d = next((d for view, d in claims if sum(
+                e is None or e[0] < view or (e[0], e[1].digest) == (view, d)
+                for e in live) >= q and sum(
+                    p.get((seq, d), -1) >= view for p in pre_prepared) > f),
+                None)
+            if d is not None:
+                body = self._body_for(seq, d, prepared)
             else:
-                repro.append((seq, PrePrepareBody((), batch_digest(()))))
-        return tuple(repro)
+                body = _NOOP if sum(e is None for e in live) >= q else None
+            if body is None:
+                return None
+            chosen.append((seq, body))
+        while chosen and chosen[-1][1] is _NOOP:
+            chosen.pop()  # nothing prepared above: the seqs stay free
+        return chosen
 
-    def _batch_from_cert(self, cert: Certificate):
-        """Recover the proposed batch from the PRE_PREPARE vote inside a
-        prepare certificate; reject certificates whose batch fails client
-        signature checks or does not match the certified digest."""
-        for sender, frame in cert.votes:
-            try:
-                env = _decode_signing_frame(frame)
-            except Exception:
-                continue
-            if env.kind != MessageKind.PRE_PREPARE:
-                continue
-            try:
-                body = PrePrepareBody.decode(env.payload)
-            except Exception:
-                return None
-            if body.digest != cert.digest or body.digest != batch_digest(body.batch):
-                return None
-            if not all(self._verify_request(r) for r in body.batch):
-                return None
-            return body
+    def _body_for(self, seq: int, d: bytes, prepared):
+        """The batch with digest ``d`` for ``seq``: the one this replica
+        accepted, or else a P body whose client signatures check out."""
+        entry = self.log.get(seq)
+        if entry is not None:
+            for b in (entry.body, entry.prepared and entry.prepared[1]):
+                if b and b.digest == d:
+                    return b
+        for p in prepared:
+            _, b = p.get(seq, (None, None))
+            if b and b.digest == d and all(map(self._verify_request, b.batch)):
+                return b
         return None
 
     def _on_new_view(self, env: WireEnvelope, out: ProtocolOutput):
@@ -694,54 +707,46 @@ class Replica:
             return
         try:
             body = NewViewBody.decode(env.payload)
-        except Exception:
+        except wire.WireError:
             self.counters["rejected"] += 1
             return
-        check = self._check_new_view(body)
-        if check is None:
+        chosen = self._check_new_view(body)
+        if chosen is None:
             self.counters["rejected"] += 1
             # A provably bad NEW_VIEW from the new leader: move past it.
             self._enter_view_change(target + 1, out)
             return
-        self._install_view(target, body.reproposals, False, out)
+        self._install_view(target, chosen, False, out)
         self._trace("adopt_new_view", target=target)
 
     def _check_new_view(self, body: NewViewBody):
-        """Recompute O from the embedded proof and compare with the leader's."""
-        q = self.config.quorum
-        if len(body.view_change_proof) != q:
+        """Re-decide O over the embedded VIEW_CHANGEs (2f+1 to n verified,
+        distinct senders); the chosen bodies, or None unless the leader's O
+        matches."""
+        if not self.config.quorum <= len(body.view_changes) <= self.config.n:
             return None
         senders = set()
         vcs = []
-        for frame in body.view_change_proof:
+        for frame in body.view_changes:
             try:
                 env = wire.decode(frame)
                 vc = ViewChangeBody.decode(env.payload)
-            except Exception:
+            except wire.WireError:
                 return None
-            if env.kind != MessageKind.VIEW_CHANGE or env.view != body.view:
-                return None
-            if vc.new_view != body.view or not self._valid_view_change(vc):
-                return None
-            if not self._verify_vc_envelope(env):
-                return None
-            if env.sender in senders:
+            if (env.kind != MessageKind.VIEW_CHANGE or env.view != body.view
+                    or vc.new_view != body.view or env.sender in senders
+                    or not self._valid_view_change(vc)
+                    or not self._verify_vc_envelope(env)):
                 return None
             senders.add(env.sender)
             vcs.append(vc)
-        expect = self._compute_reproposals(vcs)
-        got = tuple((seq, b.digest) for seq, b in body.reproposals)
-        want = tuple((seq, b.digest) for seq, b in expect)
-        if got != want:
+        chosen = self._decide(vcs)
+        if chosen is None or tuple(
+                (seq, b.digest) for seq, b in chosen) != body.reproposals:
             return None
-        for seq, b in body.reproposals:
-            if b.digest != batch_digest(b.batch):
-                return None
-            if b.batch and not all(self._verify_request(r) for r in b.batch):
-                return None
-        return body.reproposals
+        return chosen
 
-    def _install_view(self, target: int, reproposals, leader: bool,
+    def _install_view(self, target: int, chosen, leader: bool,
                       out: ProtocolOutput):
         self.view = target
         self.mode = Mode.NORMAL
@@ -749,43 +754,37 @@ class Replica:
         out.timer_stops.append(("new_view", target))
         new_leader = primary(target, self.config.n)
         # Anything uncommitted that O does not carry over is abandoned; its
-        # sequence numbers will be reassigned in the new view.
-        repro_seqs = {seq for seq, _ in reproposals}
-        for seq in [s for s in self.log if s > self.committed_seq
-                    and s not in repro_seqs]:
-            del self.log[seq]
+        # sequence numbers will be reassigned in the new view. P and Q stay.
+        repro = dict(chosen)
+        for seq in [s for s in self.log if s not in repro]:
+            entry = self.log[seq]
+            if seq <= self.committed_seq:
+                entry.status = _COMMITTED
+            elif entry.pre_prepared:
+                entry.start_view(target)
+            else:
+                del self.log[seq]
         for k in [k for k, s in self.assigned.items()
-                  if s == -1 or (s > self.committed_seq and s not in repro_seqs)]:
+                  if s == -1 or (s > self.committed_seq and s not in repro)]:
             del self.assigned[k]
         self.pending_batch = []
-        max_seq = self.h
-        for seq, body in reproposals:
-            max_seq = max(max_seq, seq)
-            if seq <= self.committed_seq:
-                continue  # already executed locally; keep the committed entry
-            entry = self.log[seq] = LogEntry(seq)
-            entry.view, entry.body, entry.status = target, body, Status.PRE_PREPARED
-            entry.prepare_sent = False
-            entry.commit_sent = False
-            env = WireEnvelope(MessageKind.PRE_PREPARE, target, seq, new_leader,
-                               body.encode())
-            entry.pre_prepare_frame = env.signing_bytes()
-            entry.prepare_votes.setdefault(body.digest, {})[new_leader] = \
-                entry.pre_prepare_frame
+        # Every replica votes on every seq in O, also one it has already
+        # committed: a peer that missed the COMMITs needs those votes.
+        for seq, body in chosen:
+            entry = self._entry(seq)
+            entry.start_view(target)
+            entry.pre_prepare(target, body, new_leader, self.config.self_id)
             for req in body.batch:
                 self.assigned[(req.client_id, req.request_id)] = seq
             if not leader:
-                prep = self._env(MessageKind.PREPARE, body.digest, seq=seq,
-                                 view=target)
-                entry.prepare_votes[body.digest][self.config.self_id] = \
-                    prep.signing_bytes()
-                entry.prepare_sent = True
-                out.outbound.append((self._peers, prep))
-        self.next_seq = max(max_seq, self.committed_seq, self.h) + 1
+                out.outbound.append((self._peers, self._env(
+                    MessageKind.PREPARE, body.digest, seq=seq)))
+        self.next_seq = max(chosen[-1][0] if chosen else 0,
+                            self.committed_seq, self.h) + 1
         # Drop stale per-view bookkeeping and replay buffered future traffic.
         for v in [v for v in self.vc_messages if v <= target]:
             del self.vc_messages[v]
-        for seq, body in reproposals:
+        for seq, body in chosen:
             self._check_progress(seq, out)
         buffered = self.future.pop(target, [])
         self.future = {v: envs for v, envs in self.future.items() if v > target}
@@ -793,6 +792,11 @@ class Replica:
             self._dispatch(env, out)
         # Requests parked during the view change re-enter the protocol.
         self._retry_deferred(out)
+
+
+def _repeats_request(batch) -> bool:
+    """A request repeated within one batch would execute twice."""
+    return len({(r.client_id, r.request_id) for r in batch}) != len(batch)
 
 
 # Message kind -> handler(replica, envelope, output); REPLY has none.
@@ -806,21 +810,3 @@ _HANDLERS = {
     MessageKind.NEW_VIEW: Replica._on_new_view,
 }
 
-
-def _decode_signing_frame(frame: bytes):
-    """Decode either a full wire frame or bare signing bytes into an envelope.
-
-    Certificates store the signing-bytes form for votes counted locally and
-    the framed form for votes received off the wire; both decode here.
-    """
-    import struct as _struct
-    if len(frame) >= 4:
-        (prefix,) = _struct.unpack_from("<I", frame)
-        if prefix == len(frame) - 4:
-            return wire.decode(frame)
-    # signing-bytes layout: head + payload, no auth section
-    kind, view, seq, sender, plen = wire._HEAD.unpack_from(frame)
-    if wire._HEAD.size + plen != len(frame):
-        raise wire.Malformed("bad signing frame")
-    return WireEnvelope(MessageKind(kind), view, seq, sender,
-                        frame[wire._HEAD.size:])

@@ -4,8 +4,9 @@ Everything runs on virtual time in one thread: message latency and drops
 come from a seeded RNG, replica timers are injected clock events, and all
 events pop in a total (time, tiebreak) order, so a given (config, workload)
 always produces the identical trace. Fault adapters script the Byzantine
-behaviors the protocol must survive: crashing, going mute, and an
-equivocating leader that shows different batches to different followers.
+behaviors the protocol must survive: crashing, going mute, an
+equivocating leader that shows different batches to different followers,
+and a replica whose VIEW_CHANGEs claim batches nobody proposed.
 
 Every message still crosses the real codec and, with ``auth`` on, the real
 authenticators of ``crypto``, but once per send rather than once per
@@ -32,7 +33,8 @@ from dataclasses import dataclass, field
 from . import crypto, wire
 from .client import ClientSession, RequestFailed
 from .replica import Mode, Replica, ReplicaConfig
-from .wire import MessageKind, PrePrepareBody, WireEnvelope
+from .wire import (MessageKind, PrePrepareBody, Request, ViewChangeBody,
+                   WireEnvelope)
 
 
 class NonQuiescent(Exception):
@@ -42,6 +44,9 @@ class NonQuiescent(Exception):
 CRASH_AT = "crash_at"
 MUTE = "mute"
 EQUIVOCATE = "equivocate"
+FORGE_VC = "forge_vc"
+# No client has this id: a committed batch that names it is a forgery.
+FORGED_CLIENT = 0xFFFF
 
 
 @dataclass
@@ -244,11 +249,8 @@ class World:
     def _dispatch(self, node_id: int, out):
         node = self.nodes[node_id]
         outbound = out.outbound
-        fault = node.fault
-        if fault and fault[0] == MUTE:
-            outbound = []
-        if fault and fault[0] == EQUIVOCATE:
-            outbound = self._equivocate(outbound)
+        if node.fault and node.fault[0] in _REWRITES:
+            outbound = _REWRITES[node.fault[0]](outbound)
         for dests, env in outbound:
             self._transmit(node_id, dests, env)
         for key, delay in out.timer_starts:
@@ -259,33 +261,6 @@ class World:
                 self._timers.pop((node_id, key), None)
         for key in out.timer_stops:
             self._timers.pop((node_id, key), None)
-
-    def _equivocate(self, outbound):
-        """Scripted conflicting proposals: odd-id recipients get a batch with
-        a duplicated (still validly signed) request, so its digest differs."""
-        result = []
-        for dests, env in outbound:
-            if env.kind != MessageKind.PRE_PREPARE:
-                result.append((dests, env))
-                continue
-            try:
-                body = PrePrepareBody.decode(env.payload)
-            except wire.WireError:
-                result.append((dests, env))
-                continue
-            if not body.batch:
-                result.append((dests, env))
-                continue
-            alt = PrePrepareBody.for_batch((body.batch[0],) + body.batch)
-            alt_env = WireEnvelope(env.kind, env.view, env.seq, env.sender,
-                                   alt.encode())
-            even = tuple(d for d in dests if d % 2 == 0)
-            odd = tuple(d for d in dests if d % 2 == 1)
-            if even:
-                result.append((even, env))
-            if odd:
-                result.append((odd, alt_env))
-        return result
 
     # -- event handlers ----------------------------------------------------
 
@@ -425,6 +400,51 @@ class World:
     def max_view(self) -> int:
         return max(n.replica.view for n in self.nodes.values()
                    if not n.crashed)
+
+
+def _equivocate(outbound):
+    """Scripted conflicting proposals: odd-id recipients get a batch with
+    a duplicated (still validly signed) request, so its digest differs."""
+    result = []
+    for dests, env in outbound:
+        if env.kind == MessageKind.PRE_PREPARE:
+            batch = PrePrepareBody.decode(env.payload).batch
+            alt = PrePrepareBody.for_batch((batch[0],) + batch)
+            result.append((tuple(d for d in dests if d % 2 == 0), env))
+            dests = tuple(d for d in dests if d % 2)
+            env = WireEnvelope(env.kind, env.view, env.seq, env.sender,
+                               alt.encode())
+        result.append((dests, env))
+    return result
+
+
+def _forge_view_changes(outbound):
+    """Lying VIEW_CHANGEs: each seq from h+1 up to the highest the sender
+    reports claims a batch of FORGED_CLIENT, prepared and pre-prepared in
+    the view just below the new one. Receivers' structural checks pass
+    them; only the decision rule can refuse them."""
+    result = []
+    for dests, env in outbound:
+        if env.kind == MessageKind.VIEW_CHANGE:
+            vc = ViewChangeBody.decode(env.payload)
+            h, view = vc.last_stable_seq, vc.new_view - 1
+            top = max([e[0] for e in vc.prepared + vc.pre_prepared],
+                      default=h + 1)
+            p = [(seq, view, PrePrepareBody.for_batch(
+                (Request(FORGED_CLIENT, seq, b"forged"),)))
+                for seq in range(h + 1, top + 1)]
+            env = WireEnvelope(env.kind, env.view, env.seq, env.sender,
+                               ViewChangeBody(
+                                   vc.new_view, h, vc.checkpoints, tuple(p),
+                                   tuple((seq, b.digest, view)
+                                         for seq, view, b in p)).encode())
+        result.append((dests, env))
+    return result
+
+
+# Fault kind -> pure rewrite of the faulty node's outbound messages.
+_REWRITES = {MUTE: lambda outbound: [], EQUIVOCATE: _equivocate,
+             FORGE_VC: _forge_view_changes}
 
 
 def trace_lines(trace) -> list:

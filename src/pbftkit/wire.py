@@ -342,61 +342,48 @@ class ReplyBody:
         return cls(*cls._S.unpack(buf))
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """A quorum of matching messages for one (view, seq, digest) triple.
+_CHECKPOINT = struct.Struct("<Q32s")  # C entry: seq, state digest
+_P_HEAD = struct.Struct("<QQ")  # P entry: seq, view; the batch body follows
+_Q_ITEM = struct.Struct("<Q32sQ")  # Q entry: seq, digest, view
+_ORDER = struct.Struct("<Q32s")  # O entry: seq, digest
 
-    Votes are full envelope frames (auths included) so embedded certificates
-    inside VIEW_CHANGE messages stay independently verifiable.
-    """
 
-    view: int
-    seq: int
-    digest: bytes
-    votes: tuple = ()  # ((sender, frame_bytes), ...)
-
-    def senders(self):
-        return {s for s, _ in self.votes}
-
-    def encode(self) -> bytes:
-        parts = [struct.pack("<QQ32sH", self.view, self.seq, self.digest,
-                             len(self.votes))]
-        for sender, frame in self.votes:
-            parts.append(struct.pack("<H", sender))
-            parts.append(_pack_bytes(frame))
-        return b"".join(parts)
-
-    @classmethod
-    def decode(cls, buf: bytes, off: int = 0):
-        if off + 50 > len(buf):
-            raise Malformed("truncated certificate header")
-        view, seq, digest, count = struct.unpack_from("<QQ32sH", buf, off)
-        off += 50
-        votes = []
-        for _ in range(count):
-            if off + 2 > len(buf):
-                raise Malformed("truncated vote sender")
-            (sender,) = struct.unpack_from("<H", buf, off)
-            frame, off2 = _unpack_bytes(buf, off + 2)
-            votes.append((sender, bytes(frame)))
-            off = off2
-        return cls(view, seq, bytes(digest), tuple(votes)), off
+def _unpack_items(buf: bytes, off: int, item: struct.Struct):
+    """A u32 count then that many fixed-size ``item`` records."""
+    if off + 4 > len(buf):
+        raise Malformed("truncated item count")
+    (count,) = _U32.unpack_from(buf, off)
+    end = off + 4 + count * item.size
+    if end > len(buf):
+        raise Malformed("items exceed buffer")
+    return tuple(item.iter_unpack(buf[off + 4:end])), end
 
 
 @dataclass(frozen=True)
 class ViewChangeBody:
+    """VIEW_CHANGE(v, h, C, P, Q) of Castro & Liskov (ACM TOCS 20(4), 2002,
+    §4.5): claims, not certificates; only the envelope's signature vouches
+    for them. C holds the stable checkpoint and any later one the sender
+    took; P, per seq above h, the latest view the sender prepared in with
+    that batch; Q each (seq, digest) it pre-prepared with the latest view.
+    """
+
     new_view: int
     last_stable_seq: int
-    checkpoint_proof: Certificate  # empty votes tuple at the genesis checkpoint
-    prepared_set: tuple  # ((seq, view, digest, prepare Certificate), ...)
+    checkpoints: tuple  # ((seq, state digest), ...)
+    prepared: tuple  # ((seq, view, PrePrepareBody), ...)
+    pre_prepared: tuple  # ((seq, digest, view), ...)
 
     def encode(self) -> bytes:
-        parts = [struct.pack("<QQ", self.new_view, self.last_stable_seq),
-                 self.checkpoint_proof.encode(),
-                 struct.pack("<I", len(self.prepared_set))]
-        for seq, view, digest, cert in self.prepared_set:
-            parts.append(struct.pack("<QQ32s", seq, view, digest))
-            parts.append(cert.encode())
+        parts = [struct.pack("<QQI", self.new_view, self.last_stable_seq,
+                             len(self.checkpoints))]
+        parts += [_CHECKPOINT.pack(*c) for c in self.checkpoints]
+        parts.append(_U32.pack(len(self.prepared)))
+        for seq, view, body in self.prepared:
+            parts.append(_P_HEAD.pack(seq, view))
+            parts.append(_pack_bytes(body.encode()))
+        parts.append(_U32.pack(len(self.pre_prepared)))
+        parts += [_Q_ITEM.pack(*q) for q in self.pre_prepared]
         return b"".join(parts)
 
     @classmethod
@@ -404,37 +391,40 @@ class ViewChangeBody:
         if len(buf) < 16:
             raise Malformed("truncated view-change header")
         new_view, last_stable = struct.unpack_from("<QQ", buf)
-        proof, off = Certificate.decode(buf, 16)
+        checkpoints, off = _unpack_items(buf, 16, _CHECKPOINT)
         if off + 4 > len(buf):
             raise Malformed("truncated prepared-set count")
-        (count,) = struct.unpack_from("<I", buf, off)
+        (count,) = _U32.unpack_from(buf, off)
         off += 4
         prepared = []
         for _ in range(count):
-            if off + 48 > len(buf):
+            if off + _P_HEAD.size > len(buf):
                 raise Malformed("truncated prepared entry")
-            seq, view, digest = struct.unpack_from("<QQ32s", buf, off)
-            cert, off = Certificate.decode(buf, off + 48)
-            prepared.append((seq, view, bytes(digest), cert))
+            seq, view = _P_HEAD.unpack_from(buf, off)
+            body, off = _unpack_bytes(buf, off + _P_HEAD.size)
+            prepared.append((seq, view, PrePrepareBody.decode(body)))
+        pre_prepared, off = _unpack_items(buf, off, _Q_ITEM)
         if off != len(buf):
-            raise Malformed("trailing bytes after prepared set")
-        return cls(new_view, last_stable, proof, tuple(prepared))
+            raise Malformed("trailing bytes after view change")
+        return cls(new_view, last_stable, checkpoints, tuple(prepared),
+                   pre_prepared)
 
 
 @dataclass(frozen=True)
 class NewViewBody:
+    """NEW_VIEW(v, V, O): the VIEW_CHANGE frames decided over, auths
+    included so followers re-verify and re-decide, and O as (seq, digest)
+    pairs. Batch bodies travel only inside the VIEW_CHANGEs."""
+
     view: int
-    view_change_proof: tuple  # frame bytes of 2f+1 VIEW_CHANGE envelopes
-    reproposals: tuple  # ((seq, PrePrepareBody), ...) -- the set O, seq order
+    view_changes: tuple  # frames of 2f+1 to n VIEW_CHANGE envelopes
+    reproposals: tuple  # ((seq, digest), ...) -- the set O, seq order
 
     def encode(self) -> bytes:
-        parts = [struct.pack("<QH", self.view, len(self.view_change_proof))]
-        for frame in self.view_change_proof:
-            parts.append(_pack_bytes(frame))
-        parts.append(struct.pack("<I", len(self.reproposals)))
-        for seq, body in self.reproposals:
-            parts.append(struct.pack("<Q", seq))
-            parts.append(_pack_bytes(body.encode()))
+        parts = [struct.pack("<QH", self.view, len(self.view_changes))]
+        parts += [_pack_bytes(frame) for frame in self.view_changes]
+        parts.append(_U32.pack(len(self.reproposals)))
+        parts += [_ORDER.pack(*o) for o in self.reproposals]
         return b"".join(parts)
 
     @classmethod
@@ -443,21 +433,11 @@ class NewViewBody:
             raise Malformed("truncated new-view header")
         view, vc_count = struct.unpack_from("<QH", buf)
         off = 10
-        proof = []
+        frames = []
         for _ in range(vc_count):
             frame, off = _unpack_bytes(buf, off)
-            proof.append(bytes(frame))
-        if off + 4 > len(buf):
-            raise Malformed("truncated reproposal count")
-        (count,) = struct.unpack_from("<I", buf, off)
-        off += 4
-        repro = []
-        for _ in range(count):
-            if off + 8 > len(buf):
-                raise Malformed("truncated reproposal seq")
-            (seq,) = struct.unpack_from("<Q", buf, off)
-            body_bytes, off = _unpack_bytes(buf, off + 8)
-            repro.append((seq, PrePrepareBody.decode(body_bytes)))
+            frames.append(bytes(frame))
+        reproposals, off = _unpack_items(buf, off, _ORDER)
         if off != len(buf):
             raise Malformed("trailing bytes after reproposals")
-        return cls(view, tuple(proof), tuple(repro))
+        return cls(view, tuple(frames), reproposals)

@@ -20,7 +20,8 @@ from pbftkit.bench.local import BenchConfig, run_benchmark
 from pbftkit.client import ClientSession
 from pbftkit.crypto import AuthScheme, CryptoMode, MessageClass, required_auth
 from pbftkit.replica import Replica, ReplicaConfig, Status
-from pbftkit.simnet import (CRASH_AT, EQUIVOCATE, MUTE, SimConfig, World)
+from pbftkit.simnet import (CRASH_AT, EQUIVOCATE, FORGE_VC, FORGED_CLIENT,
+                            MUTE, SimConfig, World)
 from pbftkit.wire import (MessageKind, PrePrepareBody, Request, WireEnvelope,
                           decode, encode, request_envelope)
 
@@ -56,6 +57,51 @@ class TestCriterion1SafetyUnderFaults:
         print(f"\nPASS criterion 1: 1000 fault-injected runs "
               f"(500 at n=4, 500 at n=7), zero safety violations, "
               f"{wall:.1f}s wall")
+
+
+class TestLossAndForgedViewChangeSweep:
+    """Worlds that change view under message loss alone, and with one
+    replica whose VIEW_CHANGEs claim batches nobody proposed (FORGE_VC)."""
+
+    @staticmethod
+    def world(seed, drop, faults=None):
+        world = World(SimConfig(
+            seed=seed, drop_prob=drop, faults=faults or {}, auth=False,
+            client_auth=False, num_clients=2, requests_per_client=10,
+            client_timeout=1.0))
+        world.run(until=30.0)
+        check_safety(world)
+        return world
+
+    def test_loss_sweep(self):
+        t0 = time.monotonic()
+        runs = 0
+        for drop in (0.02, 0.05, 0.1, 0.2):
+            for seed in range(200):
+                self.world(seed, drop)
+                runs += 1
+        wall = time.monotonic() - t0
+        assert runs == 800
+        assert wall < 150.0
+        print(f"\nPASS loss sweep: {runs} worlds at drops 0.02-0.2, zero "
+              f"safety violations, {wall:.1f}s wall")
+
+    def test_forged_view_change_sweep(self):
+        t0 = time.monotonic()
+        view_changes = 0
+        for seed in range(200):
+            world = self.world(seed, 0.1, {seed % 4: (FORGE_VC,)})
+            for i in world.correct_nodes():
+                assert not any(r.client_id == FORGED_CLIENT
+                               for _, _, batch in world.committed[i]
+                               for r in batch)
+            view_changes += world.nodes[seed % 4].replica.counters[
+                "view_changes"]
+        wall = time.monotonic() - t0
+        assert view_changes > 0  # the forger did send VIEW_CHANGEs
+        assert wall < 75.0
+        print(f"\nPASS FORGE_VC sweep: 200 worlds, {view_changes} forged "
+              f"VIEW_CHANGEs, no forged batch committed, {wall:.1f}s wall")
 
 
 class TestCriterion2ScriptedViewChanges:

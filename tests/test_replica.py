@@ -4,12 +4,14 @@ from collections import deque
 
 import pytest
 
+from pbftkit import wire
 from pbftkit.client import ClientSession
 from pbftkit.crypto import CryptoMode, KeyStore
 from pbftkit.replica import (Mode, Replica, ReplicaConfig, Status, primary)
 from pbftkit.simnet import build_keystores
-from pbftkit.wire import (MessageKind, PrePrepareBody, ReplyBody, Request,
-                          WireEnvelope, batch_digest, request_envelope)
+from pbftkit.wire import (MessageKind, NewViewBody, PrePrepareBody, ReplyBody,
+                          Request, ViewChangeBody, WireEnvelope, batch_digest,
+                          request_envelope)
 
 
 def make_replica(self_id=1, n=4, f=1, **kw):
@@ -26,6 +28,19 @@ def pre_prepare(seq, batch, view=0, sender=None, n=4):
 
 def vote(kind, seq, digest, sender, view=0):
     return WireEnvelope(kind, view, seq, sender, digest)
+
+
+def sent(out, kind):
+    return [env for _, env in out.outbound if env.kind == kind]
+
+
+def view_change_to(rep, target):
+    """Drive ``rep`` through view changes up to ``target``; the VIEW_CHANGE
+    it sends for ``target``."""
+    while True:
+        for env in sent(rep.start_view_change(), MessageKind.VIEW_CHANGE):
+            if env.view == target:
+                return env
 
 
 class Bus:
@@ -272,14 +287,33 @@ class TestCheckpointGC:
             assert all(seq > 15 for seq in rep.log)
             assert rep.committed_seq == 17
 
-    def test_stable_proof_retained(self):
-        bus = Bus(checkpoint_interval=5, log_capacity=20)
+    def test_stable_checkpoint_chosen_from_c_sets(self):
+        # Each VIEW_CHANGE names the stable checkpoint in C. One that claims
+        # a later checkpoint nobody else holds moves nothing: the leader
+        # needs f+1 holders and 2f+1 senders at or below it, so it waits
+        # for replica 0 and re-proposes only seq 6, above checkpoint 5.
+        bus = Bus(checkpoint_interval=5, log_capacity=20, drop={3})
         for rid in range(6):
             bus.submit(Request(100, rid, b"v"))
-        rep = bus.replicas[0]
-        assert rep.h == 5
-        cert = rep.stable_proof
-        assert cert.seq == 5 and len(cert.votes) >= rep.config.quorum
+        reps = bus.replicas
+        assert all(r.h == 5 for r in reps.values())
+        liar = ViewChangeBody(1, 10, ((10, b"\x01" * 32),), (), ())
+        reps[1].on_envelope(WireEnvelope(MessageKind.VIEW_CHANGE, 1, 0, 3,
+                                         liar.encode()))
+        out = reps[1].start_view_change()
+        (own,) = sent(out, MessageKind.VIEW_CHANGE)
+        own = ViewChangeBody.decode(own.payload)
+        assert own.last_stable_seq == 5
+        assert own.checkpoints == ((5, reps[1].checkpoints[5][1]),)
+        assert [seq for seq, _, _ in own.prepared] == [6]
+        bus.absorb(1, out)
+        out = reps[2].start_view_change()
+        (vc2,) = sent(out, MessageKind.VIEW_CHANGE)
+        assert not sent(reps[1].on_envelope(vc2), MessageKind.NEW_VIEW)
+        bus.absorb(2, out)
+        bus.run()
+        assert [r.view for r in reps.values()] == [1, 1, 1, 1]
+        assert [seq for seq, _ in bus.commits[1]] == list(range(1, 7))
 
     def test_checkpoint_votes_off_the_grid_rejected(self):
         rep = make_replica(checkpoint_interval=5, log_capacity=20)
@@ -361,7 +395,6 @@ class TestViewChange:
 
 class TestNewViewValidation:
     def test_forged_new_view_rejected(self):
-        from pbftkit.wire import NewViewBody
         rep = make_replica(self_id=2)
         body = NewViewBody(1, (), ())
         env = WireEnvelope(MessageKind.NEW_VIEW, 1, 0, 1, body.encode())
@@ -377,6 +410,115 @@ class TestNewViewValidation:
             bus.absorb(i, out)
         bus.run()
         assert bus.replicas[1].view == 1
+
+
+class TestForgedViewChange:
+    """One Byzantine replica lies in its VIEW_CHANGE (ROADMAP item 1's
+    recipe). Leader 0 pre-prepares A at seq 1; replicas 0, 1 and 2 prepare
+    it and only 0 collects the COMMITs, so A is committed at 0 alone."""
+
+    @pytest.fixture
+    def bus(self):
+        bus = Bus(drop={3})
+        reps = bus.replicas
+        (pp,) = sent(reps[0].on_request(Request(100, 0, b"A")),
+                     MessageKind.PRE_PREPARE)
+        for i in (1, 2):
+            reps[i].on_envelope(pp)
+        digest = PrePrepareBody.decode(pp.payload).digest
+        for i in (0, 1, 2):
+            for s in (1, 2):
+                if s != i:
+                    reps[i].on_envelope(vote(MessageKind.PREPARE, 1, digest, s))
+        for s in (1, 2):
+            reps[0].on_envelope(vote(MessageKind.COMMIT, 1, digest, s))
+        assert reps[0].committed_seq == 1
+        assert [reps[i].log[1].status for i in (1, 2)] == [Status.PREPARED] * 2
+        bus.digest_a = digest
+        return bus
+
+    @staticmethod
+    def forged(target, claimed_view):
+        b = PrePrepareBody.for_batch((Request(101, 0, b"B"),))
+        body = ViewChangeBody(target, 0, (), ((1, claimed_view, b),),
+                              ((1, b.digest, claimed_view),))
+        return WireEnvelope(MessageKind.VIEW_CHANGE, target, 0, 3,
+                            body.encode())
+
+    def test_forged_prepared_claim_never_proposed(self, bus):
+        # Replica 3 claims seq 1 prepared in view 7 with batch B. Replica 1
+        # leads view 9; with 1, 2 and the liar no batch has 2f+1 messages
+        # that do not contradict it, so it waits for replica 0 and then
+        # re-proposes A. All three correct replicas commit A at seq 1.
+        reps = bus.replicas
+        vc1 = view_change_to(reps[1], 9)
+        for env in (view_change_to(reps[2], 9), self.forged(9, 7)):
+            assert not sent(reps[1].on_envelope(env), MessageKind.NEW_VIEW)
+        out = reps[1].on_envelope(view_change_to(reps[0], 9))
+        (nv,) = sent(out, MessageKind.NEW_VIEW)
+        assert NewViewBody.decode(nv.payload).reproposals == (
+            (1, bus.digest_a),)
+        assert vc1 in [wire.decode(f) for f in
+                       NewViewBody.decode(nv.payload).view_changes]
+        bus.absorb(1, out)
+        bus.run()
+        for i in (1, 2):
+            assert [(seq, [r.payload for r in batch])
+                    for seq, batch in bus.commits[i]] == [(1, [b"A"])]
+        # Replica 0 voted on seq 1 again but did not run it twice.
+        assert reps[0].log[1].status == Status.PREPARED
+        assert bus.commits[0] == [] and reps[0].committed_seq == 1
+
+    def test_claim_past_every_window_ignored(self, bus):
+        # A sender may put its stable checkpoint anywhere; a P entry above
+        # the chosen checkpoint's window neither widens O nor stalls it.
+        reps = bus.replicas
+        b = PrePrepareBody.for_batch((Request(101, 0, b"B"),))
+        far = 2**60
+        lie = ViewChangeBody(1, far, (), ((far + 1, 0, b),),
+                             ((far + 1, b.digest, 0),))
+        reps[1].on_envelope(WireEnvelope(MessageKind.VIEW_CHANGE, 1, 0, 3,
+                                         lie.encode()))
+        reps[1].on_envelope(view_change_to(reps[2], 1))
+        assert reps[1].mode == Mode.VIEW_CHANGING  # joined under f+1
+        (nv,) = sent(reps[1].on_envelope(view_change_to(reps[0], 1)),
+                     MessageKind.NEW_VIEW)
+        assert NewViewBody.decode(nv.payload).reproposals == (
+            (1, bus.digest_a),)
+
+    def test_claim_from_a_later_view_rejected(self, bus):
+        # The recipe as first written, a claim for view 7 in a VIEW_CHANGE
+        # for view 1, fails the structural check outright.
+        rep = bus.replicas[1]
+        rep.on_envelope(self.forged(1, 7))
+        assert rep.counters["rejected"] == 1
+        assert rep.vc_messages == {}
+
+
+class TestNoReverification:
+    def test_adopting_a_new_view_reverifies_no_accepted_batch(self):
+        # Replica 2 pre-prepared seq 1 in view 0 (one client signature
+        # check); adopting the NEW_VIEW that re-proposes it checks none.
+        calls = []
+        bus = Bus(drop={0})
+        bus.replicas[2] = Replica(
+            ReplicaConfig(n=4, f=1, self_id=2, batch_size=1),
+            request_verifier=lambda req: calls.append(req) or True)
+        env, digest = pre_prepare(1, [Request(100, 0, b"v")])
+        for i in (1, 2, 3):
+            bus.replicas[i].on_envelope(env)  # outputs deliberately dropped
+        for i in (1, 3):
+            for s in (1, 2, 3):
+                if s != i:
+                    bus.replicas[i].on_envelope(
+                        vote(MessageKind.PREPARE, 1, digest, s))
+        assert bus.replicas[2].log[1].status == Status.PRE_PREPARED
+        assert len(calls) == 1
+        for i in (1, 2):
+            bus.timeout(i, ("request", 100, 0))
+        assert bus.replicas[2].view == 1
+        assert [seq for seq, _ in bus.commits[2]] == [1]
+        assert len(calls) == 1
 
 
 class CountingKeyStore(KeyStore):

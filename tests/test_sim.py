@@ -8,8 +8,8 @@ import pytest
 from pbftkit import simnet, wire
 from pbftkit.client import ClientSession
 from pbftkit.crypto import CryptoMode
-from pbftkit.simnet import (CRASH_AT, EQUIVOCATE, MUTE, NonQuiescent,
-                            SimConfig, World, trace_lines)
+from pbftkit.simnet import (CRASH_AT, EQUIVOCATE, FORGE_VC, FORGED_CLIENT,
+                            MUTE, NonQuiescent, SimConfig, World, trace_lines)
 from pbftkit.wire import MessageKind, ReplyBody, Request, request_envelope
 
 FAST = dict(auth=False, client_auth=False)
@@ -155,6 +155,20 @@ class TestFaults:
                     for r in batch]
             assert len(keys) == len(set(keys)), node
 
+    def test_forged_view_changes_commit_nothing_forged(self):
+        # The leader crashes and replica 3 lies in every VIEW_CHANGE.
+        world = run_world(n=7, f=2, seed=7, num_clients=2,
+                          faults={0: (CRASH_AT, 0.25), 3: (FORGE_VC,)},
+                          requests_per_client=50, view_change_timeout=0.5)
+        assert world.max_view() >= 1
+        assert world.nodes[3].replica.counters["view_changes"] >= 1
+        world.check_agreement()
+        for i in world.correct_nodes():
+            assert world.total_requests_committed(i) == 100
+            assert not any(r.client_id == FORGED_CLIENT
+                           for _, _, batch in world.committed[i]
+                           for r in batch)
+
     def test_two_crashes_at_f_two(self):
         world = run_world(n=7, f=2, seed=7,
                           faults={0: (CRASH_AT, 0.25), 1: (CRASH_AT, 0.25)},
@@ -172,6 +186,16 @@ class TestPartitions:
         world.check_agreement()
         world.check_total_order()
         assert world.total_requests_committed(0) == 10
+
+    def test_laggards_catch_up_after_a_view_change(self):
+        # Replicas 1 and 3 miss COMMITs in this world. Every replica votes
+        # on the re-proposed seqs of the next view, also those it already
+        # committed, so the two commit them too.
+        world = World(SimConfig(**GOLDEN["drops_and_partition"][0]))
+        world.run()
+        world.check_agreement()
+        assert [n.replica.committed_seq for n in world.nodes.values()] == \
+            [40] * 4
 
 
 class TestSafetyValve:
@@ -220,7 +244,9 @@ class TestAuthenticatedPath:
     def test_pk_replies_resent_after_commit(self, seed):
         # Lost replies and slow commits make clients retransmit requests
         # that replicas have already committed; each such replica answers
-        # from its reply cache with the batch-signed reply it stored.
+        # from its reply cache with the batch-signed reply it stored. Every
+        # first reply to each client's request 0 is lost, so that happens
+        # in every world, not only where loss and timing happen to cause it.
         world = World(SimConfig(seed=seed, mode=CryptoMode.PK_ONLY,
                                 drop_prob=0.05, num_clients=2,
                                 requests_per_client=10, client_timeout=1.0))
@@ -230,7 +256,10 @@ class TestAuthenticatedPath:
         def counting(src, dests, env):
             if env.kind == MessageKind.REPLY:
                 body = ReplyBody.decode(env.payload)
-                sent[src, body.client_id, body.request_id] += 1
+                key = src, body.client_id, body.request_id
+                sent[key] += 1
+                if body.request_id == 0 and sent[key] == 1:
+                    return
             transmit(src, dests, env)
 
         world._transmit = counting

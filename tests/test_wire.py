@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pbftkit import wire
-from pbftkit.wire import (FrameBuffer, MessageKind, PrePrepareBody, ReplyBody,
-                          Request, WireEnvelope, batch_digest, decode, encode,
+from pbftkit.replica import Replica, ReplicaConfig
+from pbftkit.wire import (FrameBuffer, MessageKind, NewViewBody,
+                          PrePrepareBody, ReplyBody, Request, ViewChangeBody,
+                          WireEnvelope, batch_digest, decode, encode,
                           request_envelope)
 
 GOLDEN_REQUEST_EMPTY = bytes.fromhex(
@@ -225,3 +227,56 @@ class TestBodies:
         assert ReplyBody(5, 9, 4, bytes(range(32))).encode().hex() == (
             "05000900000000000000040000000000000000010203040506070809"
             "0a0b0c0d0e0f101112131415161718191a1b1c1d1e1f")
+
+
+u64 = st.integers(0, 2**64 - 1)
+digests = st.binary(min_size=32, max_size=32)
+requests = st.builds(Request, st.integers(0, 2**16 - 1), u64,
+                     st.binary(max_size=40), st.binary(max_size=40))
+batches = st.lists(requests, max_size=3).map(PrePrepareBody.for_batch)
+view_changes = st.builds(
+    ViewChangeBody, u64, u64,
+    st.lists(st.tuples(u64, digests), max_size=3).map(tuple),
+    st.lists(st.tuples(u64, u64, batches), max_size=3).map(tuple),
+    st.lists(st.tuples(u64, digests, u64), max_size=3).map(tuple))
+new_views = st.builds(
+    NewViewBody, u64,
+    st.lists(st.binary(max_size=200), max_size=4).map(tuple),
+    st.lists(st.tuples(u64, digests), max_size=4).map(tuple))
+
+
+def damaged(encoded, data):
+    """A truncation of ``encoded`` or ``encoded`` plus trailing bytes."""
+    if data.draw(st.booleans()):
+        return encoded[:data.draw(st.integers(0, len(encoded) - 1))]
+    return encoded + data.draw(st.binary(min_size=1, max_size=8))
+
+
+class TestViewChangeBodies:
+    @settings(max_examples=200, deadline=None)
+    @given(view_changes)
+    def test_view_change_round_trip(self, body):
+        assert ViewChangeBody.decode(body.encode()) == body
+
+    @settings(max_examples=200, deadline=None)
+    @given(new_views)
+    def test_new_view_round_trip(self, body):
+        assert NewViewBody.decode(body.encode()) == body
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(view_changes, new_views), st.data())
+    def test_damaged_bodies_raise_only_wire_errors(self, body, data):
+        with pytest.raises(wire.WireError):
+            type(body).decode(damaged(body.encode(), data))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(view_changes, new_views), st.data())
+    def test_replica_counts_damaged_bodies_as_rejected(self, body, data):
+        # Sent by view 1's leader for view 1, so only the body is at fault.
+        rep = Replica(ReplicaConfig(n=4, f=1, self_id=2))
+        kind = (MessageKind.VIEW_CHANGE if isinstance(body, ViewChangeBody)
+                else MessageKind.NEW_VIEW)
+        rep.on_envelope(WireEnvelope(kind, 1, 0, 1,
+                                     damaged(body.encode(), data)))
+        assert rep.counters["rejected"] == 1
+        assert rep.view == 0 and rep.vc_messages == {}
