@@ -307,7 +307,7 @@ GOLDEN = {
         dict(FAST, seed=7, num_clients=2, requests_per_client=30,
              faults={0: (CRASH_AT, 0.25)}, view_change_timeout=0.5,
              checkpoint_interval=10, log_capacity=40),
-        "3c7204e7ebdd58461e22c604d9f052084db99c6a888753bea7f446bb05b521cf"),
+        "6a81137bbab0acb01c5db43fa1695d425d019a1264dd9ddf06b3912e149a34ae"),
     "equivocate": (
         dict(FAST, seed=3, faults={0: (EQUIVOCATE,)}, requests_per_client=10,
              view_change_timeout=0.5, client_timeout=2.0),
