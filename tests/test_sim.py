@@ -322,7 +322,7 @@ GOLDEN = {
         dict(FAST, seed=2, num_clients=8, requests_per_client=100,
              latency=(0.0005, 0.002), payload_size=512,
              faults={0: (CRASH_AT, 0.2)}, checkpoint_interval=50),
-        "a8e063dffc7167541dc0a7d1d84827203182f3ab31a99a00b6c88a9176346ad3"),
+        "6d7d397cd3e4d94e305969c1395f701e0515a7e0c6c01ccc336804af37077737"),
 }
 
 
