@@ -9,7 +9,7 @@ discrete-event simulator replay it bit-for-bit.
 Quorum rules: an entry is *prepared* with 2f+1 matching votes counting the
 leader's PRE_PREPARE as its prepare vote, and *committed* with 2f+1 COMMIT
 votes once every lower sequence has committed. A vote is kept as its
-sender's id only. The in-memory log is a bounded window above the last
+sender's bit in a per-digest bitmask, nothing more. The in-memory log is a bounded window above the last
 stable checkpoint; collecting 2f+1 matching CHECKPOINT messages advances
 the watermark and evicts older entries.
 
@@ -114,7 +114,8 @@ class LogEntry:
     view: int = 0
     body: PrePrepareBody = None
     status: Status = None
-    # digest -> set of senders; votes may arrive before the body does
+    # digest -> the set of senders as a bitmask of their ids (an int is no
+    # object for the cyclic GC to walk); votes may arrive before the body
     prepare_votes: dict = field(default_factory=dict)
     commit_votes: dict = field(default_factory=dict)
     prepared: tuple = None  # (view, body): the latest view it prepared in
@@ -128,7 +129,8 @@ class LogEntry:
         """Accept ``body`` in ``view``; ``voters`` count as its PREPAREs."""
         self.view, self.body, self.status = view, body, _PRE_PREPARED
         self.pre_prepared[body.digest] = view
-        self.prepare_votes.setdefault(body.digest, set()).update(voters)
+        for sender in voters:
+            _add_vote(self.prepare_votes, body.digest, sender)
 
     def start_view(self, view: int):
         """Drop the per-view state; P and Q stay."""
@@ -406,9 +408,9 @@ class Replica:
         entry = self.log.get(seq)
         if entry is None:
             entry = self.log[seq] = LogEntry(seq)
-        (entry.commit_votes if env.kind is _COMMIT
-         else entry.prepare_votes).setdefault(env.payload, set()).add(
-            env.sender)
+        votes = (entry.commit_votes if env.kind is _COMMIT
+                 else entry.prepare_votes)
+        votes[env.payload] = votes.get(env.payload, 0) | 1 << env.sender
         self._check_progress(seq, out)
 
     def _check_progress(self, seq: int, out: ProtocolOutput):
@@ -422,19 +424,18 @@ class Replica:
         q = self.config.quorum
         digest = entry.body.digest
         if status is _PREPARED:
-            if len(entry.commit_votes.get(digest, ())) >= q:
+            if entry.commit_votes.get(digest, 0).bit_count() >= q:
                 self._try_commit(out)
             return
         if (status is _PRE_PREPARED
-                and len(entry.prepare_votes.get(digest, ())) >= q):
+                and entry.prepare_votes.get(digest, 0).bit_count() >= q):
             entry.status = _PREPARED
             entry.prepared = (entry.view, entry.body)
-            entry.commit_votes.setdefault(digest, set()).add(
-                self.config.self_id)
+            _add_vote(entry.commit_votes, digest, self.config.self_id)
             out.outbound.append((self._peers, self._env(
                 _COMMIT, digest, seq=seq, view=entry.view)))
             self._trace("prepared", seq=seq)
-            if len(entry.commit_votes[digest]) >= q:
+            if entry.commit_votes[digest].bit_count() >= q:
                 self._try_commit(out)
 
     def _try_commit(self, out: ProtocolOutput):
@@ -446,7 +447,8 @@ class Replica:
             entry = log.get(seq)
             # A PREPARED entry always has its body.
             if (entry is None or entry.status is not _PREPARED
-                    or len(entry.commit_votes.get(entry.body.digest, ())) < q):
+                    or entry.commit_votes.get(entry.body.digest, 0).bit_count()
+                    < q):
                 break
             entry.status = _COMMITTED
             self.committed_seq = seq
@@ -792,6 +794,10 @@ class Replica:
             self._dispatch(env, out)
         # Requests parked during the view change re-enter the protocol.
         self._retry_deferred(out)
+
+
+def _add_vote(votes: dict, digest: bytes, sender: int):
+    votes[digest] = votes.get(digest, 0) | 1 << sender
 
 
 def _repeats_request(batch) -> bool:
