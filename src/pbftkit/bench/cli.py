@@ -13,8 +13,9 @@ Deployment file (JSON): {"n": 4, "f": 1, "mode": "mac_inter_node",
 Scenario file (.scn): one `key=value` per line, `#` comments. Keys: n, f,
 seed, mode, num_clients, requests_per_client, drop, latency (min,max),
 payload_size, batch_size, view_change_timeout, auth, fault
-(none | crash:<node>:<time> | mute:<node> | equivocate:<node>, repeatable
-with `;`), expect_committed, expect_view, expect_max_view.
+(none | crash:<node>:<time> | mute:<node> | equivocate:<node> |
+forge_vc:<node>, repeatable with `;`), expect_committed, expect_view,
+expect_max_view.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ import time
 from pathlib import Path
 
 from .. import crypto
-from ..simnet import (CRASH_AT, EQUIVOCATE, MUTE, NonQuiescent, SimConfig,
-                      World)
+from ..simnet import (CRASH_AT, EQUIVOCATE, FORGE_VC, MUTE, NonQuiescent,
+                      SimConfig, World)
 
 log = logging.getLogger("pbftkit")
 
@@ -182,6 +183,8 @@ def parse_scenario(path) -> tuple:
             faults[node] = (MUTE,)
         elif kind == "equivocate":
             faults[node] = (EQUIVOCATE,)
+        elif kind == "forge_vc":
+            faults[node] = (FORGE_VC,)
         else:
             raise ValueError(f"unknown fault {kind!r}")
     lat = tuple(float(x) for x in opts.get("latency", "0.001,0.005").split(","))
@@ -263,11 +266,60 @@ def cmd_simulate(args):
     return 0
 
 
+# Clients of a timed run, each with one request outstanding.
+TIMED_CLIENTS = 20
+
+
+def timed_run(n: int, f: int, mode: crypto.CryptoMode, total_requests: int,
+              batch_size: int = 1, value_size: int = 512) -> dict:
+    """Commit ``total_requests`` on a zero-latency World and time its run
+    on the wall clock. Every hop pays the real codec and authenticators in
+    one thread, so modes differ by their crypto work, not by scheduling.
+    Client requests are signed before the window opens, the way a load
+    generator's would arrive already signed."""
+    if total_requests <= 0 or total_requests % TIMED_CLIENTS:
+        raise ValueError(f"requests must be a positive multiple of "
+                         f"{TIMED_CLIENTS}, not {total_requests}")
+    world = World(SimConfig(
+        n=n, f=f, mode=mode, latency=(0.0, 0.0),
+        num_clients=TIMED_CLIENTS,
+        requests_per_client=total_requests // TIMED_CLIENTS,
+        payload_size=value_size, batch_size=batch_size, batch_timeout=0.002,
+        view_change_timeout=30.0))
+    for cl in world.clients.values():
+        cl.requests = iter(list(cl.requests))
+    t0 = time.perf_counter()
+    world.run()
+    elapsed = time.perf_counter() - t0
+    completed = sum(len(cl.session.completions)
+                    for cl in world.clients.values())
+    return {
+        "completed": completed,
+        "elapsed": elapsed,
+        "throughput": completed / elapsed if elapsed > 0 else 0.0,
+        "pre_prepares": sum(node.replica.counters["pre_prepares"]
+                            for node in world.nodes.values()),
+    }
+
+
+def compare_modes(n: int = 4, f: int = 1, value_size: int = 512,
+                  total_requests: int = 2000, batch_size: int = 1) -> dict:
+    """Identical workload under the three modes; returns per-mode results."""
+    return {mode.name: timed_run(n, f, mode, total_requests,
+                                 batch_size=batch_size, value_size=value_size)
+            for mode in (crypto.CryptoMode.DOMAIN_OPTIMIZED,
+                         crypto.CryptoMode.MAC_INTER_NODE,
+                         crypto.CryptoMode.PK_ONLY)}
+
+
 def cmd_compare_modes(args):
-    from .inline import compare_modes
-    res = compare_modes(n=args.n, f=args.f, value_size=args.value_size,
-                        total_requests=args.requests,
-                        batch_size=args.batch_size)
+    try:
+        res = compare_modes(n=args.n, f=args.f, value_size=args.value_size,
+                            total_requests=args.requests,
+                            batch_size=args.batch_size)
+    except ValueError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     d = res["DOMAIN_OPTIMIZED"]["throughput"]
     m = res["MAC_INTER_NODE"]["throughput"]
     p = res["PK_ONLY"]["throughput"]
@@ -323,7 +375,8 @@ def main(argv=None):
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--f", type=int, default=1)
     p.add_argument("--value-size", type=int, default=512)
-    p.add_argument("--requests", type=int, default=2000)
+    p.add_argument("--requests", type=int, default=2000,
+                   help="a positive multiple of 20")
     p.add_argument("--batch-size", type=int, default=1)
     p.set_defaults(func=cmd_compare_modes)
 

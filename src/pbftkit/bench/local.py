@@ -15,10 +15,12 @@ import statistics
 import threading
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .. import crypto
 from ..client import ClientSession, RequestFailed
-from ..pipeline import PipelineConfig, StageMetrics, run_pipeline
+from ..pipeline import (PipelineConfig, StageMetrics, run_pipeline,
+                        write_stage_rows)
 from ..replica import Replica, ReplicaConfig
 from ..simnet import build_keystores
 from ..tcpnet import LoopbackFabric, merge_inbound
@@ -36,7 +38,6 @@ class BenchConfig:
     batch_size: int = 8
     duration: float = 30.0
     warmup: float = 10.0
-    output_dir: str = "bench-out"
 
     def __post_init__(self):
         if self.value_size < 1:
@@ -62,7 +63,6 @@ class RunReport:
     failed: int = 0
 
     def write_csv(self, outdir):
-        from pathlib import Path
         outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         with open(outdir / "summary.csv", "w") as fh:
@@ -79,10 +79,7 @@ class RunReport:
             fh.write("latency_us,cumulative_fraction\n")
             for us, frac in self.cdf:
                 fh.write(f"{us:.1f},{frac:.6f}\n")
-        with open(outdir / "stages.csv", "w") as fh:
-            fh.write("stage,kind,count,total_ns,mean_ns\n")
-            for row in self.stage_rows:
-                fh.write(",".join(str(v) for v in row) + "\n")
+        write_stage_rows(outdir / "stages.csv", self.stage_rows)
 
     def add_latencies(self, lat: list, window: float, value_size: int):
         """Fill the throughput and latency fields from the latencies of the
@@ -125,9 +122,7 @@ class LocalCluster:
 
     def __init__(self, n: int, f: int, mode: crypto.CryptoMode,
                  num_clients: int = 1, batch_size: int = 1,
-                 batch_timeout: float = 0.002, checkpoint_interval: int = 500,
-                 log_capacity: int = 10_000, view_change_timeout: float = 5.0,
-                 auth: bool = True, pipeline_config: PipelineConfig = None):
+                 auth: bool = True):
         self.n, self.f, self.mode = n, f, mode
         self.client_ids = list(range(n, n + num_clients))
         self.hub = LoopbackFabric(list(range(n)) + self.client_ids)
@@ -141,16 +136,13 @@ class LocalCluster:
         self._commit_lock = threading.Lock()
         for i in range(n):
             cfg = ReplicaConfig(n=n, f=f, self_id=i, mode=mode,
-                                batch_size=batch_size,
-                                batch_timeout=batch_timeout,
-                                checkpoint_interval=checkpoint_interval,
-                                log_capacity=log_capacity,
-                                view_change_timeout=view_change_timeout)
+                                batch_size=batch_size, batch_timeout=0.002,
+                                view_change_timeout=5.0)
             replica = Replica(cfg, keystore=self.keystores[i])
             metrics = StageMetrics()
-            pconf = pipeline_config or PipelineConfig()
-            pipe = run_pipeline(pconf, self.hub.port(i), replica, mode=mode,
-                                keystore=self.keystores[i], metrics=metrics,
+            pipe = run_pipeline(PipelineConfig(), self.hub.port(i), replica,
+                                mode=mode, keystore=self.keystores[i],
+                                metrics=metrics,
                                 on_commit=self._make_commit_cb(i))
             self.metrics[i] = metrics
             self.pipelines[i] = pipe
@@ -270,14 +262,11 @@ def run_drivers(drivers, warmup: float, duration: float) -> tuple:
     return lat, window
 
 
-def run_benchmark(config: BenchConfig,
-                  pipeline_config: PipelineConfig = None,
-                  auth: bool = True) -> RunReport:
+def run_benchmark(config: BenchConfig) -> RunReport:
     """Closed-loop measured run on a local cluster; returns the report."""
     cluster = LocalCluster(config.n, config.f, config.mode,
                            num_clients=config.clients,
-                           batch_size=config.batch_size,
-                           auth=auth, pipeline_config=pipeline_config)
+                           batch_size=config.batch_size)
     drivers = [ClientDriver(ClientSession(cid, config.n, config.f,
                                           config.mode,
                                           keystore=cluster.keystores[cid]),

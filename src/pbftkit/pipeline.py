@@ -120,13 +120,18 @@ class StageMetrics:
         return rows
 
     def write_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("stage,kind,count,total_ns,mean_ns\n")
-            for row in self.table():
-                fh.write(",".join(str(v) for v in row) + "\n")
+        write_stage_rows(path, self.table())
 
     def get(self, stage: str, kind) -> tuple:
         return tuple(self._named().get((stage, _kind_name(kind)), (0, 0)))
+
+
+def write_stage_rows(path, rows):
+    """Write ``StageMetrics.table()`` rows as CSV."""
+    with open(path, "w") as fh:
+        fh.write("stage,kind,count,total_ns,mean_ns\n")
+        for row in rows:
+            fh.write(",".join(str(v) for v in row) + "\n")
 
 
 class _Timers:

@@ -172,10 +172,8 @@ class Replica:
         self.committed_seq = 0  # highest contiguously committed seq
         self.log: dict[int, LogEntry] = {}
         self.chain_digest = b"\x00" * 32  # running digest over committed batches
-        self._chain_at: dict[int, bytes] = {0: self.chain_digest}
         # seq -> {sender: state digest}; kept from h up, so C names h too
         self.checkpoints: dict[int, dict] = {}
-        self.checkpoint_sent: set = set()
         self.reply_cache: dict[int, tuple] = {}  # client -> (rid, REPLY env)
         self.pending_batch: list[Request] = []
         self.deferred: list[Request] = []  # backpressured beyond the window
@@ -455,7 +453,6 @@ class Replica:
             batch = entry.body.batch
             self.chain_digest = hashlib.sha256(
                 self.chain_digest + entry.body.digest).digest()
-            self._chain_at[seq] = self.chain_digest
             out.commits.append((seq, batch))
             replies = [self._env(_REPLY, ReplyBody(
                 req.client_id, req.request_id, seq,
@@ -474,21 +471,21 @@ class Replica:
 
     # -- checkpointing -----------------------------------------------------
 
-    def _state_digest(self, seq: int) -> bytes:
-        chain = self._chain_at[seq]
-        h = hashlib.sha256(chain)
+    def _state_digest(self) -> bytes:
+        """Digest of the state at ``committed_seq``: the chain digest and
+        the reply cache."""
+        h = hashlib.sha256(self.chain_digest)
         for client in sorted(self.reply_cache):
             h.update(self.reply_cache[client][1].payload)
         return h.digest()
 
     def _maybe_checkpoint(self, out: ProtocolOutput):
+        """Called once per newly committed seq, so each checkpoint is sent
+        once."""
         seq = self.committed_seq
-        if seq % self.config.checkpoint_interval != 0 or seq == 0:
+        if seq % self.config.checkpoint_interval != 0:
             return
-        if seq in self.checkpoint_sent:
-            return
-        self.checkpoint_sent.add(seq)
-        sd = self._state_digest(seq)
+        sd = self._state_digest()
         env = self._env(MessageKind.CHECKPOINT, sd, seq=seq)
         self.checkpoints.setdefault(seq, {})[self.config.self_id] = sd
         out.outbound.append((self._peers, env))
@@ -523,11 +520,8 @@ class Replica:
             del self.log[s]
         for s in [s for s in self.checkpoints if s < seq]:
             del self.checkpoints[s]
-        for s in [s for s in self._chain_at if s < seq]:
-            del self._chain_at[s]
         for k in [k for k, s in self.assigned.items() if 0 <= s <= seq]:
             del self.assigned[k]
-        self.checkpoint_sent = {s for s in self.checkpoint_sent if s > seq}
         self._trace("stable_checkpoint", seq=seq)
         self._retry_deferred(out)
 

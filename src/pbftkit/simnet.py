@@ -20,6 +20,12 @@ REQUESTs are checked by the replica core.
 A ``deliver`` or replica timer that would land at or after its node's
 ``CRASH_AT`` time is not scheduled at all; the link's drop and delay are
 still drawn, so the RNG sequence and every trace stay the same.
+
+Each client takes its requests from ``requests``, which draws a payload
+and signs it only when the client submits. With ``latency=(0.0, 0.0)`` a
+world is also the crypto-mode benchmark (``pbftkit.bench.cli.timed_run``):
+it materialises every client's requests first, so client signing stays out
+of the wall-clock window, and ``run()`` then times replica work alone.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import heapq
 import itertools
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import crypto, wire
@@ -127,6 +134,7 @@ class _SimNode:
 class _SimClient:
     session: ClientSession
     remaining: int
+    requests: Iterator  # (request, envelope, leader) from make_request
     failed: int = 0
 
 
@@ -180,8 +188,15 @@ class World:
                 else None
             sess = ClientSession(cid, config.n, config.f, config.mode,
                                  keystore=ks)
-            self.clients[cid] = _SimClient(sess, config.requests_per_client)
+            self.clients[cid] = _SimClient(sess, config.requests_per_client,
+                                           self._requests(sess))
             self._push(0.0, ("client_submit", cid))
+
+    def _requests(self, session: ClientSession):
+        """``session``'s requests, each drawn and signed when taken."""
+        for _ in range(self.config.requests_per_client):
+            yield session.make_request(
+                self.rng.randbytes(self.config.payload_size), 0.0)
 
     # -- event plumbing ----------------------------------------------------
 
@@ -297,9 +312,10 @@ class World:
         if cl.remaining <= 0:
             return
         cl.remaining -= 1
-        payload = self.rng.randbytes(self.config.payload_size)
-        req, env, leader = cl.session.make_request(payload, self.now)
-        self._transmit(cid, (leader % self.config.n,), env)
+        req, env, _ = next(cl.requests)
+        cl.session.pending[req.request_id].sent_at = self.now
+        self._transmit(cid, (cl.session.believed_leader % self.config.n,),
+                       env)
         self._arm(self.now + self.config.client_timeout, "client_timer", cid,
                   req.request_id)
 

@@ -1,9 +1,10 @@
 """Acceptance criteria, one test per criterion.
 
 Each test prints a single PASS line with the measured numbers so a full
-run doubles as a results table. Throughput-sensitive criteria run on the
-single-threaded in-process cluster: every hop still pays the real codec
-and real authenticators, but thread scheduling noise is out of the
+run doubles as a results table. Throughput-sensitive criteria (6, 8 and 9)
+time a zero-latency simulator world on the wall clock
+(``cli.timed_run``): every hop still pays the real codec and real
+authenticators in one thread, so thread scheduling noise is out of the
 measurement, which matters on small machines.
 """
 
@@ -15,7 +16,6 @@ import pytest
 
 from pbftkit import crypto, wire
 from pbftkit.bench import cli
-from pbftkit.bench.inline import InlineCluster, compare_modes
 from pbftkit.bench.local import BenchConfig, run_benchmark
 from pbftkit.client import ClientSession
 from pbftkit.crypto import AuthScheme, CryptoMode, MessageClass, required_auth
@@ -237,8 +237,8 @@ class TestCriterion5Codec:
 
 class TestCriterion6ModeThroughputOrdering:
     def test_domain_twice_mac_twice_pk(self):
-        res = compare_modes(n=4, f=1, value_size=512, total_requests=2000,
-                            batch_size=1)
+        res = cli.compare_modes(n=4, f=1, value_size=512,
+                                total_requests=2000, batch_size=1)
         d = res["DOMAIN_OPTIMIZED"]["throughput"]
         m = res["MAC_INTER_NODE"]["throughput"]
         p = res["PK_ONLY"]["throughput"]
@@ -278,10 +278,10 @@ class TestCriterion7CostBreakdownShape:
 class TestCriterion8Batching:
     def test_throughput_and_exact_pre_prepare_count(self):
         total = 1000
-        r1 = InlineCluster(4, 1, CryptoMode.DOMAIN_OPTIMIZED,
-                           batch_size=1).run_closed_loop(total)
-        r8 = InlineCluster(4, 1, CryptoMode.DOMAIN_OPTIMIZED,
-                           batch_size=8).run_closed_loop(total)
+        r1 = cli.timed_run(4, 1, CryptoMode.DOMAIN_OPTIMIZED, total,
+                           batch_size=1)
+        r8 = cli.timed_run(4, 1, CryptoMode.DOMAIN_OPTIMIZED, total,
+                           batch_size=8)
         assert r1["completed"] == r8["completed"] == total
         ratio = r8["throughput"] / r1["throughput"]
         assert ratio >= 1.5
@@ -301,8 +301,8 @@ class TestCriterion9ScalingTrend:
     def test_throughput_non_increasing_in_n(self):
         thr = {}
         for n, f in ((4, 1), (7, 2), (10, 3)):
-            r = InlineCluster(n, f, CryptoMode.MAC_INTER_NODE,
-                              batch_size=1).run_closed_loop(600)
+            r = cli.timed_run(n, f, CryptoMode.MAC_INTER_NODE, 600,
+                              batch_size=1)
             assert r["completed"] == 600
             thr[n] = r["throughput"]
         assert thr[4] >= thr[7] >= thr[10]

@@ -1,5 +1,6 @@
 """One authentication path: the drivers take the same accept/reject decision
-on the same frames, and the policy is applied in ``crypto`` alone."""
+on the same frames, the policy is applied in ``crypto`` alone, and only the
+simulator and the pipeline drive the replica core."""
 
 import ast
 import time
@@ -8,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from pbftkit import crypto, wire
-from pbftkit.bench.inline import InlineCluster
 from pbftkit.crypto import CryptoMode
 from pbftkit.pipeline import PipelineConfig, run_pipeline
 from pbftkit.replica import Replica, ReplicaConfig
@@ -85,18 +85,6 @@ def world_decisions(mode, items):
     return result
 
 
-def inline_decisions(mode, items):
-    cluster = InlineCluster(N, 1, mode, num_clients=len(CLIENTS))
-    spy = Spy(cluster.replicas[0])
-    result = []
-    for _, _, frame, _ in items:
-        seen = len(spy.verdicts)
-        cluster.deliver(0, frame)
-        result.append(spy.verdicts[-1] if len(spy.verdicts) > seen
-                      else "transport")
-    return result
-
-
 def pipeline_decisions(mode, items, stores):
     hub = LoopbackFabric(list(range(N)) + list(CLIENTS))
     replica = Replica(ReplicaConfig(n=N, f=1, self_id=0, mode=mode),
@@ -126,7 +114,6 @@ def test_drivers_agree_on_every_frame(mode):
     expected = [(name, want) for name, _, _, want in items]
     names = [name for name, _, _, _ in items]
     for driver in (world_decisions(mode, items),
-                   inline_decisions(mode, items),
                    pipeline_decisions(mode, items, stores)):
         assert list(zip(names, driver)) == expected
 
@@ -154,4 +141,26 @@ def test_policy_applied_in_crypto_alone():
              for path in sorted(SRC.rglob("*.py"))
              if path != SRC / "crypto.py"
              for line, what in policy_calls(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def core_calls(tree):
+    """Calls that drive a replica core: ``on_envelope`` and ``on_timeout``
+    on anything but a client session, whose ``on_timeout`` retransmits."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("on_envelope", "on_timeout")):
+            receiver = node.func.value
+            if not (isinstance(receiver, ast.Attribute)
+                    and receiver.attr == "session"):
+                yield node.lineno, node.func.attr
+
+
+def test_replica_core_driven_by_simulator_and_pipeline_alone():
+    drivers = {Path(p) for p in ("replica.py", "simnet.py", "pipeline.py")}
+    found = [f"{path.relative_to(SRC)}:{line}: {what}"
+             for path in sorted(SRC.rglob("*.py"))
+             if path.relative_to(SRC) not in drivers
+             for line, what in core_calls(ast.parse(path.read_text()))]
     assert found == []

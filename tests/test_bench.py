@@ -5,21 +5,19 @@ import json
 import random
 import socket
 import time
-from collections import deque
 from pathlib import Path
 
 import pytest
 
 from pbftkit import crypto
 from pbftkit.bench import cli
-from pbftkit.bench.inline import InlineCluster
 from pbftkit.bench.local import LocalCluster, RunReport, build_cdf, percentile
 from pbftkit.crypto import CryptoMode
 from pbftkit.pipeline import PipelineConfig, run_pipeline
 from pbftkit.replica import Replica, ReplicaConfig
-from pbftkit.simnet import CRASH_AT, EQUIVOCATE, MUTE, SimConfig, World
+from pbftkit.simnet import (CRASH_AT, EQUIVOCATE, FORGE_VC, MUTE, SimConfig,
+                            World)
 from pbftkit.tcpnet import TcpFabric
-from pbftkit.wire import decode, encode
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "pbftkit" / \
     "scenarios"
@@ -59,6 +57,12 @@ class TestScenarioParser:
         scn.write_text("fault=equivocate:0\n")
         cfg, _ = cli.parse_scenario(scn)
         assert cfg.faults == {0: (EQUIVOCATE,)}
+
+    def test_forge_vc_fault(self, tmp_path):
+        scn = tmp_path / "v.scn"
+        scn.write_text("fault=forge_vc:2\n")
+        cfg, _ = cli.parse_scenario(scn)
+        assert cfg.faults == {2: (FORGE_VC,)}
 
     def test_unknown_fault_rejected(self, tmp_path):
         scn = tmp_path / "bad.scn"
@@ -251,29 +255,16 @@ class TestCli:
             cli.main([])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("requests", ["30", "0", "-20"])
+    def test_compare_modes_requests_not_multiple_of_clients_exits_2(
+            self, requests, capsys):
+        assert cli.main(["compare-modes", "--requests", requests]) == 2
+        assert "multiple of 20" in capsys.readouterr().err
+
 
 class TestViewChangeCount:
     """One view change at n=4 is reported as 1, not as the sum of the
     replicas' views (4)."""
-
-    def test_inline_cluster(self):
-        cluster = InlineCluster(4, 1, CryptoMode.DOMAIN_OPTIMIZED, auth=False)
-        reps = cluster.replicas
-        pending = deque()
-
-        def emit(out):
-            pending.extend((d, env) for dests, env in out.outbound
-                           for d in dests)
-
-        for rep in reps.values():
-            emit(rep.start_view_change())
-        while pending:
-            dest, env = pending.popleft()
-            emit(reps[dest].on_envelope(decode(encode(env))))
-        assert {rep.view for rep in reps.values()} == {1}
-        result = cluster.run_closed_loop(20, value_size=16)
-        assert result["completed"] == 20
-        assert result["view_changes"] == 1
 
     def test_local_cluster(self):
         cluster = LocalCluster(4, 1, CryptoMode.DOMAIN_OPTIMIZED, auth=False)

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from pbftkit import simnet, wire
+from pbftkit import crypto, simnet, wire
 from pbftkit.client import ClientSession
 from pbftkit.crypto import CryptoMode
 from pbftkit.simnet import (CRASH_AT, EQUIVOCATE, FORGE_VC, FORGED_CLIENT,
@@ -269,6 +269,35 @@ class TestAuthenticatedPath:
         for cl in world.clients.values():
             assert cl.failed == 0
             assert len(cl.session.completions) == 10
+
+
+class TestPreMadeRequests:
+    def test_materialised_requests_sign_nothing_in_run(self, monkeypatch):
+        # A timed world materialises each client's requests before run(),
+        # so that client signing stays out of the measured window. A lazy
+        # world signs each request when its client submits it.
+        signers = []
+        sign = crypto.KeyStore.sign
+
+        def counting(ks, data):
+            signers.append(ks.own_id)
+            return sign(ks, data)
+
+        for materialise, signs_in_run in ((True, 0), (False, 6)):
+            world = World(SimConfig(seed=1, num_clients=2,
+                                    requests_per_client=3))
+            if materialise:
+                for cl in world.clients.values():
+                    cl.requests = iter(list(cl.requests))
+            signers.clear()
+            monkeypatch.setattr(crypto.KeyStore, "sign", counting)
+            world.run()
+            monkeypatch.undo()
+            assert sum(i in world.clients for i in signers) == signs_in_run
+            for cl in world.clients.values():
+                assert len(cl.session.completions) == 3
+            world.check_agreement()
+            world.check_validity()
 
 
 def fingerprint(world) -> str:
