@@ -25,7 +25,7 @@ class PendingRequest:
     request: Request
     sent_at: float
     replies: dict = field(default_factory=dict)  # replica id -> result digest
-    reply_views: dict = field(default_factory=dict)
+    reply_views: dict = field(default_factory=dict)  # replica id -> view
     retransmits: int = 0
 
 
@@ -88,14 +88,17 @@ class ClientSession:
             return None
         if not self.verify_reply(env):
             return None
-        # Replies carry the replica's view; track the freshest leader.
-        self.believed_leader = env.view % self.n
         pend.replies[env.sender] = body.result_digest
-        pend.reply_views[env.sender] = (body.seq, env.view)
+        pend.reply_views[env.sender] = env.view
         votes = sum(1 for d in pend.replies.values()
                     if d == body.result_digest)
         if votes >= self.reply_quorum:
             del self.pending[body.request_id]
+            # Follow the (f+1)-th highest view replied: at least one correct
+            # replica is in it or later, so no f replicas can move the
+            # client to a leader of their choosing.
+            views = sorted(pend.reply_views.values(), reverse=True)
+            self.believed_leader = views[self.f] % self.n
             done = Completion(body.request_id, body.result_digest,
                               now - pend.sent_at, body.seq)
             self.completions.append(done)

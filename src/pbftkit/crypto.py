@@ -19,7 +19,10 @@ envelope digests of the batch's replies in batch order and ``sig`` signs
 ``digest(D)``. A client checks that its own reply's digest is one of
 ``D``'s 32-byte chunks and that ``sig`` verifies; it learns the digests of
 the other replies, never their contents. A lone reply carries the same
-form with a one-digest ``D``.
+form with a one-digest ``D``. The client's keystore remembers the last
+``(sig, D)`` verified per replica, so it runs RSA on a replica's batch
+signature once however many of its own replies that batch holds. That
+saves nothing at batch 1, or with one request per client in each batch.
 
 Every driver, the client and the replica core apply the policy through
 this module alone. :func:`seal` authenticates a broadcast once (one
@@ -146,14 +149,19 @@ class MacVector:
     tags: tuple  # ((recipient, 32-byte tag), ...), recipients distinct
 
 
+# Built once: a fresh padding and hash object per call costs a few µs.
+_PADDING = padding.PKCS1v15()
+_HASH = hashes.SHA256()
+
+
 def _sign_rsa(key, data: bytes) -> bytes:
     # PKCS#1 v1.5 is deterministic, which keeps golden fixtures stable.
-    return key.sign(data, padding.PKCS1v15(), hashes.SHA256())
+    return key.sign(data, _PADDING, _HASH)
 
 
 def _verify_rsa(pub, sig: bytes, data: bytes) -> bool:
     try:
-        pub.verify(sig, data, padding.PKCS1v15(), hashes.SHA256())
+        pub.verify(sig, data, _PADDING, _HASH)
         return True
     except InvalidSignature:
         return False
@@ -176,6 +184,10 @@ class KeyStore:
     signing_key: object
     verify_keys: dict = field(default_factory=dict)  # id -> public key
     mac_keys: dict = field(default_factory=dict)  # peer id -> 32-byte secret
+    # sender id -> the last (sig, digests) batch-reply pair verified for it:
+    # at most one entry per key in verify_keys.
+    reply_sigs: dict = field(default_factory=dict, init=False, repr=False,
+                             compare=False)
 
     def public_key(self):
         return self.signing_key.public_key()
@@ -325,7 +337,11 @@ def verify_incoming(env: WireEnvelope, mode: CryptoMode, ks: KeyStore) -> bool:
 
 def _verify_reply_signature(env: WireEnvelope, d: bytes, ks: KeyStore) -> bool:
     """The batch form of a PK REPLY: ``d`` must be one of the aligned
-    digests the sender signed together."""
+    digests the sender signed together.
+
+    The signature is checked once per sender and batch: a pair equal to the
+    last one verified for ``env.sender`` needs no RSA call, since
+    verification is deterministic. The membership check still runs."""
     if len(env.auths) != 2:
         return False
     sig, digests = env.auths[0][1], env.auths[1][1]
@@ -333,7 +349,13 @@ def _verify_reply_signature(env: WireEnvelope, d: bytes, ks: KeyStore) -> bool:
             digests[i:i + DIGEST_LEN] == d
             for i in range(0, len(digests), DIGEST_LEN)):
         return False
-    return ks.verify(env.sender, sig, digest(digests))
+    pair = (sig, digests)
+    if ks.reply_sigs.get(env.sender) == pair:
+        return True
+    if not ks.verify(env.sender, sig, digest(digests)):
+        return False
+    ks.reply_sigs[env.sender] = pair
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,25 @@ def merge_inbound(transport, inbox=None):
     return inbox
 
 
+def _recv_hello(sock) -> bytes:
+    """The 2-byte hello, which may arrive split across segments; fewer
+    bytes if the peer closes first. Raises OSError (``socket.timeout``) if
+    it is not complete within HELLO_TIMEOUT."""
+    deadline = time.monotonic() + HELLO_TIMEOUT
+    hello = b""
+    while len(hello) < 2:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise socket.timeout("hello timed out")
+        sock.settimeout(remaining)
+        chunk = sock.recv(2 - len(hello))
+        if not chunk:
+            break
+        hello += chunk
+    sock.settimeout(None)
+    return hello
+
+
 class _Conn:
     """One live socket: a writer queue plus reader/writer threads."""
 
@@ -196,9 +215,7 @@ class TcpFabric:
             except OSError:
                 return
             try:
-                sock.settimeout(HELLO_TIMEOUT)
-                hello = sock.recv(2)
-                sock.settimeout(None)
+                hello = _recv_hello(sock)
             except OSError:  # includes the hello timeout
                 sock.close()
                 continue

@@ -62,7 +62,19 @@ class TestQuorum:
         sess = make_session()
         sess.make_request(b"x", 0.0)
         sess.on_reply(reply(0, 0, view=5), 1.0)
+        assert sess.on_reply(reply(0, 1, view=5), 1.0) is not None
         assert sess.believed_leader == 1  # 5 mod 4
+
+    def test_one_reply_does_not_move_the_leader(self):
+        sess = make_session()
+        sess.make_request(b"x", 0.0)
+        assert sess.on_reply(reply(0, 3, view=7), 1.0) is None
+        assert sess.believed_leader == 0
+        # At quorum the client follows the (f+1)-th highest view: one
+        # faulty replica naming view 7 cannot point it at replica 3.
+        assert sess.on_reply(reply(0, 1, view=0), 1.0) is not None
+        assert sess.believed_leader == 0
+        assert sess.make_request(b"z", 1.0)[2] == 0
 
 
 class TestRequestIds:

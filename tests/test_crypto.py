@@ -231,6 +231,56 @@ class TestReplySignature:
         assert self.check(env.with_auths(signed.auths[:1]), stores) is False
 
 
+class TestReplySignatureRecord:
+    """A client keystore records the last batch signature it verified per
+    replica; the record accepts nothing a fresh check would reject."""
+
+    @pytest.fixture
+    def recorded(self, stores):
+        """A fresh client keystore that has verified replica 1's batch of
+        two replies; returns it with the signed replies."""
+        ks = crypto.KeyStore(4, stores[4].signing_key, stores[4].verify_keys)
+        envs = [_reply(0), _reply(1)]
+        auth = crypto.sign_replies(envs, stores[1])
+        signed = [crypto.attach(env, auth) for env in envs]
+        assert crypto.verify_incoming(signed[0], CryptoMode.PK_ONLY, ks)
+        assert ks.reply_sigs == {1: (auth.value, auth.digests)}
+        return ks, signed
+
+    def check(self, env, ks):
+        return crypto.verify_incoming(env, CryptoMode.PK_ONLY, ks)
+
+    def test_same_digests_corrupted_signature_rejected(self, recorded):
+        ks, signed = recorded
+        (_, sig), (_, digests) = signed[1].auths
+        bad = bytearray(sig)
+        bad[0] ^= 1
+        assert self.check(signed[1].with_auths(((0, bytes(bad)),
+                                                (0, digests))), ks) is False
+
+    def test_reply_not_in_digests_rejected(self, recorded):
+        ks, signed = recorded
+        assert self.check(_reply(2).with_auths(signed[0].auths), ks) is False
+
+    def test_recorded_pair_under_another_sender_rejected(self, stores):
+        # Replica 1 signs a batch that holds a reply naming replica 2; the
+        # pair verified for replica 1 does not vouch for replica 2.
+        ks = crypto.KeyStore(4, stores[4].signing_key, stores[4].verify_keys)
+        envs = [_reply(0, sender=1), _reply(1, sender=2)]
+        auth = crypto.sign_replies(envs, stores[1])
+        assert self.check(crypto.attach(envs[0], auth), ks)
+        assert self.check(crypto.attach(envs[1], auth), ks) is False
+        assert list(ks.reply_sigs) == [1]
+
+    def test_newer_batch_replaces_the_entry(self, recorded, stores):
+        ks, signed = recorded
+        newer = [_reply(2), _reply(3)]
+        auth = crypto.sign_replies(newer, stores[1])
+        assert self.check(crypto.attach(newer[0], auth), ks)
+        assert ks.reply_sigs == {1: (auth.value, auth.digests)}
+        assert self.check(signed[1], ks)  # the older batch verifies afresh
+
+
 class TestKeyFiles:
     def test_layout_and_counts(self, tmp_path):
         crypto.generate_deployment_keys(4, 1, tmp_path / "keys")

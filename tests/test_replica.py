@@ -523,10 +523,20 @@ class TestNoReverification:
 
 class CountingKeyStore(KeyStore):
     signs = 0
+    verifies = 0
 
     def sign(self, data):
         self.signs += 1
         return super().sign(data)
+
+    def verify(self, sender, sig, data):
+        self.verifies += 1
+        return super().verify(sender, sig, data)
+
+
+def counting(ks):
+    return CountingKeyStore(ks.own_id, ks.signing_key, ks.verify_keys,
+                            ks.mac_keys)
 
 
 class TestSignedReplies:
@@ -535,14 +545,13 @@ class TestSignedReplies:
     @pytest.fixture
     def committed(self):
         stores = build_keystores(4, [4, 5])
-        ks = stores[1]
-        ks = CountingKeyStore(ks.own_id, ks.signing_key, ks.verify_keys,
-                              ks.mac_keys)
+        ks = counting(stores[1])
         rep = Replica(ReplicaConfig(n=4, f=1, self_id=1,
                                     mode=CryptoMode.PK_ONLY, batch_size=8),
                       keystore=ks)
         sessions = {c: ClientSession(c, 4, 1, CryptoMode.PK_ONLY,
-                                     keystore=stores[c]) for c in (4, 5)}
+                                     keystore=counting(stores[c]))
+                    for c in (4, 5)}
         batch = [sessions[4 + k % 2].make_request(bytes([k]), 0.0)[0]
                  for k in range(8)]
         env, digest = pre_prepare(1, batch)
@@ -564,6 +573,16 @@ class TestSignedReplies:
             assert dests == (req.client_id,)
             assert ReplyBody.decode(env.payload).request_id == req.request_id
             assert sessions[req.client_id].verify_reply(env)
+
+    def test_client_verifies_the_batch_signature_once(self, committed):
+        rep, ks, sessions, batch, replies = committed
+        for dests, env in replies:
+            sess = sessions[dests[0]]
+            assert sess.on_reply(env, 1.0) is None  # one replica: no quorum
+            assert env.sender in sess.pending[
+                ReplyBody.decode(env.payload).request_id].replies
+        # Four replies each, all under replica 1's one batch signature.
+        assert [sessions[c].keystore.verifies for c in (4, 5)] == [1, 1]
 
     def test_resent_request_reuses_the_signed_reply(self, committed):
         rep, ks, sessions, batch, replies = committed

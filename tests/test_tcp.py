@@ -2,6 +2,7 @@
 
 import queue
 import socket
+import struct
 import time
 
 import pytest
@@ -17,7 +18,6 @@ from pbftkit.wire import MessageKind, encode, request_envelope
 
 def frame(payload: bytes) -> bytes:
     """Length-prefix an opaque payload the way the codec frames traffic."""
-    import struct
     return struct.pack("<I", len(payload)) + payload
 
 
@@ -82,6 +82,23 @@ class TestFabric:
             a.close()
             if b is not None:
                 b.close()
+
+    def test_hello_split_across_segments_registers(self):
+        addrs = addrs_for(1)
+        a = TcpFabric(0, addrs, client_ids=[9])
+        peer = socket.create_connection(addrs[0])
+        try:
+            peer.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            hello = struct.pack("<H", 9)
+            peer.sendall(hello[:1])
+            time.sleep(0.2)
+            peer.sendall(hello[1:])
+            assert a.wait_connected([9], timeout=5.0)
+            peer.sendall(frame(b"ping"))
+            assert a.receive_queues()[9].get(timeout=5) == frame(b"ping")
+        finally:
+            peer.close()
+            a.close()
 
     def test_idle_connection_outlives_connect_timeout(self):
         addrs = addrs_for(2)
