@@ -8,7 +8,7 @@ oracles held.
 
 from pbftkit.simnet import (CRASH_AT, EQUIVOCATE, MUTE, SimConfig, World)
 
-BASE = dict(n=4, f=1, auth=False, client_auth=False, num_clients=2,
+BASE = dict(n=4, f=1, auth=False, num_clients=2,
             requests_per_client=25, view_change_timeout=0.5,
             client_timeout=2.0)
 

@@ -12,10 +12,11 @@ Deployment file (JSON): {"n": 4, "f": 1, "mode": "mac_inter_node",
 
 Scenario file (.scn): one `key=value` per line, `#` comments. Keys: n, f,
 seed, mode, num_clients, requests_per_client, drop, latency (min,max),
-payload_size, batch_size, view_change_timeout, auth, fault
-(none | crash:<node>:<time> | mute:<node> | equivocate:<node> |
-forge_vc:<node>, repeatable with `;`), expect_committed, expect_view,
-expect_max_view.
+payload_size, batch_size, view_change_timeout, auth (true | false: every
+message signed, or nothing), fault (none | crash:<node>:<time> |
+mute:<node> | equivocate:<node> | forge_vc:<node>, repeatable with `;`),
+expect_committed, expect_view, expect_max_view. Any other key is an error:
+`simulate` prints it and exits 2.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ from ..simnet import (CRASH_AT, EQUIVOCATE, FORGE_VC, MUTE, NonQuiescent,
 log = logging.getLogger("pbftkit")
 
 _MODES = {m.value: m for m in crypto.CryptoMode}
+_SCENARIO_KEYS = frozenset((
+    "n", "f", "seed", "mode", "num_clients", "requests_per_client", "drop",
+    "latency", "payload_size", "batch_size", "view_change_timeout", "auth",
+    "fault", "expect_committed", "expect_view", "expect_max_view"))
 
 
 def _load_deployment(path):
@@ -160,7 +165,8 @@ def cmd_loadgen(args):
 
 
 def parse_scenario(path) -> tuple:
-    """Parse a .scn file; returns (SimConfig, expectations dict)."""
+    """Parse a .scn file; returns (SimConfig, expectations dict). Raises
+    ValueError naming the first unknown key."""
     opts = {}
     with open(path) as fh:
         for line in fh:
@@ -168,7 +174,10 @@ def parse_scenario(path) -> tuple:
             if not line:
                 continue
             key, _, value = line.partition("=")
-            opts[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in _SCENARIO_KEYS:
+                raise ValueError(f"unknown scenario key {key!r}")
+            opts[key] = value.strip()
     faults = {}
     for spec in opts.get("fault", "none").split(";"):
         spec = spec.strip()
@@ -197,7 +206,6 @@ def parse_scenario(path) -> tuple:
         drop_prob=float(opts.get("drop", 0.0)),
         faults=faults,
         auth=opts.get("auth", "true").lower() == "true",
-        client_auth=opts.get("client_auth", "true").lower() == "true",
         num_clients=int(opts.get("num_clients", 1)),
         requests_per_client=int(opts.get("requests_per_client", 10)),
         payload_size=int(opts.get("payload_size", 32)),
@@ -239,7 +247,11 @@ def evaluate_scenario(world: World, expect: dict):
 
 
 def cmd_simulate(args):
-    cfg, expect = parse_scenario(args.scenario)
+    try:
+        cfg, expect = parse_scenario(args.scenario)
+    except ValueError as exc:
+        print(f"bad scenario {args.scenario}: {exc}", file=sys.stderr)
+        return 2
     world = World(cfg)
     try:
         world.run(until=args.until)

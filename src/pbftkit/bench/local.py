@@ -121,19 +121,14 @@ class LocalCluster:
     """n replica pipelines plus client ports on one loopback hub."""
 
     def __init__(self, n: int, f: int, mode: crypto.CryptoMode,
-                 num_clients: int = 1, batch_size: int = 1,
-                 auth: bool = True):
+                 num_clients: int = 1, batch_size: int = 1):
         self.n, self.f, self.mode = n, f, mode
         self.client_ids = list(range(n, n + num_clients))
         self.hub = LoopbackFabric(list(range(n)) + self.client_ids)
-        self.keystores = (build_keystores(n, self.client_ids)
-                          if auth else {i: None for i in
-                                        range(n + num_clients)})
+        self.keystores = build_keystores(n, self.client_ids)
         self.metrics = {}
         self.pipelines = {}
         self.replicas = {}
-        self.commit_counts = {i: 0 for i in range(n)}
-        self._commit_lock = threading.Lock()
         for i in range(n):
             cfg = ReplicaConfig(n=n, f=f, self_id=i, mode=mode,
                                 batch_size=batch_size, batch_timeout=0.002,
@@ -142,20 +137,10 @@ class LocalCluster:
             metrics = StageMetrics()
             pipe = run_pipeline(PipelineConfig(), self.hub.port(i), replica,
                                 mode=mode, keystore=self.keystores[i],
-                                metrics=metrics,
-                                on_commit=self._make_commit_cb(i))
+                                metrics=metrics)
             self.metrics[i] = metrics
             self.pipelines[i] = pipe
             self.replicas[i] = replica
-
-    def _make_commit_cb(self, node):
-        def cb(seq, batch):
-            with self._commit_lock:
-                self.commit_counts[node] += len(batch)
-        return cb
-
-    def client_port(self, cid: int):
-        return self.hub.port(cid)
 
     def stop(self):
         for pipe in self.pipelines.values():
@@ -270,7 +255,7 @@ def run_benchmark(config: BenchConfig) -> RunReport:
     drivers = [ClientDriver(ClientSession(cid, config.n, config.f,
                                           config.mode,
                                           keystore=cluster.keystores[cid]),
-                            cluster.client_port(cid), config.value_size,
+                            cluster.hub.port(cid), config.value_size,
                             outstanding=config.outstanding)
                for cid in cluster.client_ids]
     try:

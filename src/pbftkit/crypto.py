@@ -133,22 +133,6 @@ def digest(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-@dataclass(frozen=True)
-class Signature:
-    value: bytes
-
-
-@dataclass(frozen=True)
-class ReplySignature:
-    value: bytes  # signature over digest(digests)
-    digests: bytes  # the envelope digests of a batch's replies, concatenated
-
-
-@dataclass(frozen=True)
-class MacVector:
-    tags: tuple  # ((recipient, 32-byte tag), ...), recipients distinct
-
-
 # Built once: a fresh padding and hash object per call costs a few µs.
 _PADDING = padding.PKCS1v15()
 _HASH = hashes.SHA256()
@@ -165,11 +149,6 @@ def _verify_rsa(pub, sig: bytes, data: bytes) -> bool:
         return True
     except InvalidSignature:
         return False
-
-
-def pair_key(i: int, j: int):
-    """Canonical unordered key for the (i, j) pairwise secret."""
-    return (i, j) if i <= j else (j, i)
 
 
 @dataclass
@@ -226,28 +205,31 @@ def verify_request(req: Request, ks: KeyStore) -> bool:
 
 
 def authenticate(env: WireEnvelope, recipients, mode: CryptoMode,
-                 ks: KeyStore, d: bytes = None):
-    """Produce the authenticator the policy demands for this envelope.
+                 ks: KeyStore, d: bytes = None) -> tuple:
+    """The wire auths ``((recipient, bytes), ...)`` the policy demands for
+    this envelope.
 
     PK schemes yield one signature over the envelope digest ``d`` (computed
-    when not given) regardless of recipient count; MAC schemes yield one
-    tag per recipient. A PK REPLY gets the batch form of
+    when not given) regardless of recipient count, as ``((0, sig),)``; MAC
+    schemes yield one tag per recipient. A PK REPLY gets the batch form of
     :func:`sign_replies` with a batch of one.
     """
     scheme = _POLICY[mode][_KIND_CLASS[env.kind]]
     if d is None:
         d = envelope_digest(env)
     if scheme is AuthScheme.MAC:
-        return MacVector(tuple((r, ks.mac(r, d)) for r in recipients))
+        return tuple((r, ks.mac(r, d)) for r in recipients)
     if env.kind is MessageKind.REPLY:
-        return ReplySignature(ks.sign(digest(d)), d)
-    return Signature(ks.sign(d))
+        return (0, ks.sign(digest(d))), (0, d)
+    return ((0, ks.sign(d)),)
 
 
-def sign_replies(envs, ks: KeyStore) -> ReplySignature:
-    """One signature covering every REPLY envelope of a committed batch."""
+def sign_replies(envs, ks: KeyStore) -> tuple:
+    """The wire auths ``((0, sig), (0, D))`` shared by every REPLY envelope
+    of a committed batch: ``D`` concatenates their digests and ``sig``
+    signs ``digest(D)``."""
     digests = b"".join([envelope_digest(env) for env in envs])
-    return ReplySignature(ks.sign(digest(digests)), digests)
+    return (0, ks.sign(digest(digests))), (0, digests)
 
 
 def seal_replies(replies: list, mode: CryptoMode, ks: KeyStore) -> list:
@@ -256,8 +238,8 @@ def seal_replies(replies: list, mode: CryptoMode, ks: KeyStore) -> list:
     if (ks is None or _POLICY[mode][MessageClass.CLIENT_REPLY]
             is not AuthScheme.PK):
         return replies
-    auth = sign_replies(replies, ks)
-    return [attach(env, auth) for env in replies]
+    auths = sign_replies(replies, ks)
+    return [env.with_auths(auths) for env in replies]
 
 
 def block_signature(state_digest: bytes, mode: CryptoMode, ks: KeyStore):
@@ -269,12 +251,9 @@ def block_signature(state_digest: bytes, mode: CryptoMode, ks: KeyStore):
     return ks.sign(state_digest)
 
 
-def attach(env: WireEnvelope, auth) -> WireEnvelope:
-    if isinstance(auth, Signature):
-        return env.with_auths(((0, auth.value),))
-    if isinstance(auth, ReplySignature):
-        return env.with_auths(((0, auth.value), (0, auth.digests)))
-    return env.with_auths(auth.tags)
+def attach(env: WireEnvelope, auths: tuple) -> WireEnvelope:
+    """``env.with_auths(auths)``, for callers written against this name."""
+    return env.with_auths(auths)
 
 
 def sealable(env: WireEnvelope, ks: KeyStore) -> bool:
@@ -284,12 +263,19 @@ def sealable(env: WireEnvelope, ks: KeyStore) -> bool:
             and env.kind is not MessageKind.REQUEST)
 
 
-def seal(env: WireEnvelope, dests, mode: CryptoMode, ks: KeyStore) -> bytes:
-    """Authenticate ``env`` for ``dests`` as the policy says and encode it
-    once: the same frame goes to every destination."""
+def sealed(env: WireEnvelope, dests, mode: CryptoMode,
+           ks: KeyStore) -> WireEnvelope:
+    """``env`` authenticated for ``dests`` as the policy says, when
+    :func:`sealable`; otherwise as given."""
     if sealable(env, ks):
-        env = attach(env, authenticate(env, dests, mode, ks))
-    return wire.encode(env)
+        env = env.with_auths(authenticate(env, dests, mode, ks))
+    return env
+
+
+def seal(env: WireEnvelope, dests, mode: CryptoMode, ks: KeyStore) -> bytes:
+    """:func:`sealed` and encoded once: the same frame goes to every
+    destination."""
+    return wire.encode(sealed(env, dests, mode, ks))
 
 
 def checked(env: WireEnvelope, ks: KeyStore) -> bool:

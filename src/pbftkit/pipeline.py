@@ -17,7 +17,8 @@ core, so the leader's one RSA verify per request falls in ``decide``.
 Outbound, a broadcast is hashed, authenticated once (one signature, or one
 authenticator holding a tag per recipient) and encoded once, and the same
 frame goes to every recipient. A PK REPLY comes out of the core already
-signed, one signature per committed batch, and is only marshalled.
+signed, one signature per committed batch, and so does a VIEW_CHANGE,
+signed once in ``decide``; both are only marshalled.
 
 Per-origin FIFO order holds by construction: a transport puts one origin's
 frames on the inbox in arrival order and the loop handles one item at a
@@ -264,8 +265,8 @@ class Pipeline:
             t0 = clock()
             d = crypto.envelope_digest(env)
             t1 = clock()
-            env = crypto.attach(env, crypto.authenticate(env, dests, self.mode,
-                                                         ks, d))
+            env = env.with_auths(crypto.authenticate(env, dests, self.mode,
+                                                     ks, d))
             t2 = clock()
             self._rec("hash_tx", kind, t0, t1)
             self._rec("sign", kind, t1, t2)

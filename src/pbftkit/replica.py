@@ -154,16 +154,10 @@ class Replica:
     internal handlers all append their effects to that one accumulator.
     """
 
-    def __init__(self, config: ReplicaConfig, keystore=None,
-                 request_verifier=None, vc_verifier=None, tracer=None):
+    def __init__(self, config: ReplicaConfig, keystore=None, tracer=None):
         self.config = config
-        self.keystore = keystore
+        self.keystore = keystore  # None: nothing is signed or checked
         self.tracer = tracer
-        self._verify_request = request_verifier or (
-            lambda req: crypto.verify_request(req, self.keystore))
-        self._verify_vc_envelope = vc_verifier or (
-            lambda env: crypto.verify_incoming(env, self.config.mode,
-                                               self.keystore))
 
         self.view = 0
         self.mode = Mode.NORMAL
@@ -261,7 +255,7 @@ class Replica:
             req = None
         # The client signature is checked once, on intake: the leader
         # batches and a follower forwards or watches only verified requests.
-        if req is None or not self._verify_request(req):
+        if req is None or not crypto.verify_request(req, self.keystore):
             self.counters["rejected"] += 1
             return
         self._on_request(req, out)
@@ -371,7 +365,8 @@ class Replica:
                 self.counters["equivocations"] += 1
                 self._trace("equivocation", seq=env.seq)
             return
-        if not all(self._verify_request(r) for r in body.batch):
+        if not all(crypto.verify_request(r, self.keystore)
+                   for r in body.batch):
             self.counters["rejected"] += 1
             return
         entry.pre_prepare(env.view, body, env.sender, self.config.self_id)
@@ -565,7 +560,11 @@ class Replica:
         self._pending_view = target
         self.counters["view_changes"] += 1
         body = self._view_change_body(target)
-        env = self._env(MessageKind.VIEW_CHANGE, body.encode(), view=target)
+        # Signed once here: drivers send it as is, and a NEW_VIEW that this
+        # replica builds carries the same signed frame.
+        env = crypto.sealed(
+            self._env(MessageKind.VIEW_CHANGE, body.encode(), view=target),
+            self._peers, self.config.mode, self.keystore)
         out.outbound.append((self._peers, env))
         # Exponent cap keeps a lone stalled replica's backoff finite; without
         # state transfer it cannot rejoin anyway and must not overflow time.
@@ -631,11 +630,7 @@ class Replica:
         chosen = self._decide([msgs[s][0] for s in senders])
         if chosen is None:
             return  # some seq is undecided: wait for more VIEW_CHANGEs
-        # Own VIEW_CHANGE must carry its signature in the proof.
-        frames = tuple(
-            crypto.seal(msgs[s][1], (), self.config.mode, self.keystore)
-            if s == self.config.self_id else wire.encode(msgs[s][1])
-            for s in senders)
+        frames = tuple(wire.encode(msgs[s][1]) for s in senders)
         nv_body = NewViewBody(target, frames,
                               tuple((seq, b.digest) for seq, b in chosen))
         nv_env = self._env(MessageKind.NEW_VIEW, nv_body.encode(), view=target)
@@ -693,7 +688,8 @@ class Replica:
                     return b
         for p in prepared:
             _, b = p.get(seq, (None, None))
-            if b and b.digest == d and all(map(self._verify_request, b.batch)):
+            if b and b.digest == d and all(
+                    crypto.verify_request(r, self.keystore) for r in b.batch):
                 return b
         return None
 
@@ -732,7 +728,8 @@ class Replica:
             if (env.kind != MessageKind.VIEW_CHANGE or env.view != body.view
                     or vc.new_view != body.view or env.sender in senders
                     or not self._valid_view_change(vc)
-                    or not self._verify_vc_envelope(env)):
+                    or not crypto.verify_incoming(env, self.config.mode,
+                                                  self.keystore)):
                 return None
             senders.add(env.sender)
             vcs.append(vc)

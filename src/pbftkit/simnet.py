@@ -8,14 +8,16 @@ behaviors the protocol must survive: crashing, going mute, an
 equivocating leader that shows different batches to different followers,
 and a replica whose VIEW_CHANGEs claim batches nobody proposed.
 
-Every message still crosses the real codec and, with ``auth`` on, the real
-authenticators of ``crypto``, but once per send rather than once per
-recipient: a broadcast is sealed (``crypto.seal``: one signature, or one
-tag per recipient in one authenticator) and the frame decoded at its first
-destination that passes the partition and drop checks, and every
-recipient's ``deliver`` event carries that one decoded envelope, which the
-recipient checks with ``crypto.verify_incoming``. Client signatures inside
-REQUESTs are checked by the replica core.
+Every message still crosses the real codec and, when ``SimConfig.auth``
+gives each principal a keystore, the real authenticators of ``crypto``,
+but once per send rather than once per recipient: a broadcast is sealed
+(``crypto.seal``: one signature, or one tag per recipient in one
+authenticator) and the frame decoded at its first destination that passes
+the partition and drop checks, and every recipient's ``deliver`` event
+carries that one decoded envelope, which the recipient checks with
+``crypto.verify_incoming``. Client signatures inside REQUESTs are checked
+by the replica core. With ``auth`` off no principal has a keystore and
+nothing is signed or checked.
 
 A ``deliver`` or replica timer that would land at or after its node's
 ``CRASH_AT`` time is not scheduled at all; the link's drop and delay are
@@ -66,8 +68,8 @@ class SimConfig:
     drop_prob: float = 0.0
     partitions: tuple = ()  # ((start, end, frozenset of isolated nodes), ...)
     faults: dict = field(default_factory=dict)  # node -> (kind, *args)
-    auth: bool = True  # real inter-node authenticators on the fabric
-    client_auth: bool = True  # RSA-signed client requests
+    auth: bool = True  # keystores for every principal: all messages signed
+    client_auth: bool = None  # only ever equal to auth; None means auth
     num_clients: int = 1
     requests_per_client: int = 10
     payload_size: int = 32
@@ -78,6 +80,12 @@ class SimConfig:
     log_capacity: int = 10_000
     view_change_timeout: float = 1.0
     max_events: int = 5_000_000
+
+    def __post_init__(self):
+        if self.client_auth is None:
+            self.client_auth = self.auth
+        elif self.client_auth != self.auth:
+            raise ValueError("client_auth must equal auth")
 
 
 # RSA key generation dominates small-run setup cost, so keypairs are pooled
@@ -153,11 +161,9 @@ class World:
         self.committed: dict = {i: [] for i in range(config.n)}
         self.client_ids = [config.n + k for k in range(config.num_clients)]
 
-        if config.auth or config.client_auth:
-            self.keystores = build_keystores(config.n, self.client_ids,
-                                             config.seed)
-        else:
-            self.keystores = None
+        self.keystores = (build_keystores(config.n, self.client_ids,
+                                          config.seed)
+                          if config.auth else None)
 
         # Per principal id: the virtual time from which nothing reaches it.
         self._crash_at = [math.inf] * (config.n + config.num_clients)
@@ -175,17 +181,13 @@ class World:
                 log_capacity=config.log_capacity,
                 view_change_timeout=config.view_change_timeout)
             ks = self.keystores[i] if self.keystores else None
-            verifier = None if config.client_auth else (lambda req: True)
-            vc_verifier = None if config.auth else (lambda env: True)
-            rep = Replica(rc, keystore=ks, request_verifier=verifier,
-                          vc_verifier=vc_verifier, tracer=self._node_trace)
+            rep = Replica(rc, keystore=ks, tracer=self._node_trace)
             self.nodes[i] = _SimNode(rep, config.faults.get(i),
                                      self._crash_at[i], self)
 
         self.clients = {}
         for cid in self.client_ids:
-            ks = self.keystores[cid] if (self.keystores and config.client_auth) \
-                else None
+            ks = self.keystores[cid] if self.keystores else None
             sess = ClientSession(cid, config.n, config.f, config.mode,
                                  keystore=ks)
             self.clients[cid] = _SimClient(sess, config.requests_per_client,
@@ -252,7 +254,7 @@ class World:
             # random.uniform's own formula, so the draw is the same.
             at = now + (lo + (hi - lo) * random_())
             if received is None:
-                ks = self.keystores[src] if cfg.auth else None
+                ks = self.keystores[src] if self.keystores else None
                 received = wire.decode(crypto.seal(env, dests, cfg.mode, ks))
             if at < crash_at[dest]:
                 heapq.heappush(self._events, (at, next(self._tiebreak),
@@ -289,7 +291,7 @@ class World:
                 return
             if self.now >= node.crash_at:
                 return
-            if self.config.auth and not crypto.verify_incoming(
+            if self.keystores and not crypto.verify_incoming(
                     env, self.config.mode, self.keystores[dest]):
                 node.replica.counters["rejected"] += 1
                 return
@@ -383,7 +385,7 @@ class World:
 
     def check_validity(self):
         """Every committed non-NOOP batch carries valid client signatures."""
-        if not self.config.client_auth:
+        if not self.keystores:
             return
         ks = self.keystores[0]
         for i in self.correct_nodes():

@@ -11,8 +11,9 @@ rather than blocking the sender.
 TCP wiring: every node listens; for a node pair the higher id dials the
 lower, and clients dial every node, so each pair shares exactly one
 socket. A dialer identifies itself with a 2-byte hello, which it must send
-within HELLO_TIMEOUT. Reconnects retry on a fixed 200 ms backoff. One
-reader and one writer thread per socket.
+within HELLO_TIMEOUT; each hello is read on a thread of its own, so a
+connector that stays silent delays no other. Reconnects retry on a fixed
+200 ms backoff. One reader and one writer thread per socket.
 """
 
 from __future__ import annotations
@@ -27,8 +28,11 @@ from .wire import FrameBuffer, WireError
 
 RECONNECT_BACKOFF = 0.2
 # How long an accepted socket may take to send its hello before it is
-# dropped; without a bound one silent connector stalls every later accept.
+# dropped; without a bound a silent connector holds its slot for good.
 HELLO_TIMEOUT = 3.0
+# Hellos read at once: past this many, accepting waits for a free slot, so
+# a flood of silent connectors holds a bounded number of threads.
+MAX_PENDING_HELLOS = 64
 
 
 def merge_inbound(transport, inbox=None):
@@ -209,25 +213,29 @@ class TcpFabric:
                 del self._conns[peer_id]
 
     def _accept_loop(self):
+        slots = threading.BoundedSemaphore(MAX_PENDING_HELLOS)
         while not self._stopping.is_set():
+            slots.acquire()
             try:
                 sock, _ = self._listener.accept()
             except OSError:
                 return
-            try:
-                hello = _recv_hello(sock)
-            except OSError:  # includes the hello timeout
+            threading.Thread(target=self._greet, args=(sock, slots),
+                             daemon=True,
+                             name=f"tcp-hello-{self.self_id}").start()
+
+    def _greet(self, sock, slots):
+        """Read ``sock``'s hello and register it under the id it names,
+        or close it; then free the hello slot."""
+        try:
+            hello = _recv_hello(sock)
+            if len(hello) != 2 or not self._register(
+                    struct.unpack("<H", hello)[0], sock):
                 sock.close()
-                continue
-            if len(hello) != 2:
-                sock.close()
-                continue
-            (peer_id,) = struct.unpack("<H", hello)
-            try:
-                if not self._register(peer_id, sock):
-                    sock.close()
-            except OSError:
-                sock.close()
+        except OSError:  # includes the hello timeout
+            sock.close()
+        finally:
+            slots.release()
 
     def _dial_loop(self, dest: int):
         while not self._stopping.is_set():

@@ -46,7 +46,7 @@ class TestCriterion1SafetyUnderFaults:
                 fault = {seed % n: FAULT_CYCLE[seed % 3]}
                 world = World(SimConfig(
                     n=n, f=f, seed=seed, drop_prob=0.02, faults=fault,
-                    auth=False, client_auth=False, requests_per_client=10,
+                    auth=False, requests_per_client=10,
                     view_change_timeout=0.5))
                 world.run(until=60.0)
                 check_safety(world)
@@ -67,7 +67,7 @@ class TestLossAndForgedViewChangeSweep:
     def world(seed, drop, faults=None):
         world = World(SimConfig(
             seed=seed, drop_prob=drop, faults=faults or {}, auth=False,
-            client_auth=False, num_clients=2, requests_per_client=10,
+            num_clients=2, requests_per_client=10,
             client_timeout=1.0))
         world.run(until=30.0)
         check_safety(world)
@@ -313,7 +313,7 @@ class TestCriterion9ScalingTrend:
 class TestCriterion10CheckpointGC:
     def test_50k_run_bounded_log_and_watermark(self):
         world = World(SimConfig(
-            n=4, f=1, seed=1, auth=False, client_auth=False,
+            n=4, f=1, seed=1, auth=False,
             num_clients=8, requests_per_client=6250,
             checkpoint_interval=500, log_capacity=10_000,
             latency=(0.0001, 0.0005), client_timeout=30.0,
@@ -341,7 +341,7 @@ class TestCriterion10CheckpointGC:
 
     def test_view_change_preserves_post_checkpoint_batches(self):
         world = World(SimConfig(
-            n=4, f=1, seed=5, auth=False, client_auth=False,
+            n=4, f=1, seed=5, auth=False,
             num_clients=2, requests_per_client=300,
             checkpoint_interval=100, log_capacity=2000,
             faults={0: (CRASH_AT, 1.0)}, view_change_timeout=0.5,

@@ -30,7 +30,9 @@ def wait_for(pred, timeout=5.0):
 
 
 def frames(mode, stores):
-    """(name, sender, frame, expected decision) for delivery to replica 0."""
+    """(name, sender, frame, decision with keystores, decision without) for
+    delivery to replica 0. Without a keystore no driver checks a frame and
+    the core checks no client signature."""
     prepare = WireEnvelope(MessageKind.PREPARE, 0, 1, 1, b"\x11" * 32)
     spoofed = WireEnvelope(MessageKind.PREPARE, 0, 1, 2, b"\x11" * 32)
     vc = WireEnvelope(MessageKind.VIEW_CHANGE, 1, 0, 1, b"junk")
@@ -43,16 +45,18 @@ def frames(mode, stores):
         is crypto.AuthScheme.MAC
     return [
         ("valid", 1, crypto.seal(prepare, (0, 2, 3), mode, stores[1]),
-         "accept"),
+         "accept", "accept"),
         ("tag for another replica", 1,
          crypto.seal(prepare, (2, 3), mode, stores[1]),
-         "transport" if mac else "accept"),
+         "transport" if mac else "accept", "accept"),
         ("spoofed sender", 2, crypto.seal(spoofed, (0, 3), mode, stores[1]),
-         "transport"),
-        ("no authenticators", 1, wire.encode(prepare), "transport"),
+         "transport", "accept"),
+        ("no authenticators", 1, wire.encode(prepare), "transport", "accept"),
+        # The core rejects the junk VIEW_CHANGE body.
         ("two PK entries", 1,
-         wire.encode(vc.with_auths(((0, sig), (0, sig)))), "transport"),
-        ("bad client signature", 4, wire.encode(forged), "core"),
+         wire.encode(vc.with_auths(((0, sig), (0, sig)))), "transport",
+         "core"),
+        ("bad client signature", 4, wire.encode(forged), "core", "accept"),
     ]
 
 
@@ -73,11 +77,11 @@ class Spy:
         return out
 
 
-def world_decisions(mode, items):
-    world = World(SimConfig(mode=mode, num_clients=len(CLIENTS)))
+def world_decisions(mode, items, auth):
+    world = World(SimConfig(mode=mode, auth=auth, num_clients=len(CLIENTS)))
     spy = Spy(world.nodes[0].replica)
     result = []
-    for _, src, frame, _ in items:
+    for _, src, frame, *_ in items:
         seen = len(spy.verdicts)
         world._handle(("deliver", src, 0, wire.decode(frame)))
         result.append(spy.verdicts[-1] if len(spy.verdicts) > seen
@@ -85,16 +89,16 @@ def world_decisions(mode, items):
     return result
 
 
-def pipeline_decisions(mode, items, stores):
+def pipeline_decisions(mode, items, keystore):
     hub = LoopbackFabric(list(range(N)) + list(CLIENTS))
     replica = Replica(ReplicaConfig(n=N, f=1, self_id=0, mode=mode),
-                      keystore=stores[0])
+                      keystore=keystore)
     spy = Spy(replica)
     pipe = run_pipeline(PipelineConfig(), hub.port(0), replica, mode=mode,
-                        keystore=stores[0])
+                        keystore=keystore)
     result = []
     try:
-        for _, src, frame, _ in items:
+        for _, src, frame, *_ in items:
             seen, rejected = len(spy.verdicts), pipe.rejected
             hub.deliver(src, 0, frame)
             assert wait_for(lambda: len(spy.verdicts) > seen
@@ -107,14 +111,20 @@ def pipeline_decisions(mode, items, stores):
     return result
 
 
-@pytest.mark.parametrize("mode", list(CryptoMode), ids=lambda m: m.name)
+@pytest.mark.parametrize(
+    "mode", [*CryptoMode, pytest.param(None, id="auth_off")],
+    ids=lambda m: m.name)
 def test_drivers_agree_on_every_frame(mode):
+    auth = mode is not None
+    mode = mode or CryptoMode.MAC_INTER_NODE
     stores = build_keystores(N, CLIENTS)
     items = frames(mode, stores)
-    expected = [(name, want) for name, _, _, want in items]
-    names = [name for name, _, _, _ in items]
-    for driver in (world_decisions(mode, items),
-                   pipeline_decisions(mode, items, stores)):
+    expected = [(name, on if auth else off)
+                for name, _, _, on, off in items]
+    names = [name for name, *_ in items]
+    for driver in (world_decisions(mode, items, auth),
+                   pipeline_decisions(mode, items,
+                                      stores[0] if auth else None)):
         assert list(zip(names, driver)) == expected
 
 

@@ -84,15 +84,13 @@ class TestScenarioParser:
 
 class TestScenarioEvaluation:
     def test_clean_run_has_no_problems(self):
-        world = World(SimConfig(auth=False, client_auth=False,
-                                requests_per_client=5))
+        world = World(SimConfig(auth=False, requests_per_client=5))
         world.run()
         assert cli.evaluate_scenario(world, {"committed": "5",
                                              "view": "0"}) == []
 
     def test_expectation_mismatch_reported(self):
-        world = World(SimConfig(auth=False, client_auth=False,
-                                requests_per_client=5))
+        world = World(SimConfig(auth=False, requests_per_client=5))
         world.run()
         problems = cli.evaluate_scenario(world, {"committed": "99"})
         assert problems and "99" in problems[0]
@@ -177,20 +175,27 @@ class TestCli:
 
     def test_simulate_fail_exit_code(self, tmp_path, capsys):
         scn = tmp_path / "impossible.scn"
-        scn.write_text("auth=false\nclient_auth=false\n"
-                       "requests_per_client=5\nexpect_committed=9999\n")
+        scn.write_text("auth=false\nrequests_per_client=5\n"
+                       "expect_committed=9999\n")
         rc = cli.main(["simulate", str(scn)])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().err
 
     def test_simulate_writes_trace(self, tmp_path):
         scn = tmp_path / "t.scn"
-        scn.write_text("auth=false\nclient_auth=false\n"
-                       "requests_per_client=2\nexpect_committed=2\n")
+        scn.write_text("auth=false\nrequests_per_client=2\n"
+                       "expect_committed=2\n")
         trace = tmp_path / "trace.txt"
         rc = cli.main(["simulate", str(scn), "--trace", str(trace)])
         assert rc == 0
         assert "event=committed" in trace.read_text()
+
+    @pytest.mark.parametrize("key", ["client_auth", "reqests_per_client"])
+    def test_simulate_unknown_key_exits_2(self, tmp_path, capsys, key):
+        scn = tmp_path / "typo.scn"
+        scn.write_text(f"auth=false\n{key}=false\nexpect_committed=10\n")
+        assert cli.main(["simulate", str(scn)]) == 2
+        assert repr(key) in capsys.readouterr().err
 
     def test_bad_deployment_exits_2(self, tmp_path):
         dep = tmp_path / "dep.json"
@@ -267,7 +272,7 @@ class TestViewChangeCount:
     replicas' views (4)."""
 
     def test_local_cluster(self):
-        cluster = LocalCluster(4, 1, CryptoMode.DOMAIN_OPTIMIZED, auth=False)
+        cluster = LocalCluster(4, 1, CryptoMode.DOMAIN_OPTIMIZED)
         try:
             # A request timer that fires uncommitted on every replica.
             for pipe in cluster.pipelines.values():

@@ -94,16 +94,16 @@ class TestAuthenticateVerify:
         env = _env(MessageKind.COMMIT)
         auth = crypto.authenticate(env, [0, 2, 3], CryptoMode.MAC_INTER_NODE,
                                    stores[1])
-        assert isinstance(auth, crypto.MacVector)
-        tags = dict(auth.tags)
-        assert set(tags) == {0, 2, 3}
+        tags = dict(auth)
+        assert len(auth) == 3 and set(tags) == {0, 2, 3}
         assert len(set(tags.values())) == 3  # pairwise keys differ
 
     def test_pk_is_single_signature(self, stores):
         env = _env(MessageKind.COMMIT)
         auth = crypto.authenticate(env, [0, 2, 3], CryptoMode.PK_ONLY,
                                    stores[1])
-        assert isinstance(auth, crypto.Signature)
+        assert len(auth) == 1 and auth[0][0] == 0
+        assert stores[0].verify(1, auth[0][1], crypto.envelope_digest(env))
 
     def test_wrong_recipient_mac_rejected(self, stores):
         env = _env(MessageKind.COMMIT)
@@ -244,7 +244,7 @@ class TestReplySignatureRecord:
         auth = crypto.sign_replies(envs, stores[1])
         signed = [crypto.attach(env, auth) for env in envs]
         assert crypto.verify_incoming(signed[0], CryptoMode.PK_ONLY, ks)
-        assert ks.reply_sigs == {1: (auth.value, auth.digests)}
+        assert ks.reply_sigs == {1: (auth[0][1], auth[1][1])}
         return ks, signed
 
     def check(self, env, ks):
@@ -277,7 +277,7 @@ class TestReplySignatureRecord:
         newer = [_reply(2), _reply(3)]
         auth = crypto.sign_replies(newer, stores[1])
         assert self.check(crypto.attach(newer[0], auth), ks)
-        assert ks.reply_sigs == {1: (auth.value, auth.digests)}
+        assert ks.reply_sigs == {1: (auth[0][1], auth[1][1])}
         assert self.check(signed[1], ks)  # the older batch verifies afresh
 
 

@@ -4,11 +4,11 @@ from collections import deque
 
 import pytest
 
-from pbftkit import wire
+from pbftkit import crypto, wire
 from pbftkit.client import ClientSession
 from pbftkit.crypto import CryptoMode, KeyStore
 from pbftkit.replica import (Mode, Replica, ReplicaConfig, Status, primary)
-from pbftkit.simnet import build_keystores
+from pbftkit.simnet import CRASH_AT, SimConfig, World, build_keystores
 from pbftkit.wire import (MessageKind, NewViewBody, PrePrepareBody, ReplyBody,
                           Request, ViewChangeBody, WireEnvelope, batch_digest,
                           request_envelope)
@@ -496,15 +496,26 @@ class TestForgedViewChange:
 
 
 class TestNoReverification:
-    def test_adopting_a_new_view_reverifies_no_accepted_batch(self):
+    def test_adopting_a_new_view_reverifies_no_accepted_batch(
+            self, monkeypatch):
         # Replica 2 pre-prepared seq 1 in view 0 (one client signature
         # check); adopting the NEW_VIEW that re-proposes it checks none.
+        stores = build_keystores(4, [100])
         calls = []
+        check = crypto.verify_request
+
+        def counted(req, ks):
+            if ks is stores[2]:
+                calls.append(req)
+            return check(req, ks)
+
+        monkeypatch.setattr(crypto, "verify_request", counted)
         bus = Bus(drop={0})
-        bus.replicas[2] = Replica(
-            ReplicaConfig(n=4, f=1, self_id=2, batch_size=1),
-            request_verifier=lambda req: calls.append(req) or True)
-        env, digest = pre_prepare(1, [Request(100, 0, b"v")])
+        bus.replicas = {i: Replica(ReplicaConfig(n=4, f=1, self_id=i,
+                                                 batch_size=1),
+                                   keystore=stores[i]) for i in range(4)}
+        req = crypto.sign_request(Request(100, 0, b"v"), stores[100])
+        env, digest = pre_prepare(1, [req])
         for i in (1, 2, 3):
             bus.replicas[i].on_envelope(env)  # outputs deliberately dropped
         for i in (1, 3):
@@ -591,6 +602,25 @@ class TestSignedReplies:
         assert out.outbound == [replies[-1]]
         assert ks.signs == 1
         assert sessions[last.client_id].verify_reply(out.outbound[0][1])
+
+
+class TestSignedViewChange:
+    def test_own_view_change_signed_once(self):
+        # Before its first checkpoint a DOMAIN_OPTIMIZED replica signs only
+        # its VIEW_CHANGEs and NEW_VIEWs. The new leader's own VIEW_CHANGE
+        # goes out and into its NEW_VIEW under one signature.
+        world = World(SimConfig(mode=CryptoMode.DOMAIN_OPTIMIZED,
+                                faults={0: (CRASH_AT, 0.0)},
+                                requests_per_client=2, client_timeout=1.0))
+        for i, node in world.nodes.items():
+            ks = world.keystores[i] = counting(world.keystores[i])
+            node.replica.keystore = ks
+        world.run()
+        assert world.total_requests_committed(1) == 2
+        for i in (1, 2, 3):
+            rep = world.nodes[i].replica
+            assert rep.view == 1 and rep.counters["view_changes"] == 1
+            assert rep.keystore.signs == 1 + rep.is_leader
 
 
 class TestForgedRequest:

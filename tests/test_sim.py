@@ -12,7 +12,7 @@ from pbftkit.simnet import (CRASH_AT, EQUIVOCATE, FORGE_VC, FORGED_CLIENT,
                             MUTE, NonQuiescent, SimConfig, World, trace_lines)
 from pbftkit.wire import MessageKind, ReplyBody, Request, request_envelope
 
-FAST = dict(auth=False, client_auth=False)
+FAST = dict(auth=False)
 
 
 def run_world(**kw):
@@ -202,6 +202,24 @@ class TestSafetyValve:
     def test_non_quiescent_run_raises(self):
         with pytest.raises(NonQuiescent):
             run_world(max_events=50, requests_per_client=100)
+
+
+class TestAuthSwitch:
+    """``SimConfig.auth`` is the one switch: it gives every principal a
+    keystore or none."""
+
+    @pytest.mark.parametrize("auth", [True, False])
+    def test_client_auth_other_than_auth_rejected(self, auth):
+        with pytest.raises(ValueError):
+            SimConfig(auth=auth, client_auth=not auth)
+
+    def test_auth_off_gives_no_keystore(self):
+        world = World(SimConfig(auth=False, num_clients=2))
+        assert world.keystores is None
+        assert all(node.replica.keystore is None
+                   for node in world.nodes.values())
+        assert all(cl.session.keystore is None
+                   for cl in world.clients.values())
 
 
 class TestAuthenticatedPath:

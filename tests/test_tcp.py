@@ -67,18 +67,22 @@ class TestFabric:
                 n.close()
 
     def test_silent_connector_does_not_stall_accepts(self):
-        addrs = addrs_for(2)
-        a = TcpFabric(0, addrs)
-        silent = socket.create_connection(addrs[0])  # never sends a hello
+        # Three connections that never send a hello are accepted first;
+        # each may wait HELLO_TIMEOUT, but node 1 must not wait behind them.
+        any_port = {0: ("127.0.0.1", 0), 1: ("127.0.0.1", 0)}
+        a = TcpFabric(0, any_port)
+        addrs = {**any_port, 0: ("127.0.0.1", a.bound_port)}
+        silent = [socket.create_connection(addrs[0]) for _ in range(3)]
         b = None
         try:
-            time.sleep(0.1)  # node 0 accepts the silent socket first
+            time.sleep(0.1)
             b = TcpFabric(1, addrs)
-            assert a.wait_connected([1])
+            assert a.wait_connected([1], timeout=1.0)
             b.send(0, frame(b"ping"))
             assert a.receive_queues()[1].get(timeout=5) == frame(b"ping")
         finally:
-            silent.close()
+            for sock in silent:
+                sock.close()
             a.close()
             if b is not None:
                 b.close()
@@ -222,8 +226,7 @@ class TestInterchangeability:
         assert all(order == tcp_orders[0] for order in tcp_orders.values())
         assert len(tcp_orders[0]) == 20
 
-        world = World(SimConfig(requests_per_client=20, auth=False,
-                                client_auth=False))
+        world = World(SimConfig(requests_per_client=20, auth=False))
         world.run()
         sim_order = [(r.client_id, r.request_id)
                      for _, _, batch in world.committed[0] for r in batch]
