@@ -15,8 +15,8 @@ seed, mode, num_clients, requests_per_client, drop, latency (min,max),
 payload_size, batch_size, view_change_timeout, auth (true | false: every
 message signed, or nothing), fault (none | crash:<node>:<time> |
 mute:<node> | equivocate:<node> | forge_vc:<node>, repeatable with `;`),
-expect_committed, expect_view, expect_max_view. Any other key is an error:
-`simulate` prints it and exits 2.
+expect_committed, expect_view, expect_max_view. Any other key, or a value
+that does not parse, is an error: `simulate` prints it and exits 2.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ from ..simnet import (CRASH_AT, EQUIVOCATE, FORGE_VC, MUTE, NonQuiescent,
 log = logging.getLogger("pbftkit")
 
 _MODES = {m.value: m for m in crypto.CryptoMode}
-_SCENARIO_KEYS = frozenset((
-    "n", "f", "seed", "mode", "num_clients", "requests_per_client", "drop",
-    "latency", "payload_size", "batch_size", "view_change_timeout", "auth",
-    "fault", "expect_committed", "expect_view", "expect_max_view"))
 
 
 def _load_deployment(path):
@@ -164,56 +160,62 @@ def cmd_loadgen(args):
     return 0 if report.completed else 1
 
 
+_FAULTS = {"crash": CRASH_AT, "mute": MUTE, "equivocate": EQUIVOCATE,
+           "forge_vc": FORGE_VC}
+
+
+def _faults(text) -> dict:
+    faults = {}
+    for spec in text.split(";"):
+        spec = spec.strip()
+        if spec and spec != "none":
+            kind, node, *at = spec.split(":")  # only a crash takes a time
+            if len(at) != (kind == "crash"):
+                raise ValueError(f"bad fault {spec!r}")
+            faults[int(node)] = (_FAULTS[kind], *map(float, at))
+    return faults
+
+
+def _latency(text) -> tuple:
+    lo, hi = map(float, text.split(","))
+    return lo, hi
+
+
+# Scenario key -> (SimConfig field, parser); a key left out keeps the default.
+_SCENARIO_FIELDS = {
+    "n": ("n", int), "f": ("f", int), "seed": ("seed", int),
+    "num_clients": ("num_clients", int), "drop": ("drop_prob", float),
+    "requests_per_client": ("requests_per_client", int),
+    "payload_size": ("payload_size", int), "batch_size": ("batch_size", int),
+    "view_change_timeout": ("view_change_timeout", float),
+    "mode": ("mode", _MODES.__getitem__), "latency": ("latency", _latency),
+    "fault": ("faults", _faults),
+    "auth": ("auth", lambda value: value.lower() == "true")}
+_EXPECT_KEYS = {"expect_committed", "expect_view", "expect_max_view"}
+
+
 def parse_scenario(path) -> tuple:
     """Parse a .scn file; returns (SimConfig, expectations dict). Raises
-    ValueError naming the first unknown key."""
-    opts = {}
+    ValueError naming the first unknown key or value that does not parse."""
+    opts, expect = {}, {}
     with open(path) as fh:
         for line in fh:
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _SCENARIO_KEYS:
+            key, value = key.strip(), value.strip()
+            if key in _EXPECT_KEYS:
+                expect[key[7:]] = value
+            elif key not in _SCENARIO_FIELDS:
                 raise ValueError(f"unknown scenario key {key!r}")
-            opts[key] = value.strip()
-    faults = {}
-    for spec in opts.get("fault", "none").split(";"):
-        spec = spec.strip()
-        if not spec or spec == "none":
-            continue
-        parts = spec.split(":")
-        kind = parts[0]
-        node = int(parts[1])
-        if kind == "crash":
-            faults[node] = (CRASH_AT, float(parts[2]))
-        elif kind == "mute":
-            faults[node] = (MUTE,)
-        elif kind == "equivocate":
-            faults[node] = (EQUIVOCATE,)
-        elif kind == "forge_vc":
-            faults[node] = (FORGE_VC,)
-        else:
-            raise ValueError(f"unknown fault {kind!r}")
-    lat = tuple(float(x) for x in opts.get("latency", "0.001,0.005").split(","))
-    cfg = SimConfig(
-        n=int(opts.get("n", 4)),
-        f=int(opts.get("f", 1)),
-        seed=int(opts.get("seed", 0)),
-        mode=_MODES[opts.get("mode", "mac_inter_node")],
-        latency=lat,
-        drop_prob=float(opts.get("drop", 0.0)),
-        faults=faults,
-        auth=opts.get("auth", "true").lower() == "true",
-        num_clients=int(opts.get("num_clients", 1)),
-        requests_per_client=int(opts.get("requests_per_client", 10)),
-        payload_size=int(opts.get("payload_size", 32)),
-        batch_size=int(opts.get("batch_size", 1)),
-        view_change_timeout=float(opts.get("view_change_timeout", 1.0)),
-    )
-    expect = {k[7:]: v for k, v in opts.items() if k.startswith("expect_")}
-    return cfg, expect
+            else:
+                field, parse = _SCENARIO_FIELDS[key]
+                try:
+                    opts[field] = parse(value)
+                except (KeyError, ValueError) as exc:
+                    raise ValueError(f"bad {key!r} value {value!r}") from exc
+    return SimConfig(**opts), expect
 
 
 def evaluate_scenario(world: World, expect: dict):

@@ -25,12 +25,12 @@ signature once however many of its own replies that batch holds. That
 saves nothing at batch 1, or with one request per client in each batch.
 
 Every driver, the client and the replica core apply the policy through
-this module alone. :func:`seal` authenticates a broadcast once (one
-signature, or one authenticator with a tag per recipient) and encodes it
-once. :func:`verify_incoming` is a hash step and a verify step, which the
-pipeline times as separate stages; a REQUEST passes it, since the replica
-core checks client signatures (:func:`verify_request`). Without a keystore
-nothing is sealed or checked.
+this module alone; the simulator and the pipeline through one per-frame
+step, ``pipeline.Node``, which times :func:`hash_incoming` and
+:func:`verify_hashed` (together :func:`verify_incoming`) as separate
+stages, leaves REQUESTs to the core's :func:`verify_request`, and
+authenticates a broadcast once: one signature, or one authenticator with a
+tag per recipient. Without a keystore nothing is sealed or checked.
 """
 
 from __future__ import annotations

@@ -1,24 +1,25 @@
-"""One-loop message pipeline around the single-threaded replica core.
+"""The per-frame step shared by the simulator and the pipeline, and the
+pipeline: one loop per replica around the single-threaded core.
 
-Each replica runs one thread. It reads one bounded inbox, to which every
-receive queue of the transport is rebound, and makes the seven stage calls
-in order for each frame: (1) unmarshal, (2) hash and (3) verify, (4) decide
-(``replica.on_envelope``), then for each outbound message (5) hash, (6) sign
-or MAC and (7) marshal and send. The stages are accounting
-boundaries only: StageMetrics records the thread CPU time of each.
+:class:`Node` is the step: (2) hash and (3) verify, (4) decide
+(``replica.on_envelope``), then for each outbound message (5) hash and (6)
+sign or MAC. The pipeline (1) unmarshals each frame it takes from one
+bounded inbox, to which every receive queue of the transport is rebound,
+and (7) marshals and sends. The stages are accounting boundaries only:
+StageMetrics records the thread CPU time of each.
 
-The authentication work is ``crypto``'s; the pipeline only times it.
-Inbound, the hash stage is ``crypto.hash_incoming`` (the envelope digest
-and, for MAC links, the expected tag) and the verify stage
-``crypto.verify_hashed``, which only compares tags or checks a signature.
-That split is what makes MAC verification almost free while hashing stays
-on the bill. A REQUEST skips both: its client signature is checked by the
-core, so the leader's one RSA verify per request falls in ``decide``.
-Outbound, a broadcast is hashed, authenticated once (one signature, or one
-authenticator holding a tag per recipient) and encoded once, and the same
-frame goes to every recipient. A PK REPLY comes out of the core already
-signed, one signature per committed batch, and so does a VIEW_CHANGE,
-signed once in ``decide``; both are only marshalled.
+The authentication work is ``crypto``'s; the step only times it. Inbound,
+the hash stage is ``crypto.hash_incoming`` (the envelope digest and, for
+MAC links, the expected tag) and the verify stage ``crypto.verify_hashed``,
+which only compares tags or checks a signature. That split is what makes
+MAC verification almost free while hashing stays on the bill. A REQUEST
+skips both: its client signature is checked by the core, so the leader's
+one RSA verify per request falls in ``decide``. Outbound, a broadcast is
+hashed, authenticated once (one signature, or one authenticator holding a
+tag per recipient) and encoded once, and the same frame goes to every
+recipient. A PK REPLY comes out of the core already signed, one signature
+per committed batch, and so does a VIEW_CHANGE, signed once in ``decide``;
+both are only marshalled.
 
 Per-origin FIFO order holds by construction: a transport puts one origin's
 frames on the inbox in arrival order and the loop handles one item at a
@@ -148,7 +149,49 @@ class _Timers:
         self._inbox.put((key, None))
 
 
-class Pipeline:
+class Node:
+    """One replica's per-frame step. A driver provides ``replica``, ``mode``,
+    ``keystore``, ``on_commit``, ``_send(dests, env)``, ``_arm(key, delay)``
+    and ``_disarm(key)``, and may meter each stage call in ``_meter``."""
+
+    def deliver(self, env) -> bool:
+        """hash_rx, verify and decide; False if ``env`` fails its check."""
+        ks, kind = self.keystore, env.kind
+        if ks is not None and crypto.checked(env, ks):
+            hashed = self._meter("hash_rx", kind, crypto.hash_incoming, env,
+                                 self.mode, ks)
+            if not self._meter("verify", kind, crypto.verify_hashed, env,
+                               hashed, ks):
+                return False
+        self._apply(self._meter("decide", kind, self.replica.on_envelope, env))
+        return True
+
+    def timeout(self, key):
+        self._apply(self.replica.on_timeout(key))
+
+    def _apply(self, out):
+        """Commits, sealed sends, then timers: the golden traces need it."""
+        if self.on_commit is not None:
+            for seq, batch in out.commits:
+                self.on_commit(seq, batch)
+        for dests, env in out.outbound:
+            ks, kind = self.keystore, env.kind
+            if ks is not None and crypto.sealable(env, ks):
+                d = self._meter("hash_tx", kind, crypto.envelope_digest, env)
+                env = env.with_auths(self._meter(
+                    "sign", kind, crypto.authenticate, env, dests, self.mode,
+                    ks, d))
+            self._send(dests, env)
+        for key, delay in out.timer_starts:
+            self._arm(key, delay)
+        for key in out.timer_stops:
+            self._disarm(key)
+
+    def _meter(self, stage, kind, fn, *args):
+        return fn(*args)
+
+
+class Pipeline(Node):
     """Running handle; create via run_pipeline."""
 
     def __init__(self, config: PipelineConfig, transport, replica,
@@ -174,6 +217,13 @@ class Pipeline:
                                         name="pipeline")
         self._thread.start()
 
+    def _meter(self, stage, kind, fn, *args):
+        clock = time.thread_time_ns
+        t0 = clock()
+        result = fn(*args)
+        self._rec(stage, kind, t0, clock())
+        return result
+
     def _rec(self, stage, kind, t0, t1):
         self.metrics.record(stage, kind, max(0, t1 - t0 - self._clock_ovh))
 
@@ -192,19 +242,23 @@ class Pipeline:
             if type(item) is tuple:
                 key, due = item
                 if due is None:
-                    self._gens.pop(key, None)
+                    self._disarm(key)
                 else:
-                    self._arm(key, due)
+                    self._arm(key, due - time.monotonic())
             elif item is not None:
                 self._on_frame(item)
             self._fire_due()
 
     # -- timers --------------------------------------------------------------
 
-    def _arm(self, key, due: float):
+    def _arm(self, key, delay: float):
         self._generation += 1
         self._gens[key] = self._generation
-        heapq.heappush(self._heap, (due, self._generation, key))
+        heapq.heappush(self._heap, (time.monotonic() + delay,
+                                    self._generation, key))
+
+    def _disarm(self, key):
+        self._gens.pop(key, None)
 
     def _fire_due(self):
         heap, gens = self._heap, self._gens
@@ -213,66 +267,23 @@ class Pipeline:
             _, gen, key = heapq.heappop(heap)
             if gens.get(key) == gen:
                 del gens[key]
-                self._apply(self.replica.on_timeout(key))
+                self.timeout(key)
 
-    # -- inbound: unmarshal, hash, verify, decide ----------------------------
+    # -- frames: unmarshal, the step, marshal and send -----------------------
 
     def _on_frame(self, frame):
-        clock = time.thread_time_ns
-        t0 = clock()
+        t0 = time.thread_time_ns()
         try:
             env = decode(frame)
         except WireError:
             self.rejected += 1
             return
-        kind = env.kind
-        self._rec("unmarshal", kind, t0, clock())
-        ks = self.keystore
-        if crypto.checked(env, ks):
-            t0 = clock()
-            hashed = crypto.hash_incoming(env, self.mode, ks)
-            t1 = clock()
-            ok = crypto.verify_hashed(env, hashed, ks)
-            t2 = clock()
-            self._rec("hash_rx", kind, t0, t1)
-            self._rec("verify", kind, t1, t2)
-            if not ok:
-                self.rejected += 1
-                return
-        t0 = clock()
-        out = self.replica.on_envelope(env)
-        self._rec("decide", kind, t0, clock())
-        self._apply(out)
-
-    def _apply(self, out):
-        now = time.monotonic()
-        for key, delay in out.timer_starts:
-            self._arm(key, now + delay)
-        for key in out.timer_stops:
-            self._gens.pop(key, None)
-        if self.on_commit is not None:
-            for seq, batch in out.commits:
-                self.on_commit(seq, batch)
-        for dests, env in out.outbound:
-            self._send(dests, env)
-
-    # -- outbound: hash, sign or MAC, marshal, send --------------------------
+        self._rec("unmarshal", env.kind, t0, time.thread_time_ns())
+        if not self.deliver(env):
+            self.rejected += 1
 
     def _send(self, dests, env):
-        clock = time.thread_time_ns
-        ks, kind = self.keystore, env.kind
-        if crypto.sealable(env, ks):
-            t0 = clock()
-            d = crypto.envelope_digest(env)
-            t1 = clock()
-            env = env.with_auths(crypto.authenticate(env, dests, self.mode,
-                                                     ks, d))
-            t2 = clock()
-            self._rec("hash_tx", kind, t0, t1)
-            self._rec("sign", kind, t1, t2)
-        t0 = clock()
-        frame = encode(env)
-        self._rec("marshal", kind, t0, clock())
+        frame = self._meter("marshal", env.kind, encode, env)
         send = self.transport.send
         for dest in dests:
             send(dest, frame)

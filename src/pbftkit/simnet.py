@@ -8,16 +8,14 @@ behaviors the protocol must survive: crashing, going mute, an
 equivocating leader that shows different batches to different followers,
 and a replica whose VIEW_CHANGEs claim batches nobody proposed.
 
-Every message still crosses the real codec and, when ``SimConfig.auth``
-gives each principal a keystore, the real authenticators of ``crypto``,
-but once per send rather than once per recipient: a broadcast is sealed
-(``crypto.seal``: one signature, or one tag per recipient in one
-authenticator) and the frame decoded at its first destination that passes
-the partition and drop checks, and every recipient's ``deliver`` event
-carries that one decoded envelope, which the recipient checks with
-``crypto.verify_incoming``. Client signatures inside REQUESTs are checked
-by the replica core. With ``auth`` off no principal has a keystore and
-nothing is signed or checked.
+Each replica runs the pipeline's per-frame step (``pipeline.Node``), so
+with ``SimConfig.auth`` (a keystore for every principal) it checks what it
+is delivered and authenticates each send once, whatever the number of
+recipients; a faulty node's rewrite comes before that. A frame crosses the
+real codec once, at its first link that passes the partition and drop
+checks, and every recipient's ``deliver`` event carries that one decoded
+envelope. Client signatures inside REQUESTs are checked by the replica
+core. With ``auth`` off nothing is signed or checked.
 
 A ``deliver`` or replica timer that would land at or after its node's
 ``CRASH_AT`` time is not scheduled at all; the link's drop and delay are
@@ -38,9 +36,11 @@ import math
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from . import crypto, wire
 from .client import ClientSession, RequestFailed
+from .pipeline import Node
 from .replica import Mode, Replica, ReplicaConfig
 from .wire import (MessageKind, PrePrepareBody, Request, ViewChangeBody,
                    WireEnvelope)
@@ -122,20 +122,41 @@ def build_keystores(n: int, client_ids, seed: int = 0):
     return stores
 
 
-class _SimNode:
-    __slots__ = ("replica", "fault", "crash_at", "_world")
+class _SimNode(Node):
+    """A replica whose sends become link events and timers clock events."""
 
-    def __init__(self, replica: Replica, fault: tuple, crash_at: float,
-                 world: "World"):
+    __slots__ = ("id", "replica", "mode", "_world")
+    on_commit = None  # the world reads commits from the replica's tracer
+    keystore = property(attrgetter("replica.keystore"))  # read on each use
+
+    def __init__(self, node_id: int, replica: Replica, world: "World"):
+        self.id = node_id
         self.replica = replica
-        self.fault = fault
-        self.crash_at = crash_at
+        self.mode = world.config.mode
         self._world = world
 
     @property
     def crashed(self) -> bool:
         """True once virtual time reaches the node's CRASH_AT time."""
-        return self._world.now >= self.crash_at
+        return self._world.now >= self._world._crash_at[self.id]
+
+    def _send(self, dests, env):
+        self._world._transmit(self.id, dests, env)
+
+    def _arm(self, key, delay: float):
+        self._world._arm(self._world.now + delay, "node_timer", self.id, key)
+
+    def _disarm(self, key):
+        self._world._timers.pop((self.id, key), None)
+
+
+class _FaultyNode(_SimNode):
+    """A node whose fault rewrites its every output before it is sealed."""
+
+    def _apply(self, out):
+        fault = self._world.config.faults[self.id]
+        out.outbound = _REWRITES[fault[0]](out.outbound)
+        super()._apply(out)
 
 
 @dataclass
@@ -182,8 +203,8 @@ class World:
                 view_change_timeout=config.view_change_timeout)
             ks = self.keystores[i] if self.keystores else None
             rep = Replica(rc, keystore=ks, tracer=self._node_trace)
-            self.nodes[i] = _SimNode(rep, config.faults.get(i),
-                                     self._crash_at[i], self)
+            faulty = config.faults.get(i, (None,))[0] in _REWRITES
+            self.nodes[i] = (_FaultyNode if faulty else _SimNode)(i, rep, self)
 
         self.clients = {}
         for cid in self.client_ids:
@@ -207,7 +228,11 @@ class World:
 
     def _arm(self, at: float, kind: str, owner: int, key):
         """Queue the timer event (kind, owner, key, id), superseding any
-        event still queued for (owner, key)."""
+        event still queued for (owner, key); none lands at or after the
+        owner's crash."""
+        if at >= self._crash_at[owner]:
+            self._timers.pop((owner, key), None)
+            return
         timer_id = next(self._timer_ids)
         self._timers[(owner, key)] = timer_id
         self._push(at, (kind, owner, key, timer_id))
@@ -238,8 +263,8 @@ class World:
 
     def _transmit(self, src: int, dests, env: WireEnvelope):
         """Schedule ``env``'s delivery to each of ``dests``. Links draw their
-        drop and delay in destination order; sealing and the codec run only
-        once a link needs the envelope, even one to a crashed node."""
+        drop and delay in destination order; the codec runs only once a
+        link needs the envelope, even one to a crashed node."""
         cfg = self.config
         random_ = self.rng.random
         lo, hi = cfg.latency
@@ -254,30 +279,11 @@ class World:
             # random.uniform's own formula, so the draw is the same.
             at = now + (lo + (hi - lo) * random_())
             if received is None:
-                ks = self.keystores[src] if self.keystores else None
-                received = wire.decode(crypto.seal(env, dests, cfg.mode, ks))
+                received = wire.decode(wire.encode(env))
             if at < crash_at[dest]:
                 heapq.heappush(self._events, (at, next(self._tiebreak),
                                               ("deliver", src, dest,
                                                received)))
-
-    # -- replica output dispatch -------------------------------------------
-
-    def _dispatch(self, node_id: int, out):
-        node = self.nodes[node_id]
-        outbound = out.outbound
-        if node.fault and node.fault[0] in _REWRITES:
-            outbound = _REWRITES[node.fault[0]](outbound)
-        for dests, env in outbound:
-            self._transmit(node_id, dests, env)
-        for key, delay in out.timer_starts:
-            at = self.now + delay
-            if at < node.crash_at:
-                self._arm(at, "node_timer", node_id, key)
-            else:
-                self._timers.pop((node_id, key), None)
-        for key in out.timer_stops:
-            self._timers.pop((node_id, key), None)
 
     # -- event handlers ----------------------------------------------------
 
@@ -288,21 +294,11 @@ class World:
             node = self.nodes.get(dest)
             if node is None:
                 self._client_deliver(dest, env)
-                return
-            if self.now >= node.crash_at:
-                return
-            if self.keystores and not crypto.verify_incoming(
-                    env, self.config.mode, self.keystores[dest]):
+            elif not node.deliver(env):
                 node.replica.counters["rejected"] += 1
-                return
-            self._dispatch(dest, node.replica.on_envelope(env))
         elif kind == "node_timer":
-            if not self._take_timer(item):
-                return
-            _, node_id, key, _ = item
-            node = self.nodes[node_id]
-            if self.now < node.crash_at:
-                self._dispatch(node_id, node.replica.on_timeout(key))
+            if self._take_timer(item):
+                self.nodes[item[1]].timeout(item[2])
         elif kind == "client_submit":
             self._client_submit(item[1])
         elif kind == "client_timer":

@@ -188,10 +188,11 @@ class TcpFabric:
     def close(self):
         self._stopping.set()
         if self._listener is not None:
-            try:
-                self._listener.close()
+            try:  # wakes the accept thread, which close() alone does not
+                self._listener.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+            self._listener.close()
         with self._lock:
             conns = list(self._conns.values())
         for conn in conns:

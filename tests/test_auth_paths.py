@@ -1,5 +1,6 @@
 """One authentication path: the drivers take the same accept/reject decision
-on the same frames, the policy is applied in ``crypto`` alone, and only the
+on the same frames, the policy is applied in ``crypto`` alone, one
+per-frame step (``pipeline.Node``) applies it for both drivers, and only the
 simulator and the pipeline drive the replica core."""
 
 import ast
@@ -173,4 +174,41 @@ def test_replica_core_driven_by_simulator_and_pipeline_alone():
              for path in sorted(SRC.rglob("*.py"))
              if path.relative_to(SRC) not in drivers
              for line, what in core_calls(ast.parse(path.read_text()))]
+    assert found == []
+
+
+# The per-frame steps of the policy; ``verify_incoming`` is the hash and
+# verify steps in one.
+STEP = {"checked", "hash_incoming", "verify_hashed", "sealable",
+        "authenticate", "seal"}
+
+
+def step_uses(tree, cls=None):
+    """(class, line, name) for each ``crypto.<name>`` reference, called or
+    passed (``Node`` meters the steps by reference), and each name imported
+    from ``crypto``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from step_uses(node, node.name)
+            continue
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "crypto"):
+            yield cls, node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module == "crypto":
+            for alias in node.names:
+                yield cls, node.lineno, alias.name
+        yield from step_uses(node, cls)
+
+
+def test_one_per_frame_step():
+    uses = [(path.relative_to(SRC), cls, line, name)
+            for path in sorted(SRC.rglob("*.py"))
+            if path != SRC / "crypto.py"
+            for cls, line, name in step_uses(ast.parse(path.read_text()))]
+    in_node = {name for path, cls, _, name in uses
+               if (str(path), cls) == ("pipeline.py", "Node")} & STEP
+    assert in_node == STEP - {"seal"}
+    found = [f"{path}:{line}: {cls}: {name}" for path, cls, line, name in uses
+             if (name in STEP and (str(path), cls) != ("pipeline.py", "Node"))
+             or (name == "verify_incoming" and str(path) == "simnet.py")]
     assert found == []

@@ -190,10 +190,16 @@ class TestCli:
         assert rc == 0
         assert "event=committed" in trace.read_text()
 
-    @pytest.mark.parametrize("key", ["client_auth", "reqests_per_client"])
-    def test_simulate_unknown_key_exits_2(self, tmp_path, capsys, key):
+    # An unknown key, or a value that does not parse, is named, not raised.
+    @pytest.mark.parametrize("key, value", [
+        ("client_auth", "false"), ("reqests_per_client", "false"),
+        ("mode", "pk"), ("fault", "crash:1"), ("fault", "mute"),
+        ("latency", "0.001")], ids=["client_auth", "reqests_per_client",
+                                    "mode=pk", "fault=crash:1", "fault=mute",
+                                    "latency=0.001"])
+    def test_simulate_unknown_key_exits_2(self, tmp_path, capsys, key, value):
         scn = tmp_path / "typo.scn"
-        scn.write_text(f"auth=false\n{key}=false\nexpect_committed=10\n")
+        scn.write_text(f"auth=false\n{key}={value}\nexpect_committed=10\n")
         assert cli.main(["simulate", str(scn)]) == 2
         assert repr(key) in capsys.readouterr().err
 

@@ -10,7 +10,8 @@ from pbftkit.client import ClientSession
 from pbftkit.crypto import CryptoMode
 from pbftkit.simnet import (CRASH_AT, EQUIVOCATE, FORGE_VC, FORGED_CLIENT,
                             MUTE, NonQuiescent, SimConfig, World, trace_lines)
-from pbftkit.wire import MessageKind, ReplyBody, Request, request_envelope
+from pbftkit.wire import (MessageKind, ReplyBody, Request, ViewChangeBody,
+                          request_envelope)
 
 FAST = dict(auth=False)
 
@@ -168,6 +169,52 @@ class TestFaults:
             assert not any(r.client_id == FORGED_CLIENT
                            for _, _, batch in world.committed[i]
                            for r in batch)
+
+    @staticmethod
+    def sent_by(world, src) -> list:
+        """Collects each envelope ``src`` hands to the links."""
+        sent, transmit = [], world._transmit
+
+        def spy(origin, dests, env):
+            if origin == src:
+                sent.append(env)
+            transmit(origin, dests, env)
+        world._transmit = spy
+        return sent
+
+    def test_mute_node_sends_nothing(self):
+        world = World(SimConfig(faults={3: (MUTE,)}, requests_per_client=10,
+                                **FAST))
+        sent = self.sent_by(world, 3)
+        world.run()
+        assert world.total_requests_committed(3) == 10
+        assert sent == []
+
+    def test_forged_view_changes_leave_the_node(self):
+        # Replica 3's view-change timer makes VIEW_CHANGEs; each that goes
+        # out claims FORGED_CLIENT batches.
+        world = World(SimConfig(n=7, f=2, seed=7, num_clients=2,
+                                faults={0: (CRASH_AT, 0.25), 3: (FORGE_VC,)},
+                                requests_per_client=50,
+                                view_change_timeout=0.5, **FAST))
+        sent = self.sent_by(world, 3)
+        replica, from_timers = world.nodes[3].replica, []
+        on_timeout = replica.on_timeout
+
+        def timed(key):
+            out = on_timeout(key)
+            from_timers.extend(env for _, env in out.outbound
+                               if env.kind == MessageKind.VIEW_CHANGE)
+            return out
+        replica.on_timeout = timed
+        world.run()
+        sent = [ViewChangeBody.decode(env.payload) for env in sent
+                if env.kind == MessageKind.VIEW_CHANGE]
+        assert from_timers and len(sent) >= len(from_timers)
+        for vc in sent:
+            assert vc.prepared and all(
+                r.client_id == FORGED_CLIENT
+                for _, _, body in vc.prepared for r in body.batch)
 
     def test_two_crashes_at_f_two(self):
         world = run_world(n=7, f=2, seed=7,

@@ -3,6 +3,7 @@
 import queue
 import socket
 import struct
+import threading
 import time
 
 import pytest
@@ -86,6 +87,16 @@ class TestFabric:
             a.close()
             if b is not None:
                 b.close()
+
+    def test_close_stops_accept_thread(self):
+        before = set(threading.enumerate())
+        fabric = TcpFabric(0, {0: ("127.0.0.1", 0)})
+        [accept] = [t for t in threading.enumerate()
+                    if t not in before and t.name == "tcp-accept-0"]
+        time.sleep(0.3)  # let it block in accept()
+        fabric.close()
+        accept.join(timeout=1.0)
+        assert not accept.is_alive()
 
     def test_hello_split_across_segments_registers(self):
         addrs = addrs_for(1)
