@@ -15,8 +15,10 @@ seed, mode, num_clients, requests_per_client, drop, latency (min,max),
 payload_size, batch_size, view_change_timeout, auth (true | false: every
 message signed, or nothing), fault (none | crash:<node>:<time> |
 mute:<node> | equivocate:<node> | forge_vc:<node>, repeatable with `;`),
-expect_committed, expect_view, expect_max_view. Any other key, or a value
-that does not parse, is an error: `simulate` prints it and exits 2.
+expect_committed, expect_view, expect_max_view. Any other key, a value
+that does not parse, or one the replica config rejects (`batch_size=0`) is
+an error: `simulate` prints it and exits 2, as `node` does for a bad
+deployment file.
 """
 
 from __future__ import annotations
@@ -81,6 +83,13 @@ def cmd_node(args):
     if args.id not in dep["nodes"]:
         print(f"node id {args.id} not in deployment", file=sys.stderr)
         return 2
+    try:
+        cfg = ReplicaConfig(n=dep["n"], f=dep["f"], self_id=args.id,
+                            mode=dep["mode"], batch_size=dep["batch_size"],
+                            batch_timeout=0.005, view_change_timeout=5.0)
+    except ValueError as exc:
+        print(f"bad deployment file {args.deployment}: {exc}", file=sys.stderr)
+        return 2
     keystore = None
     if dep["keys"]:
         try:
@@ -93,9 +102,6 @@ def cmd_node(args):
     except OSError as exc:
         print(f"cannot bind: {exc}", file=sys.stderr)
         return 2
-    cfg = ReplicaConfig(n=dep["n"], f=dep["f"], self_id=args.id,
-                        mode=dep["mode"], batch_size=dep["batch_size"],
-                        batch_timeout=0.005, view_change_timeout=5.0)
     replica = Replica(cfg, keystore=keystore)
     metrics = StageMetrics()
     pipe = run_pipeline(PipelineConfig(), fabric, replica, mode=dep["mode"],
@@ -190,7 +196,7 @@ _SCENARIO_FIELDS = {
     "view_change_timeout": ("view_change_timeout", float),
     "mode": ("mode", _MODES.__getitem__), "latency": ("latency", _latency),
     "fault": ("faults", _faults),
-    "auth": ("auth", lambda value: value.lower() == "true")}
+    "auth": ("auth", lambda value: {"true": True, "false": False}[value])}
 _EXPECT_KEYS = {"expect_committed", "expect_view", "expect_max_view"}
 
 
@@ -251,10 +257,10 @@ def evaluate_scenario(world: World, expect: dict):
 def cmd_simulate(args):
     try:
         cfg, expect = parse_scenario(args.scenario)
+        world = World(cfg)  # the replica config checks its own values
     except ValueError as exc:
         print(f"bad scenario {args.scenario}: {exc}", file=sys.stderr)
         return 2
-    world = World(cfg)
     try:
         world.run(until=args.until)
     except NonQuiescent:

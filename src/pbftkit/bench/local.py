@@ -24,7 +24,7 @@ from ..pipeline import (PipelineConfig, StageMetrics, run_pipeline,
 from ..replica import Replica, ReplicaConfig
 from ..simnet import build_keystores
 from ..tcpnet import LoopbackFabric, merge_inbound
-from ..wire import MessageKind, WireError, decode, encode
+from ..wire import WireError, decode, encode
 
 
 @dataclass
@@ -58,7 +58,6 @@ class RunReport:
     stage_rows: list = field(default_factory=list)
     rejected: int = 0
     view_changes: int = 0
-    pre_prepares: int = 0
     completed: int = 0
     failed: int = 0
 
@@ -150,13 +149,6 @@ class LocalCluster:
     def view_changes(self) -> int:
         """View changes the busiest replica started (one per new view)."""
         return max(r.counters["view_changes"] for r in self.replicas.values())
-
-    def pre_prepare_count(self) -> int:
-        total = 0
-        for m in self.metrics.values():
-            count, _ = m.get("decide", MessageKind.PRE_PREPARE)
-            total += count
-        return total
 
 
 class ClientDriver:
@@ -263,7 +255,6 @@ def run_benchmark(config: BenchConfig) -> RunReport:
         report = RunReport(
             completed=len(lat), failed=sum(d.failed for d in drivers),
             view_changes=cluster.view_changes(),
-            pre_prepares=cluster.pre_prepare_count(),
             rejected=sum(p.rejected for p in cluster.pipelines.values()),
             stage_rows=cluster.metrics[0].table())
     finally:

@@ -13,6 +13,12 @@ sender's bit in a per-digest bitmask, nothing more. The in-memory log is a bound
 stable checkpoint; collecting 2f+1 matching CHECKPOINT messages advances
 the watermark and evicts older entries.
 
+Every verified request that waits for a seq (while a batch fills, while
+the window is full, during a view change) sits in one insertion-ordered
+queue, ``Replica.queued``; the leader proposes from its head. A partial
+batch starts the batch timer, which is never stopped: fired with nothing
+queued, it does nothing.
+
 View changes follow Castro & Liskov (ACM TOCS 20(4), 2002, §4.4-4.5).
 Each log entry keeps, across views, its P entry (the latest view in which
 it prepared, with the batch) and its Q entries (each digest pre-prepared,
@@ -36,6 +42,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from itertools import islice
 from operator import itemgetter
 
 from . import crypto, wire
@@ -67,11 +74,12 @@ class ReplicaConfig:
     def __post_init__(self):
         if self.n < 3 * self.f + 1:
             raise ValueError(f"n={self.n} < 3f+1 with f={self.f}")
-        if self.checkpoint_interval >= self.log_capacity:
-            raise ValueError("checkpoint_interval must be < log_capacity")
-        if self.batch_size > MAX_BATCH_SIZE:
-            raise ValueError(f"batch_size {self.batch_size} > "
-                             f"{MAX_BATCH_SIZE}")
+        if not 0 < self.checkpoint_interval < self.log_capacity:
+            raise ValueError(f"'checkpoint_interval' {self.checkpoint_interval}"
+                             f" is not in 1..log_capacity-1")
+        if not 0 < self.batch_size <= MAX_BATCH_SIZE:
+            raise ValueError(f"'batch_size' {self.batch_size} is not in "
+                             f"1..{MAX_BATCH_SIZE}")
         self.quorum = 2 * self.f + 1
 
 
@@ -169,10 +177,8 @@ class Replica:
         # seq -> {sender: state digest}; kept from h up, so C names h too
         self.checkpoints: dict[int, dict] = {}
         self.reply_cache: dict[int, tuple] = {}  # client -> (rid, REPLY env)
-        self.pending_batch: list[Request] = []
-        self.deferred: list[Request] = []  # backpressured beyond the window
-        self.deferred_keys: set = set()
-        self.assigned: dict = {}  # (client, rid) -> seq, or -1 while batched
+        self.queued: dict = {}  # (client, rid) -> Request, oldest first
+        self.assigned: dict = {}  # (client, rid) -> seq
         self.watching: set = set()  # follower-side requests with a live timer
         self.vc_messages: dict[int, dict] = {}  # view -> {sender: (body, env)}
         self.vc_attempts = 0
@@ -281,9 +287,7 @@ class Replica:
         if cached is not None and cached[0] > req.request_id:
             return  # stale duplicate
         if self.mode is _VIEW_CHANGING:
-            if key not in self.deferred_keys:
-                self.deferred_keys.add(key)
-                self.deferred.append(req)
+            self.queued.setdefault(key, req)
             return
         if not self.is_leader:
             out.outbound.append(((primary(self.view, self.config.n),),
@@ -293,45 +297,37 @@ class Replica:
                 out.timer_starts.append((("request", req.client_id, req.request_id),
                                          self.config.view_change_timeout))
             return
-        if key in self.assigned or key in self.deferred_keys:
+        if key in self.assigned or key in self.queued:
             return
-        self.assigned[key] = -1
-        self.pending_batch.append(req)
-        if len(self.pending_batch) >= self.config.batch_size:
+        self.queued[key] = req
+        if len(self.queued) >= self.config.batch_size:
             self._flush_batch(out)
-        elif len(self.pending_batch) == 1:
+        elif len(self.queued) == 1:
             out.timer_starts.append((("batch",), self.config.batch_timeout))
 
     def _flush_batch(self, out: ProtocolOutput):
-        if not self.pending_batch or self.mode is not _NORMAL:
+        """Propose the queued requests, oldest first and batch_size at a
+        time, while the window has room. What a full window holds back goes
+        out when a stable checkpoint advances the window."""
+        if self.mode is not _NORMAL:
             return
-        out.timer_stops.append(("batch",))
-        if not self._in_window(self.next_seq):
-            # Window full: defer until a checkpoint frees sequence space.
-            for req in self.pending_batch:
-                key = (req.client_id, req.request_id)
-                self.assigned.pop(key, None)
-                self.deferred_keys.add(key)
-                self.deferred.append(req)
-            self.pending_batch = []
-            return
-        batch = tuple(self.pending_batch[:self.config.batch_size])
-        self.pending_batch = self.pending_batch[self.config.batch_size:]
-        seq = self.next_seq
-        self.next_seq += 1
-        body = PrePrepareBody.for_batch(batch)
-        env = self._env(_PRE_PREPARE, body.encode(), seq=seq)
-        self._entry(seq).pre_prepare(self.view, body, self.config.self_id)
-        self.counters["pre_prepares"] += 1
-        self._trace("pre_prepare", seq=seq, batch=len(batch))
-        out.outbound.append((self._peers, env))
-        for req in batch:
-            self.assigned[(req.client_id, req.request_id)] = seq
-            out.timer_starts.append((("request", req.client_id, req.request_id),
-                                     self.config.view_change_timeout))
-        if self.pending_batch:
-            out.timer_starts.append((("batch",), self.config.batch_timeout))
-        self._check_progress(seq, out)
+        queued, size = self.queued, self.config.batch_size
+        while queued and self._in_window(self.next_seq):
+            keys = list(islice(queued, size))
+            batch = tuple(map(queued.pop, keys))
+            seq = self.next_seq
+            self.next_seq += 1
+            body = PrePrepareBody.for_batch(batch)
+            env = self._env(_PRE_PREPARE, body.encode(), seq=seq)
+            self._entry(seq).pre_prepare(self.view, body, self.config.self_id)
+            self.counters["pre_prepares"] += 1
+            self._trace("pre_prepare", seq=seq, batch=len(batch))
+            out.outbound.append((self._peers, env))
+            for key in keys:
+                self.assigned[key] = seq
+                out.timer_starts.append((("request", *key),
+                                         self.config.view_change_timeout))
+            self._check_progress(seq, out)
 
     # -- normal case -------------------------------------------------------
 
@@ -515,18 +511,10 @@ class Replica:
             del self.log[s]
         for s in [s for s in self.checkpoints if s < seq]:
             del self.checkpoints[s]
-        for k in [k for k, s in self.assigned.items() if 0 <= s <= seq]:
+        for k in [k for k, s in self.assigned.items() if s <= seq]:
             del self.assigned[k]
         self._trace("stable_checkpoint", seq=seq)
-        self._retry_deferred(out)
-
-    def _retry_deferred(self, out: ProtocolOutput):
-        if self.mode != Mode.NORMAL:
-            return
-        deferred, self.deferred = self.deferred, []
-        self.deferred_keys.clear()
-        for req in deferred:
-            self._on_request(req, out)
+        self._flush_batch(out)
 
     # -- view change -------------------------------------------------------
 
@@ -758,9 +746,10 @@ class Replica:
             else:
                 del self.log[seq]
         for k in [k for k, s in self.assigned.items()
-                  if s == -1 or (s > self.committed_seq and s not in repro)]:
+                  if s > self.committed_seq and s not in repro]:
             del self.assigned[k]
-        self.pending_batch = []
+        # Taken out before anything here can flush it; it re-enters below.
+        queued, self.queued = self.queued, {}
         # Every replica votes on every seq in O, also one it has already
         # committed: a peer that missed the COMMITs needs those votes.
         for seq, body in chosen:
@@ -783,8 +772,10 @@ class Replica:
         self.future = {v: envs for v, envs in self.future.items() if v > target}
         for env in buffered:
             self._dispatch(env, out)
-        # Requests parked during the view change re-enter the protocol.
-        self._retry_deferred(out)
+        # The queue re-enters in arrival order: the new leader batches it, a
+        # follower forwards and watches it.
+        for req in queued.values():
+            self._on_request(req, out)
 
 
 def _add_vote(votes: dict, digest: bytes, sender: int):

@@ -194,9 +194,9 @@ class TestCli:
     @pytest.mark.parametrize("key, value", [
         ("client_auth", "false"), ("reqests_per_client", "false"),
         ("mode", "pk"), ("fault", "crash:1"), ("fault", "mute"),
-        ("latency", "0.001")], ids=["client_auth", "reqests_per_client",
-                                    "mode=pk", "fault=crash:1", "fault=mute",
-                                    "latency=0.001"])
+        ("latency", "0.001"), ("batch_size", "0"), ("auth", "ture")],
+        ids=["client_auth", "reqests_per_client", "mode=pk", "fault=crash:1",
+             "fault=mute", "latency=0.001", "batch_size=0", "auth=ture"])
     def test_simulate_unknown_key_exits_2(self, tmp_path, capsys, key, value):
         scn = tmp_path / "typo.scn"
         scn.write_text(f"auth=false\n{key}={value}\nexpect_committed=10\n")
@@ -209,6 +209,19 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main(["node", "--deployment", str(dep), "--id", "0"])
         assert exc.value.code == 2
+
+    def test_node_rejects_bad_batch_size(self, tmp_path, capsys):
+        # The config is checked before the node binds: with its port taken,
+        # a node that bound first would fail on the port instead.
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            addr = f"127.0.0.1:{taken.getsockname()[1]}"
+            dep = tmp_path / "dep.json"
+            dep.write_text(json.dumps({"n": 4, "f": 1, "batch_size": 0,
+                                       "nodes": {str(i): addr
+                                                 for i in range(4)}}))
+            assert cli.main(["node", "--deployment", str(dep),
+                             "--id", "0"]) == 2
+        assert "'batch_size'" in capsys.readouterr().err
 
     def test_loadgen_completes_against_tcp_replicas(self, tmp_path):
         keys = tmp_path / "keys"

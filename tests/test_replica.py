@@ -34,6 +34,17 @@ def sent(out, kind):
     return [env for _, env in out.outbound if env.kind == kind]
 
 
+def armed(out):
+    """The timers a driver leaves armed after ``out``: starts, then stops."""
+    return {key for key, _ in out.timer_starts} - set(out.timer_stops)
+
+
+def batches(out):
+    """The request ids of each batch that ``out`` pre-prepares."""
+    return [[r.request_id for r in PrePrepareBody.decode(env.payload).batch]
+            for env in sent(out, MessageKind.PRE_PREPARE)]
+
+
 def view_change_to(rep, target):
     """Drive ``rep`` through view changes up to ``target``; the VIEW_CHANGE
     it sends for ``target``."""
@@ -102,6 +113,14 @@ class TestConfig:
                              batch_size=2047).batch_size == 2047
         with pytest.raises(ValueError):
             ReplicaConfig(n=4, f=1, self_id=0, batch_size=2048)
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("key", ["batch_size", "checkpoint_interval"])
+    def test_rejects_non_positive(self, key, value):
+        # A batch of 0 was proposed empty and rejected by every follower;
+        # an interval of 0 raised ZeroDivisionError at the first commit.
+        with pytest.raises(ValueError, match=repr(key)):
+            ReplicaConfig(n=4, f=1, self_id=0, **{key: value})
 
 
 class TestQuorumBoundaries:
@@ -255,7 +274,71 @@ class TestWindow:
         for rid in range(12):
             rep.on_request(Request(100, rid, b"v"))
         assert rep.next_seq <= 11
-        assert rep.deferred  # overflow parked, not dropped
+        assert rep.queued  # overflow parked, not dropped
+
+
+class TestRequestQueue:
+    """Every verified request that waits for a seq sits in ``queued``, in
+    arrival order: while a batch fills, the window is full or a view
+    change runs. The batch timer is never stopped."""
+
+    def test_old_leader_forwards_its_queue(self):
+        # Leader 0 holds three requests of a batch of 8 when view 1 starts;
+        # it forwards them to leader 1, whose batch timer proposes them.
+        bus = Bus(batch_size=8)
+        for rid in range(3):
+            bus.submit(Request(100, rid, b"v"))
+        assert list(bus.replicas[0].queued) == [(100, 0), (100, 1), (100, 2)]
+        for i in (1, 2, 3):
+            bus.absorb(i, bus.replicas[i].start_view_change())
+        bus.run()
+        assert all(r.view == 1 and r.mode is Mode.NORMAL
+                   for r in bus.replicas.values())
+        assert bus.replicas[0].queued == {}
+        assert list(bus.replicas[1].queued) == [(100, 0), (100, 1), (100, 2)]
+        bus.timeout(1, ("batch",))
+        for i in range(4):
+            assert [[r.request_id for r in batch]
+                    for _, batch in bus.commits[i]] == [[0, 1, 2]]
+
+    def test_install_arms_the_timer_of_a_partial_batch(self):
+        # Leader 1 of view 1 takes five requests during the view change.
+        # Installing the view proposes four; the fifth keeps a live timer.
+        reps = {i: make_replica(i, batch_size=4) for i in (1, 2, 3)}
+        leader = reps[1]
+        leader.start_view_change()
+        for rid in range(5):
+            assert leader.on_request(Request(100, rid, b"v")).outbound == []
+        leader.on_envelope(view_change_to(reps[2], 1))
+        out = leader.on_envelope(view_change_to(reps[3], 1))
+        assert leader.view == 1 and batches(out) == [[0, 1, 2, 3]]
+        assert list(leader.queued) == [(100, 4)]
+        assert ("batch",) in armed(out)
+        assert batches(leader.on_timeout(("batch",))) == [[4]]
+
+    def test_full_window_proposes_in_arrival_order(self):
+        # A window of 4 seqs at batch 2: requests 0-7 fill it and 8-12
+        # wait, in arrival order, until the checkpoint at seq 4 frees seqs
+        # 5-8; then they all go out.
+        rep = make_replica(self_id=0, batch_size=2, log_capacity=4,
+                           checkpoint_interval=2)
+        outs = [rep.on_request(Request(100, rid, b"v")) for rid in range(13)]
+        assert [b for out in outs for b in batches(out)] == [
+            [0, 1], [2, 3], [4, 5], [6, 7]]
+        assert list(rep.queued) == [(100, rid) for rid in range(8, 13)]
+        for seq in range(1, 5):
+            digest = rep.log[seq].digest
+            for kind in (MessageKind.PREPARE, MessageKind.COMMIT):
+                for s in (1, 2):
+                    outs.append(rep.on_envelope(vote(kind, seq, digest, s)))
+        assert rep.committed_seq == 4 and rep.next_seq == 5
+        state = rep.checkpoints[4][0]
+        for s in (1, 2):
+            outs.append(rep.on_envelope(
+                WireEnvelope(MessageKind.CHECKPOINT, 0, 4, s, state)))
+        assert rep.h == 4 and batches(outs[-1]) == [[8, 9], [10, 11], [12]]
+        assert rep.queued == {}
+        assert not any(("batch",) in out.timer_stops for out in outs)
 
 
 def run_cluster(n=4, f=1, requests=10, **kw):
@@ -647,7 +730,7 @@ class TestForgedRequest:
         out = leader.on_envelope(self.forged(stores))
         assert out.outbound == [] and out.timer_starts == []
         assert leader.counters["rejected"] == 1
-        assert leader.pending_batch == [] and leader.assigned == {}
+        assert leader.queued == {} and leader.assigned == {}
         genuine = ClientSession(4, 4, 1, CryptoMode.MAC_INTER_NODE,
                                 keystore=stores[4]).make_request(b"x", 0.0)[1]
         out = leader.on_envelope(genuine)
