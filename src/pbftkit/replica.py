@@ -19,6 +19,16 @@ queue, ``Replica.queued``; the leader proposes from its head. A partial
 batch starts the batch timer, which is never stopped: fired with nothing
 queued, it does nothing.
 
+A replica watches each request it proposes, forwards or pre-prepares, in
+``Replica.watching``, which keeps the request body; the request's timer
+starts a view change if it has not executed in time. A request stays
+watched until it executes (TOCS §4.5.2), also at a leader that a view
+change demotes. Installing a view restarts the timer of each watched
+request that the view re-proposes, and every other one re-enters with
+the queue: the new leader proposes what it watched, and a follower
+forwards it to the new leader. So a leader crash costs one view change,
+and no timer of the old view starts another.
+
 View changes follow Castro & Liskov (ACM TOCS 20(4), 2002, §4.4-4.5).
 Each log entry keeps, across views, its P entry (the latest view in which
 it prepared, with the batch) and its Q entries (each digest pre-prepared,
@@ -179,7 +189,8 @@ class Replica:
         self.reply_cache: dict[int, tuple] = {}  # client -> (rid, REPLY env)
         self.queued: dict = {}  # (client, rid) -> Request, oldest first
         self.assigned: dict = {}  # (client, rid) -> seq
-        self.watching: set = set()  # follower-side requests with a live timer
+        # (client, rid) -> Request: what this replica waits to see executed
+        self.watching: dict = {}
         self.vc_messages: dict[int, dict] = {}  # view -> {sender: (body, env)}
         self.vc_attempts = 0
         self._pending_view = 0
@@ -236,11 +247,12 @@ class Replica:
             self._flush_batch(out)
         elif key[0] == "request":
             _, client, rid = key
-            self.watching.discard((client, rid))
-            # Escalation while a view change is already in flight is the
-            # new_view timer's job, not the per-request timers'.
-            if (self.mode == Mode.NORMAL
-                    and not self._is_committed_request(client, rid)):
+            # A request stays watched until it executes: the next view must
+            # propose it. Escalation while a view change is already in
+            # flight is the new_view timer's job, not the request timers'.
+            if self._is_committed_request(client, rid):
+                self.watching.pop((client, rid), None)
+            elif self.mode is _NORMAL:
                 self._start_view_change(out)
         elif key[0] == "new_view":
             # NEW_VIEW for the pending view never arrived; try the next one.
@@ -293,8 +305,8 @@ class Replica:
             out.outbound.append(((primary(self.view, self.config.n),),
                                  request_envelope(req)))
             if key not in self.watching:
-                self.watching.add(key)
-                out.timer_starts.append((("request", req.client_id, req.request_id),
+                self.watching[key] = req
+                out.timer_starts.append((("request", *key),
                                          self.config.view_change_timeout))
             return
         if key in self.assigned or key in self.queued:
@@ -323,8 +335,9 @@ class Replica:
             self.counters["pre_prepares"] += 1
             self._trace("pre_prepare", seq=seq, batch=len(batch))
             out.outbound.append((self._peers, env))
-            for key in keys:
+            for key, req in zip(keys, batch):
                 self.assigned[key] = seq
+                self.watching[key] = req
                 out.timer_starts.append((("request", *key),
                                          self.config.view_change_timeout))
             self._check_progress(seq, out)
@@ -370,9 +383,8 @@ class Replica:
             key = (req.client_id, req.request_id)
             self.assigned[key] = env.seq
             if key not in self.watching:
-                self.watching.add(key)
-                out.timer_starts.append((("request", req.client_id,
-                                          req.request_id),
+                self.watching[key] = req
+                out.timer_starts.append((("request", *key),
                                          self.config.view_change_timeout))
         out.outbound.append((self._peers,
                              self._env(_PREPARE, body.digest, seq=env.seq)))
@@ -453,7 +465,7 @@ class Replica:
                                           self.keystore)
             for req, reply in zip(batch, replies):
                 self.reply_cache[req.client_id] = (req.request_id, reply)
-                self.watching.discard((req.client_id, req.request_id))
+                self.watching.pop((req.client_id, req.request_id), None)
                 out.outbound.append(((req.client_id,), reply))
                 out.timer_stops.append(("request", req.client_id,
                                         req.request_id))
@@ -745,11 +757,14 @@ class Replica:
                 entry.start_view(target)
             else:
                 del self.log[seq]
+        # Uncommitted seqs are assigned afresh: O's batches below, the rest
+        # when proposed again.
         for k in [k for k, s in self.assigned.items()
-                  if s > self.committed_seq and s not in repro]:
+                  if s > self.committed_seq]:
             del self.assigned[k]
         # Taken out before anything here can flush it; it re-enters below.
         queued, self.queued = self.queued, {}
+        watched = list(self.watching)  # restarted or re-entered below
         # Every replica votes on every seq in O, also one it has already
         # committed: a peer that missed the COMMITs needs those votes.
         for seq, body in chosen:
@@ -772,9 +787,24 @@ class Replica:
         self.future = {v: envs for v, envs in self.future.items() if v > target}
         for env in buffered:
             self._dispatch(env, out)
-        # The queue re-enters in arrival order: the new leader batches it, a
-        # follower forwards and watches it.
-        for req in queued.values():
+        # A watched request waits until it executes (TOCS §4.5.2), so no
+        # timer of the old view may start another view change. One that
+        # this view has assigned a seq gets a fresh timer; the others
+        # re-enter with the queue, in arrival order: the new leader batches
+        # them, a follower forwards and watches them again. This comes last
+        # so that no request committed above is restarted: a stop would
+        # win over the start.
+        again = {}
+        for key in watched:
+            if key not in self.watching:
+                continue  # committed above
+            if key in self.assigned:
+                out.timer_starts.append((("request", *key),
+                                         self.config.view_change_timeout))
+            else:
+                again[key] = self.watching.pop(key)
+        again.update(queued)
+        for req in again.values():
             self._on_request(req, out)
 
 

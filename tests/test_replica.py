@@ -476,6 +476,117 @@ class TestViewChange:
             assert committed == [0]
 
 
+class Timers:
+    """One replica's timers as a driver keeps them: key -> due time. A start
+    supersedes the key's earlier one; stops apply after starts."""
+
+    def __init__(self, rep):
+        self.rep, self.now, self.due = rep, 0.0, {}
+
+    def apply(self, out):
+        for key, delay in out.timer_starts:
+            self.due[key] = self.now + delay
+        for key in out.timer_stops:
+            self.due.pop(key, None)
+        return out
+
+    def advance(self, now):
+        """Fire, in due order, every timer due by ``now``."""
+        self.now = now
+        for key, due in sorted(self.due.items(), key=lambda kv: kv[1]):
+            if due <= now and self.due.get(key) == due:
+                del self.due[key]
+                self.apply(self.rep.on_timeout(key))
+
+
+class TestWatchedRequests:
+    """A request a follower watches waits until it executes (Castro &
+    Liskov, TOCS 2002, §4.5.2): the next leader proposes it, and its timer
+    restarts in the next view. Leader 0 is silent throughout."""
+
+    @staticmethod
+    def prepared(*reqs):
+        """Replicas 1-3 with ``reqs[k]`` prepared at seq k+1 in view 0 and
+        no COMMIT sent; the batch digests and replica 2's timers."""
+        reps = {i: make_replica(i) for i in (1, 2, 3)}
+        timers = Timers(reps[2])
+        digests = []
+        for seq, req in enumerate(reqs, 1):
+            env, digest = pre_prepare(seq, [req])
+            digests.append(digest)
+            for i, rep in reps.items():
+                out = rep.on_envelope(env)
+                if i == 2:
+                    timers.apply(out)
+                for s in (1, 2, 3):
+                    if s != i:
+                        rep.on_envelope(vote(MessageKind.PREPARE, seq,
+                                             digest, s))
+                assert rep.log[seq].status is Status.PREPARED
+        return reps, digests, timers
+
+    @staticmethod
+    def new_view(reps):
+        """Replica 1 leads view 1 over the VIEW_CHANGEs of 1, 3 and 2."""
+        view_change_to(reps[1], 1)
+        reps[1].on_envelope(view_change_to(reps[3], 1))
+        out = reps[1].on_envelope(view_change_to(reps[2], 1))
+        (nv,) = sent(out, MessageKind.NEW_VIEW)
+        return nv
+
+    def test_follower_whose_timer_fired_proposes_the_request(self):
+        # Follower 1 gets a client's retransmission, forwards it to the
+        # silent leader and watches it. Its timer fires; it then leads
+        # view 1, and installing the view proposes the request.
+        reps = {i: make_replica(i) for i in (1, 2, 3)}
+        leader = reps[1]
+        key = ("request", 100, 0)
+        out = leader.on_request(Request(100, 0, b"v"))
+        assert [d for d, _ in out.outbound] == [(0,)] and key in armed(out)
+        leader.on_timeout(key)
+        assert leader.mode is Mode.VIEW_CHANGING
+        leader.on_envelope(view_change_to(reps[2], 1))
+        out = leader.on_envelope(view_change_to(reps[3], 1))
+        assert leader.view == 1 and batches(out) == [[0]]
+        assert key in armed(out)
+
+    def test_reproposed_request_gets_a_fresh_timer(self):
+        # Replica 2 watches the request from t=0, so its view-0 timer is
+        # due at 1.0. View 1 is installed at 0.5 and re-proposes it; the
+        # timer is then due at 1.5, and 1.0 passes without a view change.
+        reps, (digest,), timers = self.prepared(Request(100, 0, b"v"))
+        key = ("request", 100, 0)
+        assert timers.due == {key: 1.0}
+        timers.now = 0.5
+        nv = self.new_view(reps)
+        timers.apply(reps[2].on_envelope(nv))
+        assert reps[2].view == 1 and timers.due == {key: 1.5}
+        timers.advance(1.0)
+        assert reps[2].mode is Mode.NORMAL
+        assert reps[2].counters["view_changes"] == 1
+        for kind, s in ((MessageKind.PREPARE, 3), (MessageKind.COMMIT, 1),
+                        (MessageKind.COMMIT, 3)):
+            timers.apply(reps[2].on_envelope(vote(kind, 1, digest, s, 1)))
+        assert reps[2].committed_seq == 1 and timers.due == {}
+
+    def test_install_never_starts_and_stops_one_request_timer(self):
+        # Replica 2 holds view 1's votes for seq 1 before the NEW_VIEW, so
+        # installing the view commits request 0 there; request 1 at seq 2
+        # stays open. A start would lose to the stop of the same key.
+        reps, (d1, _), timers = self.prepared(Request(100, 0, b"v"),
+                                              Request(101, 0, b"v"))
+        nv = self.new_view(reps)
+        for kind, s in ((MessageKind.PREPARE, 3), (MessageKind.COMMIT, 1),
+                        (MessageKind.COMMIT, 3)):
+            reps[2].on_envelope(vote(kind, 1, d1, s, 1))  # buffered
+        out = reps[2].on_envelope(nv)
+        assert reps[2].view == 1 and reps[2].committed_seq == 1
+        started = {k for k, _ in out.timer_starts if k[0] == "request"}
+        assert started == {("request", 101, 0)}
+        assert set(out.timer_stops) & started == set()
+        assert ("request", 100, 0) in out.timer_stops
+
+
 class TestNewViewValidation:
     def test_forged_new_view_rejected(self):
         rep = make_replica(self_id=2)
@@ -741,4 +852,4 @@ class TestForgedRequest:
         out = follower.on_envelope(self.forged(stores))
         assert out.outbound == [] and out.timer_starts == []
         assert follower.counters["rejected"] == 1
-        assert follower.watching == set()
+        assert not follower.watching
