@@ -411,12 +411,12 @@ GOLDEN = {
              requests_per_client=15, checkpoint_interval=5, log_capacity=20),
         "b69611c8bdbc9d47570a04c196e72ed58e55461dd4836872bb6d8f2e7f8b6a2b"),
     # A small copy of the sim-leader-crash benchmark world: it crosses the
-    # same codec, event and vote paths, plus three view changes.
+    # same codec, event and vote paths, plus one view change.
     "benchmark_shape": (
         dict(FAST, seed=2, num_clients=8, requests_per_client=100,
              latency=(0.0005, 0.002), payload_size=512,
              faults={0: (CRASH_AT, 0.2)}, checkpoint_interval=50),
-        "6d7d397cd3e4d94e305969c1395f701e0515a7e0c6c01ccc336804af37077737"),
+        "babf2e4efb18e8b2ec26593db7b29cd165fa1ed5e00ce487f379699d1e57ea42"),
 }
 
 
