@@ -391,7 +391,7 @@ GOLDEN = {
              requests_per_client=12, checkpoint_interval=4, log_capacity=16,
              faults={0: (CRASH_AT, 0.03)}, view_change_timeout=0.5,
              client_timeout=2.0),
-        "bf558a1ecfb42e4af1c94f6210cb532f7e0f99a11a75f2ab747259d1ef9f36f7"),
+        "fb65d24a38cebf43217dc7b82a65460d65850ee5c997cbb2b85d7b5f656e4791"),
     "drops_and_partition": (
         dict(FAST, seed=5, drop_prob=0.05, num_clients=2,
              requests_per_client=20,
