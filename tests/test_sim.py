@@ -396,7 +396,7 @@ GOLDEN = {
         dict(FAST, seed=5, drop_prob=0.05, num_clients=2,
              requests_per_client=20,
              partitions=((0.0, 1.5, frozenset({2})),)),
-        "cdaf205aff195f3a39957c7625c8682f1411bbbfb8f4180e67c6103324344ef9"),
+        "de4056c3ea15db2ab70f132c913141c5bf1efe5408afa6c6c735bbdcdcbf5f4c"),
     "leader_crash": (
         dict(FAST, seed=7, num_clients=2, requests_per_client=30,
              faults={0: (CRASH_AT, 0.25)}, view_change_timeout=0.5,
