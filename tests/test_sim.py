@@ -405,7 +405,7 @@ GOLDEN = {
     "equivocate": (
         dict(FAST, seed=3, faults={0: (EQUIVOCATE,)}, requests_per_client=10,
              view_change_timeout=0.5, client_timeout=2.0),
-        "03ae998aefdeac656e890dbe39f375fc9adf53b5f26f889877282602c7949714"),
+        "c448333c022ff6861baf034563885232eea84e2fc6f4a41f1b746f6af17911ee"),
     "batch4": (
         dict(FAST, seed=9, batch_size=4, num_clients=4,
              requests_per_client=15, checkpoint_interval=5, log_capacity=20),
