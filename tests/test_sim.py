@@ -401,7 +401,7 @@ GOLDEN = {
         dict(FAST, seed=7, num_clients=2, requests_per_client=30,
              faults={0: (CRASH_AT, 0.25)}, view_change_timeout=0.5,
              checkpoint_interval=10, log_capacity=40),
-        "6a81137bbab0acb01c5db43fa1695d425d019a1264dd9ddf06b3912e149a34ae"),
+        "f522ea4fda44e8210c859983e758c3214c12f4496c368d7d9829bdc359bdc7c1"),
     "equivocate": (
         dict(FAST, seed=3, faults={0: (EQUIVOCATE,)}, requests_per_client=10,
              view_change_timeout=0.5, client_timeout=2.0),
