@@ -527,12 +527,11 @@ class TestWatchedRequests:
 
     @staticmethod
     def new_view(reps):
-        """Replica 1 leads view 1 over the VIEW_CHANGEs of 1, 3 and 2."""
+        """Replica 1 leads view 1 over the VIEW_CHANGEs of 1, 3 and 2; the
+        output that installs it there."""
         view_change_to(reps[1], 1)
         reps[1].on_envelope(view_change_to(reps[3], 1))
-        out = reps[1].on_envelope(view_change_to(reps[2], 1))
-        (nv,) = sent(out, MessageKind.NEW_VIEW)
-        return nv
+        return reps[1].on_envelope(view_change_to(reps[2], 1))
 
     def test_follower_whose_timer_fired_proposes_the_request(self):
         # Follower 1 gets a client's retransmission, forwards it to the
@@ -558,7 +557,7 @@ class TestWatchedRequests:
         key = ("request", 100, 0)
         assert timers.due == {key: 1.0}
         timers.now = 0.5
-        nv = self.new_view(reps)
+        (nv,) = sent(self.new_view(reps), MessageKind.NEW_VIEW)
         timers.apply(reps[2].on_envelope(nv))
         assert reps[2].view == 1 and timers.due == {key: 1.5}
         timers.advance(1.0)
@@ -569,13 +568,32 @@ class TestWatchedRequests:
             timers.apply(reps[2].on_envelope(vote(kind, 1, digest, s, 1)))
         assert reps[2].committed_seq == 1 and timers.due == {}
 
+    def test_request_under_a_noop_is_proposed_again(self):
+        # Only replica 1 pre-prepared request 0, at seq 1; seq 2 prepared
+        # everywhere. View 1 fills seq 1 with a NOOP, so its leader,
+        # replica 1, proposes request 0 again, at seq 3.
+        reps = {i: make_replica(i) for i in (1, 2, 3)}
+        reps[1].on_envelope(pre_prepare(1, [Request(100, 0, b"v")])[0])
+        env, digest = pre_prepare(2, [Request(101, 0, b"v")])
+        for i, rep in reps.items():
+            rep.on_envelope(env)
+            for s in (1, 2, 3):
+                if s != i:
+                    rep.on_envelope(vote(MessageKind.PREPARE, 2, digest, s))
+        out = self.new_view(reps)
+        (nv,) = sent(out, MessageKind.NEW_VIEW)
+        assert NewViewBody.decode(nv.payload).reproposals[0] == (
+            1, wire.NOOP_BODY_DIGEST)
+        (pp,) = sent(out, MessageKind.PRE_PREPARE)
+        assert pp.seq == 3 and batches(out) == [[0]]
+
     def test_install_never_starts_and_stops_one_request_timer(self):
         # Replica 2 holds view 1's votes for seq 1 before the NEW_VIEW, so
         # installing the view commits request 0 there; request 1 at seq 2
         # stays open. A start would lose to the stop of the same key.
         reps, (d1, _), timers = self.prepared(Request(100, 0, b"v"),
                                               Request(101, 0, b"v"))
-        nv = self.new_view(reps)
+        (nv,) = sent(self.new_view(reps), MessageKind.NEW_VIEW)
         for kind, s in ((MessageKind.PREPARE, 3), (MessageKind.COMMIT, 1),
                         (MessageKind.COMMIT, 3)):
             reps[2].on_envelope(vote(kind, 1, d1, s, 1))  # buffered
