@@ -62,6 +62,17 @@ def _load_deployment(path):
         raise SystemExit(2)
 
 
+def _keystores(dep, ids) -> dict:
+    """{id: KeyStore or None without keys}; a bad key directory exits 2."""
+    if not dep["keys"]:
+        return dict.fromkeys(ids)
+    try:
+        return {i: crypto.load_keystore(dep["keys"], i) for i in ids}
+    except (OSError, ValueError, crypto.KeyMissing) as exc:
+        print(f"cannot load keys: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def cmd_keygen(args):
     try:
         crypto.generate_deployment_keys(args.n, args.clients, args.outdir,
@@ -90,13 +101,7 @@ def cmd_node(args):
     except ValueError as exc:
         print(f"bad deployment file {args.deployment}: {exc}", file=sys.stderr)
         return 2
-    keystore = None
-    if dep["keys"]:
-        try:
-            keystore = crypto.load_keystore(dep["keys"], args.id)
-        except (OSError, crypto.KeyMissing) as exc:
-            print(f"cannot load keys: {exc}", file=sys.stderr)
-            return 2
+    keystore = _keystores(dep, [args.id])[args.id]
     try:
         fabric = TcpFabric(args.id, dep["nodes"], client_ids=dep["clients"])
     except OSError as exc:
@@ -104,8 +109,7 @@ def cmd_node(args):
         return 2
     replica = Replica(cfg, keystore=keystore)
     metrics = StageMetrics()
-    pipe = run_pipeline(PipelineConfig(), fabric, replica, mode=dep["mode"],
-                        keystore=keystore, metrics=metrics)
+    pipe = run_pipeline(PipelineConfig(), fabric, replica, metrics=metrics)
     log.info("node %d serving (leader=%s)", args.id,
              args.id == 0)
     stop = {"flag": False}
@@ -133,10 +137,11 @@ def cmd_loadgen(args):
 
     dep = _load_deployment(args.deployment)
     n, f = dep["n"], dep["f"]
+    keystores = _keystores(dep, dep["clients"] or [n])
     failed = 0
     fabrics, drivers = [], []
     try:
-        for cid in dep["clients"] or [n]:
+        for cid, ks in keystores.items():
             fabric = TcpFabric(cid, dep["nodes"], queue_capacity=4096)
             fabrics.append(fabric)
             if not fabric.wait_connected(list(dep["nodes"]), timeout=10.0):
@@ -146,8 +151,6 @@ def cmd_loadgen(args):
                           f"reachable", file=sys.stderr)
                     failed += 1
                     continue
-            ks = (crypto.load_keystore(dep["keys"], cid) if dep["keys"]
-                  else None)
             drivers.append(ClientDriver(
                 ClientSession(cid, n, f, dep["mode"], keystore=ks), fabric,
                 args.value_size, outstanding=args.outstanding,

@@ -135,7 +135,6 @@ class LocalCluster:
             replica = Replica(cfg, keystore=self.keystores[i])
             metrics = StageMetrics()
             pipe = run_pipeline(PipelineConfig(), self.hub.port(i), replica,
-                                mode=mode, keystore=self.keystores[i],
                                 metrics=metrics)
             self.metrics[i] = metrics
             self.pipelines[i] = pipe

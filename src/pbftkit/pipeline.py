@@ -6,7 +6,8 @@ pipeline: one loop per replica around the single-threaded core.
 sign or MAC. The pipeline (1) unmarshals each frame it takes from one
 bounded inbox, to which every receive queue of the transport is rebound,
 and (7) marshals and sends. The stages are accounting boundaries only:
-StageMetrics records the thread CPU time of each.
+StageMetrics records the thread CPU time of each. The step reads the mode
+and keystore from its replica; a driver supplies only effects.
 
 The authentication work is ``crypto``'s; the step only times it. Inbound,
 the hash stage is ``crypto.hash_incoming`` (the envelope digest and, for
@@ -22,12 +23,13 @@ per committed batch, and so does a VIEW_CHANGE, signed once in ``decide``;
 both are only marshalled.
 
 Per-origin FIFO order holds by construction: a transport puts one origin's
-frames on the inbox in arrival order and the loop handles one item at a
-time. Timers sit on a heap owned by the loop, which waits on the inbox no
-longer than the next deadline. Backpressure is the bounded inbox: while the
-core is busy, producers block on ``put``. The pipeline never drops a frame
-it took from the inbox; the only exits are delivery to the core or a
-counted rejection (undecodable frame or failed authentication).
+frames on the inbox in arrival order and the loop handles one frame at a
+time. The inbox holds frames only; the core's timers sit on a heap owned
+by the loop, which waits on the inbox no longer than the next deadline.
+Backpressure is the bounded inbox: while the core is busy, producers block
+on ``put``. The pipeline never drops a frame it took from the inbox; the
+only exits are delivery to the core or a counted rejection (undecodable
+frame or failed authentication).
 """
 
 from __future__ import annotations
@@ -136,30 +138,18 @@ def write_stage_rows(path, rows):
             fh.write(",".join(str(v) for v in row) + "\n")
 
 
-class _Timers:
-    """Timer calls from any thread: each posts a control item to the loop."""
-
-    def __init__(self, inbox):
-        self._inbox = inbox
-
-    def start(self, key, delay: float):
-        self._inbox.put((key, time.monotonic() + delay))
-
-    def stop(self, key):
-        self._inbox.put((key, None))
-
-
 class Node:
-    """One replica's per-frame step. A driver provides ``replica``, ``mode``,
-    ``keystore``, ``on_commit``, ``_send(dests, env)``, ``_arm(key, delay)``
-    and ``_disarm(key)``, and may meter each stage call in ``_meter``."""
+    """One replica's per-frame step. A driver provides the ``replica``, whose
+    mode and keystore the step uses, and its effects: ``on_commit``,
+    ``_send(dests, env)``, ``_arm(key, delay)`` and ``_disarm(key)``; it may
+    meter each stage call in ``_meter``."""
 
     def deliver(self, env) -> bool:
         """hash_rx, verify and decide; False if ``env`` fails its check."""
-        ks, kind = self.keystore, env.kind
+        ks, kind = self.replica.keystore, env.kind
         if ks is not None and crypto.checked(env, ks):
             hashed = self._meter("hash_rx", kind, crypto.hash_incoming, env,
-                                 self.mode, ks)
+                                 self.replica.config.mode, ks)
             if not self._meter("verify", kind, crypto.verify_hashed, env,
                                hashed, ks):
                 return False
@@ -175,12 +165,12 @@ class Node:
             for seq, batch in out.commits:
                 self.on_commit(seq, batch)
         for dests, env in out.outbound:
-            ks, kind = self.keystore, env.kind
+            ks, kind = self.replica.keystore, env.kind
             if ks is not None and crypto.sealable(env, ks):
                 d = self._meter("hash_tx", kind, crypto.envelope_digest, env)
                 env = env.with_auths(self._meter(
-                    "sign", kind, crypto.authenticate, env, dests, self.mode,
-                    ks, d))
+                    "sign", kind, crypto.authenticate, env, dests,
+                    self.replica.config.mode, ks, d))
             self._send(dests, env)
         for key, delay in out.timer_starts:
             self._arm(key, delay)
@@ -195,20 +185,16 @@ class Pipeline(Node):
     """Running handle; create via run_pipeline."""
 
     def __init__(self, config: PipelineConfig, transport, replica,
-                 mode: crypto.CryptoMode, keystore=None, metrics=None,
-                 on_commit=None):
+                 metrics=None, on_commit=None):
         self.config = config
         self.transport = transport
         self.replica = replica
-        self.mode = mode
-        self.keystore = keystore
         self.metrics = metrics if metrics is not None else StageMetrics()
         self.on_commit = on_commit
         self.rejected = 0
         self._clock_ovh = _clock_overhead_ns()
         self._inbox = merge_inbound(transport,
                                     queue.Queue(config.queue_capacity))
-        self.timers = _Timers(self._inbox)
         self._heap = []  # (due, generation, key); stale entries are skipped
         self._gens = {}  # key -> generation of its live entry
         self._generation = 0
@@ -234,19 +220,13 @@ class Pipeline(Node):
             if heap:
                 timeout = max(0.0, heap[0][0] - time.monotonic())
             try:
-                item = inbox.get(timeout=timeout)
+                frame = inbox.get(timeout=timeout)
             except queue.Empty:
-                item = None
-            if item is _STOP:
+                frame = None
+            if frame is _STOP:
                 return
-            if type(item) is tuple:
-                key, due = item
-                if due is None:
-                    self._disarm(key)
-                else:
-                    self._arm(key, due - time.monotonic())
-            elif item is not None:
-                self._on_frame(item)
+            if frame is not None:
+                self._on_frame(frame)
             self._fire_due()
 
     # -- timers --------------------------------------------------------------
@@ -303,15 +283,20 @@ class Pipeline(Node):
         self._thread.join(timeout=5.0)
 
 
-def run_pipeline(config: PipelineConfig, transport, replica,
-                 mode=crypto.CryptoMode.MAC_INTER_NODE, keystore=None,
-                 metrics=None, on_commit=None) -> Pipeline:
+def run_pipeline(config: PipelineConfig, transport, replica, mode=None,
+                 keystore=None, metrics=None, on_commit=None) -> Pipeline:
     """Start the replica's loop; returns the running handle.
+
+    The loop checks and seals by the replica's mode and keystore; a
+    ``mode`` or ``keystore`` given here must be the replica's (ValueError).
 
     ``transport`` must expose ``receive_queues() -> {peer id: Queue}`` and
     ``send(peer id, frame bytes)``. Every entry of the receive-queue dict is
     rebound to the loop's inbox (``tcpnet.merge_inbound``), so the transport
     must look the queue up there for each frame it delivers.
     """
-    return Pipeline(config, transport, replica, mode, keystore,
-                    metrics=metrics, on_commit=on_commit)
+    if ((mode is not None and mode != replica.config.mode)
+            or (keystore is not None and keystore is not replica.keystore)):
+        raise ValueError("a given mode or keystore must be the replica's")
+    return Pipeline(config, transport, replica, metrics=metrics,
+                    on_commit=on_commit)

@@ -9,9 +9,11 @@ discrete-event simulator replay it bit-for-bit.
 Quorum rules: an entry is *prepared* with 2f+1 matching votes counting the
 leader's PRE_PREPARE as its prepare vote, and *committed* with 2f+1 COMMIT
 votes once every lower sequence has committed. A vote is kept as its
-sender's bit in a per-digest bitmask, nothing more. The in-memory log is a bounded window above the last
-stable checkpoint; collecting 2f+1 matching CHECKPOINT messages advances
-the watermark and evicts older entries.
+sender's bit in a per-digest bitmask, nothing more. Only replicas vote:
+anything but a REQUEST from a non-replica id is a counted rejection. The
+in-memory log is a bounded window above the last stable checkpoint;
+collecting 2f+1 matching CHECKPOINT messages advances the watermark and
+evicts older entries.
 
 Every verified request that waits for a seq (while a batch fills, while
 the window is full, during a view change) sits in one insertion-ordered
@@ -236,7 +238,9 @@ class Replica:
 
     def _dispatch(self, env: WireEnvelope, out: ProtocolOutput):
         handler = _HANDLERS.get(env.kind)
-        if handler is None:
+        # Only replicas vote: a client may send nothing but a REQUEST.
+        if handler is None or (env.sender >= self.config.n
+                               and env.kind is not MessageKind.REQUEST):
             self.counters["rejected"] += 1
         else:
             handler(self, env, out)
@@ -727,6 +731,7 @@ class Replica:
                 return None
             if (env.kind != MessageKind.VIEW_CHANGE or env.view != body.view
                     or vc.new_view != body.view or env.sender in senders
+                    or env.sender >= self.config.n
                     or not self._valid_view_change(vc)
                     or not crypto.verify_incoming(env, self.config.mode,
                                                   self.keystore)):

@@ -36,7 +36,6 @@ import math
 import random
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from . import crypto, wire
 from .client import ClientSession, RequestFailed
@@ -123,16 +122,15 @@ def build_keystores(n: int, client_ids, seed: int = 0):
 
 
 class _SimNode(Node):
-    """A replica whose sends become link events and timers clock events."""
+    """A replica whose sends become link events and timers clock events;
+    the step reads the mode and keystore from the replica."""
 
-    __slots__ = ("id", "replica", "mode", "_world")
+    __slots__ = ("id", "replica", "_world")
     on_commit = None  # the world reads commits from the replica's tracer
-    keystore = property(attrgetter("replica.keystore"))  # read on each use
 
     def __init__(self, node_id: int, replica: Replica, world: "World"):
         self.id = node_id
         self.replica = replica
-        self.mode = world.config.mode
         self._world = world
 
     @property

@@ -120,7 +120,12 @@ class _Conn:
     def close(self):
         if not self.dead.is_set():
             self.dead.set()
-            self.out.put(None)
+            # Never blocks: a close run by the writer must not wait on its
+            # own full queue, and a writer with frames left sees ``dead``.
+            try:
+                self.out.put_nowait(None)
+            except queue.Full:
+                pass
             try:
                 self.sock.close()
             except OSError:

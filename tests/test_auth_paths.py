@@ -95,8 +95,7 @@ def pipeline_decisions(mode, items, keystore):
     replica = Replica(ReplicaConfig(n=N, f=1, self_id=0, mode=mode),
                       keystore=keystore)
     spy = Spy(replica)
-    pipe = run_pipeline(PipelineConfig(), hub.port(0), replica, mode=mode,
-                        keystore=keystore)
+    pipe = run_pipeline(PipelineConfig(), hub.port(0), replica)
     result = []
     try:
         for _, src, frame, *_ in items:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from pbftkit import crypto
+from pbftkit import crypto, wire
 from pbftkit.bench import cli
 from pbftkit.bench.local import LocalCluster, RunReport, build_cdf, percentile
 from pbftkit.crypto import CryptoMode
@@ -247,9 +247,8 @@ class TestCli:
                     n=4, f=1, self_id=i, mode=CryptoMode.MAC_INTER_NODE,
                     batch_timeout=0.005, view_change_timeout=5.0),
                     keystore=ks)
-                pipes.append(run_pipeline(
-                    PipelineConfig(), fabrics[-1], rep,
-                    mode=CryptoMode.MAC_INTER_NODE, keystore=ks))
+                pipes.append(run_pipeline(PipelineConfig(), fabrics[-1],
+                                          rep))
             rc = cli.main(["loadgen", "--deployment", str(dep),
                            "--duration", "2", "--warmup", "0.5",
                            "--out", str(out)])
@@ -263,6 +262,28 @@ class TestCli:
             row = next(csv.DictReader(fh))
         assert int(row["completed"]) > 0
         assert int(row["failed"]) == 0
+
+    def test_loadgen_bad_key_directory_exits_2(self, tmp_path, capsys):
+        # Keys are loaded before any connection is awaited: with no replica
+        # up, a missing pairwise.bin is reported at once, not after 10 s.
+        keys = tmp_path / "keys"
+        assert cli.main(["keygen", "--n", "4", "--clients", "1",
+                         "--outdir", str(keys)]) == 0
+        (keys / "pairwise.bin").unlink()
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            addr = f"127.0.0.1:{taken.getsockname()[1]}"
+        dep = tmp_path / "dep.json"
+        dep.write_text(json.dumps({"n": 4, "f": 1, "keys": str(keys),
+                                   "nodes": {str(i): addr for i in range(4)},
+                                   "clients": [4]}))
+        t0 = time.monotonic()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["loadgen", "--deployment", str(dep), "--duration",
+                      "0.2", "--warmup", "0.1", "--out",
+                      str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert time.monotonic() - t0 < 5.0
+        assert "pairwise.bin" in capsys.readouterr().err
 
     def test_keygen_writes_keys(self, tmp_path):
         out = tmp_path / "keys"
@@ -291,11 +312,18 @@ class TestViewChangeCount:
     replicas' views (4)."""
 
     def test_local_cluster(self):
-        cluster = LocalCluster(4, 1, CryptoMode.DOMAIN_OPTIMIZED)
+        mode = CryptoMode.DOMAIN_OPTIMIZED
+        cluster = LocalCluster(4, 1, mode)
         try:
-            # A request timer that fires uncommitted on every replica.
-            for pipe in cluster.pipelines.values():
-                pipe.timers.start(("request", 99, 0), 0.0)
+            # f+1 signed VIEW_CHANGEs for view 1, made by idle copies of
+            # replicas 2 and 3 and sent through their ports: every replica
+            # joins, and view 1 is installed.
+            for i in (2, 3):
+                copy = Replica(ReplicaConfig(n=4, f=1, self_id=i, mode=mode),
+                               keystore=cluster.keystores[i])
+                for dests, env in copy.start_view_change().outbound:
+                    for dest in dests:
+                        cluster.hub.port(i).send(dest, wire.encode(env))
             deadline = time.monotonic() + 10.0
             while (any(r.view != 1 for r in cluster.replicas.values())
                    and time.monotonic() < deadline):

@@ -5,13 +5,15 @@ import random
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from pbftkit import crypto
 from pbftkit.crypto import CryptoMode
-from pbftkit.pipeline import Pipeline, PipelineConfig, StageMetrics
-from pbftkit.replica import ProtocolOutput
+from pbftkit.pipeline import (Pipeline, PipelineConfig, StageMetrics,
+                              run_pipeline)
+from pbftkit.replica import ProtocolOutput, Replica, ReplicaConfig
 from pbftkit.simnet import build_keystores
 from pbftkit.wire import MessageKind, WireEnvelope, decode, encode
 
@@ -31,12 +33,16 @@ class FakeTransport:
 
 
 class StubReplica:
-    """Records inbound envelopes; on_envelope output is programmable."""
+    """Records inbound envelopes; on_envelope output is programmable. Its
+    config mode and keystore are what the pipeline checks and seals by."""
 
-    def __init__(self, respond=None):
+    def __init__(self, respond=None, mode=CryptoMode.MAC_INTER_NODE,
+                 keystore=None):
         self.seen = []
         self.timeouts = []
         self.respond = respond or (lambda env: ProtocolOutput())
+        self.config = SimpleNamespace(mode=mode)
+        self.keystore = keystore
 
     def on_envelope(self, env):
         self.seen.append(env)
@@ -51,10 +57,9 @@ def env_for(seq, sender=2, payload=b"\x00" * 32, kind=MessageKind.PREPARE):
     return WireEnvelope(kind, 0, seq, sender, payload)
 
 
-def start(transport, replica, mode=CryptoMode.MAC_INTER_NODE, keystore=None,
-          metrics=None, **cfg):
-    return Pipeline(PipelineConfig(**cfg), transport, replica, mode,
-                    keystore=keystore, metrics=metrics)
+def start(transport, replica, metrics=None, **cfg):
+    return Pipeline(PipelineConfig(**cfg), transport, replica,
+                    metrics=metrics)
 
 
 def wait_for(pred, timeout=5.0):
@@ -120,23 +125,34 @@ class TestOrdering:
             seqs = [e.seq for e in replica.seen if e.sender == origin]
             assert seqs == list(range(1, per_origin + 1))
 
+    @staticmethod
+    def timer_output(starts=(), stops=()):
+        """A core that answers a PREPARE with the given timer changes."""
+        def respond(env):
+            out = ProtocolOutput()
+            out.timer_starts.extend(starts)
+            out.timer_stops.extend(stops)
+            return out
+        return respond
+
     def test_timer_feeds_decision_stage(self):
-        transport = FakeTransport()
-        replica = StubReplica()
+        transport = FakeTransport(origins=(2,))
+        replica = StubReplica(self.timer_output(starts=[(("batch",), 0.02)]))
         pipe = start(transport, replica)
         try:
-            pipe.timers.start(("batch",), 0.02)
+            transport.rx[2].put(encode(env_for(1)))
             assert wait_for(lambda: replica.timeouts == [("batch",)])
         finally:
             pipe.stop()
 
     def test_cancelled_timer_never_fires(self):
-        transport = FakeTransport()
-        replica = StubReplica()
+        transport = FakeTransport(origins=(2,))
+        replica = StubReplica(self.timer_output(
+            starts=[(("batch",), 0.05)], stops=[("batch",)]))
         pipe = start(transport, replica)
         try:
-            pipe.timers.start(("batch",), 0.05)
-            pipe.timers.stop(("batch",))
+            transport.rx[2].put(encode(env_for(1)))
+            assert wait_for(lambda: len(replica.seen) == 1)
             time.sleep(0.15)
             assert replica.timeouts == []
         finally:
@@ -151,8 +167,8 @@ def stores():
 class TestConservation:
     def test_accepted_equals_delivered_plus_rejected(self, stores):
         transport = FakeTransport(origins=(2,))
-        replica = StubReplica()
-        pipe = start(transport, replica, keystore=stores[0])
+        replica = StubReplica(keystore=stores[0])
+        pipe = start(transport, replica)
         good, bad = 60, 40
         try:
             for i in range(good):
@@ -172,8 +188,8 @@ class TestConservation:
 
     def test_forged_frames_never_reach_the_core(self, stores):
         transport = FakeTransport(origins=(2,))
-        replica = StubReplica()
-        pipe = start(transport, replica, keystore=stores[0])
+        replica = StubReplica(keystore=stores[0])
+        pipe = start(transport, replica)
         try:
             env = env_for(1).with_auths(((0, b"\xff" * 32),))
             transport.rx[2].put(encode(env))
@@ -181,6 +197,22 @@ class TestConservation:
         finally:
             pipe.stop()
         assert replica.seen == []
+
+    def test_replica_keystore_checks_inbound(self, stores):
+        """A pipeline given no keystore of its own checks by its replica's:
+        a frame with a bad MAC is a counted rejection, not a vote."""
+        transport = FakeTransport(origins=(2,))
+        replica = Replica(ReplicaConfig(n=4, f=1, self_id=0,
+                                        mode=CryptoMode.MAC_INTER_NODE),
+                          keystore=stores[0])
+        pipe = run_pipeline(PipelineConfig(), transport, replica)
+        try:
+            env = env_for(1).with_auths(((0, b"\x00" * 32),))
+            transport.rx[2].put(encode(env))
+            assert wait_for(lambda: pipe.rejected == 1)
+        finally:
+            pipe.stop()
+        assert replica.log == {}
 
     def test_garbage_frames_dropped_in_unmarshal(self):
         transport = FakeTransport(origins=(2,))
@@ -194,6 +226,21 @@ class TestConservation:
             pipe.stop()
         # accepted = delivered + rejected holds for undecodable frames too
         assert pipe.rejected == 1
+
+
+class TestSettings:
+    def test_mode_and_keystore_must_be_the_replicas(self, stores):
+        replica = StubReplica(mode=CryptoMode.MAC_INTER_NODE,
+                              keystore=stores[0])
+        for rep, kw in ((replica, {"mode": CryptoMode.PK_ONLY}),
+                        (replica, {"keystore": stores[1]}),
+                        (StubReplica(), {"keystore": stores[0]})):
+            with pytest.raises(ValueError):
+                run_pipeline(PipelineConfig(), FakeTransport(), rep, **kw)
+        pipe = run_pipeline(PipelineConfig(), FakeTransport(), replica,
+                            mode=CryptoMode.MAC_INTER_NODE,
+                            keystore=stores[0])
+        pipe.stop()
 
 
 class TestFanOut:
@@ -214,8 +261,8 @@ class TestFanOut:
             return out
 
         metrics = StageMetrics()
-        pipe = start(transport, StubReplica(respond), mode=mode,
-                     keystore=stores[0], metrics=metrics)
+        pipe = start(transport, StubReplica(respond, mode, stores[0]),
+                     metrics=metrics)
         try:
             transport.rx[2].put(crypto.seal(env_for(1), (0,), mode, stores[2]))
             assert wait_for(lambda: len(transport.sent) == len(self.DESTS))

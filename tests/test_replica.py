@@ -871,3 +871,71 @@ class TestForgedRequest:
         assert out.outbound == [] and out.timer_starts == []
         assert follower.counters["rejected"] == 1
         assert not follower.watching
+
+
+class TestNonReplicaSenders:
+    """Only replicas vote. A client's keystore authenticates a frame it
+    seals in its own name, so the core must refuse to count a PREPARE,
+    COMMIT, CHECKPOINT or VIEW_CHANGE whose sender is not a replica id."""
+
+    def test_votes_never_prepare_or_commit(self):
+        rep = make_replica(self_id=1)
+        env, digest = pre_prepare(1, [Request(100, 0, b"v")])
+        rep.on_envelope(env)
+        rep.on_envelope(vote(MessageKind.PREPARE, 1, digest, 5))
+        assert rep.log[1].status is Status.PRE_PREPARED
+        rep.on_envelope(vote(MessageKind.PREPARE, 1, digest, 2))
+        assert rep.log[1].status is Status.PREPARED
+        for sender in (6, 7):
+            out = rep.on_envelope(vote(MessageKind.COMMIT, 1, digest, sender))
+            assert out.commits == []
+        assert rep.log[1].status is Status.PREPARED
+        assert rep.counters["rejected"] == 3
+
+    def test_checkpoints_never_advance_the_watermark(self):
+        rep = make_replica(self_id=1, checkpoint_interval=5, log_capacity=20)
+        for seq in range(1, 6):
+            env, digest = pre_prepare(seq, [Request(100, seq, b"v")])
+            rep.on_envelope(env)
+            rep.on_envelope(vote(MessageKind.PREPARE, seq, digest, 2))
+            for sender in (0, 2):
+                rep.on_envelope(vote(MessageKind.COMMIT, seq, digest, sender))
+        assert rep.committed_seq == 5
+        state = rep.checkpoints[5][1]
+        for sender in (5, 6):
+            rep.on_envelope(WireEnvelope(MessageKind.CHECKPOINT, 0, 5, sender,
+                                         state))
+        assert rep.h == 0
+        for sender in (2, 3):
+            rep.on_envelope(WireEnvelope(MessageKind.CHECKPOINT, 0, 5, sender,
+                                         state))
+        assert rep.h == 5
+
+    @staticmethod
+    def empty_view_change(sender, target=1):
+        return WireEnvelope(MessageKind.VIEW_CHANGE, target, 0, sender,
+                            ViewChangeBody(target, 0, (), (), ()).encode())
+
+    def test_view_changes_never_make_a_replica_join(self):
+        rep = make_replica(self_id=2)
+        for sender in (4, 5):
+            assert rep.on_envelope(self.empty_view_change(sender)).outbound \
+                == []
+        assert rep.mode is Mode.NORMAL and rep.counters["rejected"] == 2
+        for sender in (1, 3):
+            rep.on_envelope(self.empty_view_change(sender))
+        assert rep.mode is Mode.VIEW_CHANGING
+
+    def test_new_view_embedding_one_is_rejected(self):
+        def new_view(senders):
+            frames = tuple(wire.encode(self.empty_view_change(s))
+                           for s in senders)
+            return WireEnvelope(MessageKind.NEW_VIEW, 1, 0, 1,
+                                NewViewBody(1, frames, ()).encode())
+
+        rep = make_replica(self_id=2)
+        rep.on_envelope(new_view((1, 3, 5)))
+        assert rep.view == 0 and rep.counters["rejected"] == 1
+        rep = make_replica(self_id=2)
+        rep.on_envelope(new_view((1, 3, 0)))
+        assert rep.view == 1

@@ -137,6 +137,62 @@ class TestFabric:
             a.close()
 
 
+    def test_writer_failure_on_full_queue_frees_the_peer(self):
+        # The writer's sendall fails while the outage queue is full: the
+        # close it runs itself must still close the socket and deregister
+        # the connection, or every later connection from that peer is
+        # refused.
+        fabric = TcpFabric(0, {0: ("127.0.0.1", 0)}, client_ids=[9],
+                           queue_capacity=2)
+        sock = FailingSocket()
+        try:
+            assert fabric._register(9, sock)
+            conn = fabric._conns[9]
+            fabric.send(9, b"a")  # the writer takes it, blocks in sendall
+            assert until(lambda: conn.out.empty())
+            fabric.send(9, b"b")
+            fabric.send(9, b"c")
+            assert conn.out.full()
+            sock.fail.set()
+            assert until(sock.closed.is_set, timeout=1.0)
+            assert until(lambda: fabric._register(9, FailingSocket()),
+                         timeout=1.0)
+        finally:
+            fabric.close()
+
+
+class FailingSocket:
+    """A socket whose sendall fails once ``fail`` is set and whose recv
+    waits until it is closed."""
+
+    def __init__(self):
+        self.fail = threading.Event()
+        self.closed = threading.Event()
+
+    def setsockopt(self, *args):
+        pass
+
+    def recv(self, size):
+        self.closed.wait()
+        return b""
+
+    def sendall(self, data):
+        self.fail.wait()
+        raise OSError("link down")
+
+    def close(self):
+        self.closed.set()
+
+
+def until(pred, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if pred():
+            return True
+        time.sleep(0.005)
+    return False
+
+
 class TestLoopback:
     def test_hub_routes_by_id(self):
         hub = LoopbackFabric([0, 1, 2])
@@ -186,7 +242,6 @@ def run_tcp_cluster(total_requests=20):
             rep = Replica(ReplicaConfig(n=n, f=f, self_id=i, batch_size=1,
                                         view_change_timeout=30.0))
             pipe = run_pipeline(PipelineConfig(), fab, rep,
-                                mode=CryptoMode.MAC_INTER_NODE,
                                 on_commit=lambda s, b, i=i:
                                 commits[i].append((s, b)))
             fabrics.append(fab)
@@ -216,6 +271,9 @@ def run_tcp_cluster(total_requests=20):
                     if done is not None:
                         break
             assert done is not None, "request did not complete over TCP"
+        # f+1 replies complete a request: wait for the other replicas too.
+        until(lambda: all(sum(len(b) for _, b in log) >= total_requests
+                          for log in commits.values()), timeout=10.0)
     finally:
         for p in pipes:
             p.stop()
