@@ -133,13 +133,13 @@ def cmd_node(args):
 def cmd_loadgen(args):
     from ..client import ClientSession
     from ..tcpnet import TcpFabric
-    from .local import ClientDriver, RunReport, run_drivers
+    from .local import LoadClient, RunReport, run_clients
 
     dep = _load_deployment(args.deployment)
     n, f = dep["n"], dep["f"]
     keystores = _keystores(dep, dep["clients"] or [n])
     failed = 0
-    fabrics, drivers = [], []
+    fabrics, clients = [], []
     try:
         for cid, ks in keystores.items():
             fabric = TcpFabric(cid, dep["nodes"], queue_capacity=4096)
@@ -151,16 +151,16 @@ def cmd_loadgen(args):
                           f"reachable", file=sys.stderr)
                     failed += 1
                     continue
-            drivers.append(ClientDriver(
-                ClientSession(cid, n, f, dep["mode"], keystore=ks), fabric,
-                args.value_size, outstanding=args.outstanding,
-                request_timeout=args.request_timeout))
-        lat, window = run_drivers(drivers, args.warmup, args.duration)
+            clients.append(LoadClient(
+                ClientSession(cid, n, f, dep["mode"], keystore=ks), fabric))
+        lat, window = run_clients(clients, args.value_size, args.outstanding,
+                                  args.warmup, args.duration,
+                                  args.request_timeout)
     finally:
         for fabric in fabrics:
             fabric.close()
     report = RunReport(completed=len(lat),
-                       failed=failed + sum(d.failed for d in drivers))
+                       failed=failed + sum(c.failed for c in clients))
     report.add_latencies(lat, window, args.value_size)
     report.write_csv(args.out)
     print(f"completed={report.completed} throughput={report.throughput:.1f} "

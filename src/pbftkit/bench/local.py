@@ -1,18 +1,19 @@
 """In-process cluster and the closed-loop client driver.
 
 One cluster hosts n replica pipelines over the loopback fabric in a single
-process. Clients run real ClientSessions on their own threads: each keeps a
-fixed number of requests outstanding, signs every request, and completes on
-f+1 matching replies, so the measured path exercises the same codec, auth,
-and pipeline code as a socket deployment without socket noise. The same
-driver runs over a ``TcpFabric`` in ``pbftkit loadgen``.
+process. One closed loop on the calling thread drives every client's
+ClientSession: each keeps a fixed number of requests outstanding, signs
+every request, and completes on f+1 matching replies, so the measured path
+exercises the same codec, auth, and pipeline code as a socket deployment
+without socket noise. The same loop runs over ``TcpFabric`` ports in
+``pbftkit loadgen``.
 """
 
 from __future__ import annotations
 
+import math
 import queue
 import statistics
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +25,7 @@ from ..pipeline import (PipelineConfig, StageMetrics, run_pipeline,
 from ..replica import Replica, ReplicaConfig
 from ..simnet import build_keystores
 from ..tcpnet import LoopbackFabric, merge_inbound
-from ..wire import WireError, decode, encode
+from ..wire import ReplyBody, WireError, decode, encode
 
 
 @dataclass
@@ -96,10 +97,12 @@ class RunReport:
 
 
 def percentile(sorted_vals, frac):
+    """Nearest rank: the smallest value with at least ``frac`` of the
+    values at or below it."""
     if not sorted_vals:
         return 0.0
-    idx = min(len(sorted_vals) - 1, int(frac * len(sorted_vals)))
-    return sorted_vals[idx]
+    n = len(sorted_vals)
+    return sorted_vals[min(n - 1, max(0, math.ceil(frac * n) - 1))]
 
 
 def build_cdf(sorted_latencies, points: int = 200):
@@ -150,92 +153,61 @@ class LocalCluster:
         return max(r.counters["view_changes"] for r in self.replicas.values())
 
 
-class ClientDriver:
-    """One thread keeping ``outstanding`` requests of a session in flight
-    over ``port``, any transport with ``receive_queues`` and ``send``."""
-
-    def __init__(self, session: ClientSession, port, value_size: int,
-                 outstanding: int = 1, request_timeout: float = 5.0):
-        self.session = session
-        self.port = port
-        self.value_size = value_size
-        self.outstanding = outstanding
-        self.request_timeout = request_timeout
-        self._inbox = merge_inbound(port)
-        self.latencies = []
-        self.failed = 0
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._run, daemon=True)
-
-    def start(self):
-        self._thread.start()
-
-    def stop(self):
-        self._stop.set()
-        self._inbox.put(None)
-        self._thread.join(timeout=10.0)
-
-    def _send(self, env, dests):
-        frame = encode(env)
-        for d in dests:
-            self.port.send(d, frame)
-
-    def _run(self):
-        # deadline per in-flight request id, for retransmission
-        deadlines = {}
-        now = time.monotonic
-        while not self._stop.is_set():
-            while (len(self.session.pending) < self.outstanding
-                   and not self._stop.is_set()):
-                req, env, leader = self.session.make_request(
-                    bytes(self.value_size), now())
-                deadlines[req.request_id] = now() + self.request_timeout
-                self._send(env, (leader,))
-            try:
-                frame = self._inbox.get(timeout=0.05)
-            except queue.Empty:
-                frame = None
-            if frame is not None:
-                try:
-                    done = self.session.on_reply(decode(frame), now())
-                except WireError:
-                    done = None
-                if done is not None:
-                    deadlines.pop(done.request_id, None)
-                    self.latencies.append(done.latency)
-            t = now()
-            for rid, due in list(deadlines.items()):
-                if t >= due:
-                    if rid not in self.session.pending:
-                        del deadlines[rid]
-                        continue
-                    try:
-                        dests, env = self.session.on_timeout(rid)
-                        deadlines[rid] = t + self.request_timeout
-                        self._send(env, dests)
-                    except RequestFailed:
-                        del deadlines[rid]
-                        self.failed += 1
+@dataclass
+class LoadClient:
+    """One client of the load loop: its session, the port it sends on (any
+    transport with ``receive_queues`` and ``send``) and its failed count."""
+    session: ClientSession
+    port: object
+    failed: int = 0
 
 
-def run_drivers(drivers, warmup: float, duration: float) -> tuple:
-    """Run the drivers for ``duration`` seconds and stop them; returns the
-    latencies of the requests completed after ``warmup`` and the length of
-    that measured window in seconds."""
-    for d in drivers:
-        d.start()
-    time.sleep(warmup)
-    # Snapshot at window start; measure only what completes inside it.
-    start_counts = [len(d.latencies) for d in drivers]
-    t0 = time.monotonic()
-    time.sleep(max(0.0, duration - warmup))
-    window = time.monotonic() - t0
+def run_clients(clients, value_size: int, outstanding: int, warmup: float,
+                duration: float, request_timeout: float = 5.0) -> tuple:
+    """Closed loop on the calling thread for ``duration`` seconds: keep
+    ``outstanding`` requests of every client in flight, and send a request
+    to every replica again each ``request_timeout`` it waits for a reply
+    quorum. Returns the latencies of the requests completed after
+    ``warmup`` and the length of that measured window in seconds."""
+    inbox = queue.Queue()
+    by_id = {}
+    for c in clients:
+        merge_inbound(c.port, inbox)
+        by_id[c.session.client_id] = c
+    payload = bytes(value_size)
+    clock = time.monotonic
+    start = clock()
+    measured_from, end = start + warmup, start + duration
     lat = []
-    for d, skip in zip(drivers, start_counts):
-        lat.extend(d.latencies[skip:])
-    for d in drivers:
-        d.stop()
-    return lat, window
+    while (now := clock()) < end:
+        for c in clients:
+            while len(c.session.pending) < outstanding:
+                _, env, leader = c.session.make_request(payload, clock())
+                c.port.send(leader, encode(env))
+        try:
+            env = decode(inbox.get(timeout=min(0.05, end - now)))
+            owner = by_id.get(ReplyBody.decode(env.payload).client_id)
+        except (queue.Empty, WireError):
+            owner = None
+        now = clock()
+        if owner is not None:
+            done = owner.session.on_reply(env, now)
+            if done is not None and now >= measured_from:
+                lat.append(done.latency)
+        for c in clients:
+            for rid, pend in list(c.session.pending.items()):
+                due = pend.sent_at + (pend.retransmits + 1) * request_timeout
+                if now < due:
+                    continue
+                try:
+                    dests, env = c.session.on_timeout(rid)
+                except RequestFailed:
+                    c.failed += 1
+                    continue
+                frame = encode(env)
+                for d in dests:
+                    c.port.send(d, frame)
+    return lat, clock() - measured_from
 
 
 def run_benchmark(config: BenchConfig) -> RunReport:
@@ -243,16 +215,16 @@ def run_benchmark(config: BenchConfig) -> RunReport:
     cluster = LocalCluster(config.n, config.f, config.mode,
                            num_clients=config.clients,
                            batch_size=config.batch_size)
-    drivers = [ClientDriver(ClientSession(cid, config.n, config.f,
-                                          config.mode,
-                                          keystore=cluster.keystores[cid]),
-                            cluster.hub.port(cid), config.value_size,
-                            outstanding=config.outstanding)
+    clients = [LoadClient(ClientSession(cid, config.n, config.f, config.mode,
+                                        keystore=cluster.keystores[cid]),
+                          cluster.hub.port(cid))
                for cid in cluster.client_ids]
     try:
-        lat, window = run_drivers(drivers, config.warmup, config.duration)
+        lat, window = run_clients(clients, config.value_size,
+                                  config.outstanding, config.warmup,
+                                  config.duration)
         report = RunReport(
-            completed=len(lat), failed=sum(d.failed for d in drivers),
+            completed=len(lat), failed=sum(c.failed for c in clients),
             view_changes=cluster.view_changes(),
             rejected=sum(p.rejected for p in cluster.pipelines.values()),
             stage_rows=cluster.metrics[0].table())

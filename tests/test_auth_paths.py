@@ -1,7 +1,8 @@
 """One authentication path: the drivers take the same accept/reject decision
 on the same frames, the policy is applied in ``crypto`` alone, one
-per-frame step (``pipeline.Node``) applies it for both drivers, and only the
-simulator and the pipeline drive the replica core."""
+per-frame step (``pipeline.Node``) applies it for both drivers, only the
+simulator and the pipeline drive the replica core, and the bench harness
+starts no thread of its own."""
 
 import ast
 import time
@@ -173,6 +174,25 @@ def test_replica_core_driven_by_simulator_and_pipeline_alone():
              for path in sorted(SRC.rglob("*.py"))
              if path.relative_to(SRC) not in drivers
              for line, what in core_calls(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def thread_constructions(tree):
+    """Lines that construct a ``Thread``, as ``threading.Thread`` or by a
+    name imported from ``threading``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and "Thread" in (
+                getattr(node.func, "attr", None),
+                getattr(node.func, "id", None)):
+            yield node.lineno
+
+
+def test_bench_harness_starts_no_thread():
+    # One load loop on the caller's thread drives every client; the only
+    # threads a bench run has are the ones the pipelines and fabrics start.
+    found = [f"{path.relative_to(SRC)}:{line}"
+             for path in sorted((SRC / "bench").rglob("*.py"))
+             for line in thread_constructions(ast.parse(path.read_text()))]
     assert found == []
 
 

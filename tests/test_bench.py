@@ -2,6 +2,7 @@
 
 import csv
 import json
+import queue
 import random
 import socket
 import time
@@ -11,7 +12,9 @@ import pytest
 
 from pbftkit import crypto, wire
 from pbftkit.bench import cli
-from pbftkit.bench.local import LocalCluster, RunReport, build_cdf, percentile
+from pbftkit.bench.local import (LoadClient, LocalCluster, RunReport,
+                                 build_cdf, percentile, run_clients)
+from pbftkit.client import ClientSession
 from pbftkit.crypto import CryptoMode
 from pbftkit.pipeline import PipelineConfig, run_pipeline
 from pbftkit.replica import Replica, ReplicaConfig
@@ -108,6 +111,11 @@ class TestPercentiles:
     def test_empty_is_zero(self):
         assert percentile([], 0.5) == 0.0
 
+    def test_nearest_rank(self):
+        # The p99 of 1..100 is 99, not the maximum; the p50 of four is 2.
+        assert percentile(list(range(1, 101)), 0.99) == 99
+        assert percentile([1, 2, 3, 4], 0.50) == 2
+
 
 class TestCdf:
     def test_monotone_and_complete(self):
@@ -127,6 +135,69 @@ class TestCdf:
 
     def test_empty(self):
         assert build_cdf([]) == []
+
+
+class RecordingPort:
+    """A client port for ``run_clients``, with one receive queue per
+    replica (n = 4), that records every request sent. If ``answer``, it
+    puts f+1 replies to each request on the receive queues of ``reply_via``
+    (itself by default), then an undecodable frame and a REPLY that names
+    an unknown client id."""
+
+    def __init__(self, answer=False, reply_via=None):
+        self.rx = {i: queue.Queue() for i in range(4)}
+        self.answer = answer
+        self.reply_via = reply_via or self
+        self.sent = []
+
+    def receive_queues(self):
+        return self.rx
+
+    def send(self, dest, frame):
+        req = wire.request_from_envelope(wire.decode(frame))
+        self.sent.append((dest, req.request_id))
+        if not self.answer:
+            return
+        rx = self.reply_via.rx
+        for sender, cid in ((0, req.client_id), (1, req.client_id),
+                            (3, 99)):
+            body = wire.ReplyBody(cid, req.request_id, 1, bytes(32))
+            rx[sender].put(wire.encode(wire.WireEnvelope(
+                wire.MessageKind.REPLY, 0, 1, sender, body.encode())))
+        rx[2].put(b"\x00not a frame")
+
+
+class TestLoadLoop:
+    MODE = CryptoMode.DOMAIN_OPTIMIZED
+
+    def test_unanswered_request_is_retransmitted_to_all_then_failed(self):
+        port = RecordingPort()
+        client = LoadClient(ClientSession(4, 4, 1, self.MODE,
+                                          retransmit_limit=2), port)
+        lat, _ = run_clients([client], value_size=8, outstanding=1,
+                             warmup=0.0, duration=1.0, request_timeout=0.01)
+        assert lat == []
+        first = [dest for dest, rid in port.sent if rid == 0]
+        # Sent to the leader, then twice to every replica; the third
+        # timeout exhausts the budget.
+        assert first == [0] + [0, 1, 2, 3] * 2
+        assert 0 not in client.session.pending
+        assert client.failed >= 1
+
+    def test_replies_routed_by_client_id_on_the_shared_inbox(self):
+        # Client 4's replies arrive on client 5's port, which the loop reads
+        # through the same inbox; client 5's requests are never answered.
+        port5 = RecordingPort()
+        port4 = RecordingPort(answer=True, reply_via=port5)
+        clients = [LoadClient(ClientSession(4, 4, 1, self.MODE), port4),
+                   LoadClient(ClientSession(5, 4, 1, self.MODE), port5)]
+        lat, window = run_clients(clients, value_size=8, outstanding=2,
+                                  warmup=0.0, duration=0.3)
+        done4, done5 = (c.session.completions for c in clients)
+        assert len(lat) == len(done4) > 2 and done5 == []
+        assert sorted(clients[1].session.pending) == [0, 1]
+        assert all(c.failed == 0 for c in clients)
+        assert 0.3 <= window < 1.0
 
 
 class TestReportCsv:
