@@ -39,6 +39,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import crypto
 from .tcpnet import merge_inbound
@@ -141,19 +142,36 @@ def write_stage_rows(path, rows):
 class Node:
     """One replica's per-frame step. A driver provides the ``replica``, whose
     mode and keystore the step uses, and its effects: ``on_commit``,
-    ``_send(dests, env)``, ``_arm(key, delay)`` and ``_disarm(key)``; it may
-    meter each stage call in ``_meter``."""
+    ``_send(dests, env)``, ``_arm(key, delay)`` and ``_disarm(key)``.
+
+    The stage callables ``_hash_rx``, ``_verify``, ``_decide``, ``_hash_tx``
+    and ``_sign`` are bound once per node: to the plain functions on first
+    use, so they are the replica's as its driver left it by its first frame
+    or timeout, or, in a driver that meters, to its wrappers
+    (``_meter_stages``)."""
+
+    _hash_rx = cached_property(lambda self: crypto.hash_incoming)
+    _verify = cached_property(lambda self: crypto.verify_hashed)
+    _decide = cached_property(lambda self: self.replica.on_envelope)
+    _hash_tx = cached_property(lambda self: crypto.envelope_digest)
+    _sign = cached_property(lambda self: crypto.authenticate)
+
+    def _meter_stages(self, meter):
+        """Bind each stage callable to ``meter(stage, get)``, a wrapper that
+        takes the stage's function from ``get(self)`` on every call, so one
+        replaced later (a span around it) is still the one run."""
+        for stage in ("hash_rx", "verify", "decide", "hash_tx", "sign"):
+            attr = "_" + stage
+            setattr(self, attr, meter(stage, getattr(Node, attr).func))
 
     def deliver(self, env) -> bool:
         """hash_rx, verify and decide; False if ``env`` fails its check."""
-        ks, kind = self.replica.keystore, env.kind
+        ks = self.replica.keystore
         if ks is not None and crypto.checked(env, ks):
-            hashed = self._meter("hash_rx", kind, crypto.hash_incoming, env,
-                                 self.replica.config.mode, ks)
-            if not self._meter("verify", kind, crypto.verify_hashed, env,
-                               hashed, ks):
+            hashed = self._hash_rx(env, self.replica.config.mode, ks)
+            if not self._verify(env, hashed, ks):
                 return False
-        self._apply(self._meter("decide", kind, self.replica.on_envelope, env))
+        self._apply(self._decide(env))
         return True
 
     def timeout(self, key):
@@ -165,20 +183,16 @@ class Node:
             for seq, batch in out.commits:
                 self.on_commit(seq, batch)
         for dests, env in out.outbound:
-            ks, kind = self.replica.keystore, env.kind
+            ks = self.replica.keystore
             if ks is not None and crypto.sealable(env, ks):
-                d = self._meter("hash_tx", kind, crypto.envelope_digest, env)
-                env = env.with_auths(self._meter(
-                    "sign", kind, crypto.authenticate, env, dests,
-                    self.replica.config.mode, ks, d))
+                d = self._hash_tx(env)
+                env = env.with_auths(self._sign(
+                    env, dests, self.replica.config.mode, ks, d))
             self._send(dests, env)
         for key, delay in out.timer_starts:
             self._arm(key, delay)
         for key in out.timer_stops:
             self._disarm(key)
-
-    def _meter(self, stage, kind, fn, *args):
-        return fn(*args)
 
 
 class Pipeline(Node):
@@ -199,16 +213,23 @@ class Pipeline(Node):
         self._gens = {}  # key -> generation of its live entry
         self._generation = 0
         self._stopping = False
+        self._meter_stages(self._metered)
         self._thread = threading.Thread(target=self._loop, daemon=True,
                                         name="pipeline")
         self._thread.start()
 
-    def _meter(self, stage, kind, fn, *args):
-        clock = time.thread_time_ns
-        t0 = clock()
-        result = fn(*args)
-        self._rec(stage, kind, t0, clock())
-        return result
+    def _metered(self, stage, get):
+        """A stage callable that runs ``get(self)`` and records its thread
+        CPU time under ``stage`` and the envelope's kind."""
+        clock, rec = time.thread_time_ns, self._rec
+
+        def run(env, *args):
+            fn = get(self)
+            t0 = clock()
+            result = fn(env, *args)
+            rec(stage, env.kind, t0, clock())
+            return result
+        return run
 
     def _rec(self, stage, kind, t0, t1):
         self.metrics.record(stage, kind, max(0, t1 - t0 - self._clock_ovh))
@@ -263,7 +284,9 @@ class Pipeline(Node):
             self.rejected += 1
 
     def _send(self, dests, env):
-        frame = self._meter("marshal", env.kind, encode, env)
+        t0 = time.thread_time_ns()
+        frame = encode(env)
+        self._rec("marshal", env.kind, t0, time.thread_time_ns())
         send = self.transport.send
         for dest in dests:
             send(dest, frame)

@@ -17,6 +17,11 @@ checks, and every recipient's ``deliver`` event carries that one decoded
 envelope. Client signatures inside REQUESTs are checked by the replica
 core. With ``auth`` off nothing is signed or checked.
 
+``World.committed`` holds one batch object per seq: the first correct
+replica to commit a seq records its own batch, and a later commit there
+records that object when its batch is equal in content, else its own. So a
+world holds each committed request once, not once per replica.
+
 A ``deliver`` or replica timer that would land at or after its node's
 ``CRASH_AT`` time is not scheduled at all; the link's drop and delay are
 still drawn, so the RNG sequence and every trace stay the same.
@@ -81,6 +86,10 @@ class SimConfig:
     max_events: int = 5_000_000
 
     def __post_init__(self):
+        for i in self.faults:
+            if not 0 <= i < self.n:
+                raise ValueError(f"'fault' names node {i}, not a replica "
+                                 f"0..{self.n - 1}")
         if self.client_auth is None:
             self.client_auth = self.auth
         elif self.client_auth != self.auth:
@@ -177,7 +186,10 @@ class World:
         self._timers: dict = {}
         self._timer_ids = itertools.count()
         self.trace: list = []
+        # Per replica, (seq, digest, batch) in commit order; records of one
+        # seq share a batch object when their contents are equal.
         self.committed: dict = {i: [] for i in range(config.n)}
+        self._batches: dict = {}  # seq -> batch of the first correct commit
         self.client_ids = [config.n + k for k in range(config.num_clients)]
 
         self.keystores = (build_keystores(config.n, self.client_ids,
@@ -251,7 +263,19 @@ class World:
             rep = self.nodes[node].replica
             seq = record["seq"]
             entry = rep.log.get(seq)
-            self.committed[node].append((seq, entry.digest, entry.body.batch))
+            self._record(node, seq, entry.digest, entry.body.batch)
+
+    def _record(self, node: int, seq: int, digest: bytes, batch: tuple):
+        """Append ``node``'s commit, sharing the seq's recorded batch object
+        when ``batch`` equals it in content; the first correct replica to
+        commit a seq records its own."""
+        shared = self._batches.get(seq)
+        if shared is None:
+            if node not in self.config.faults:
+                self._batches[seq] = batch
+        elif shared == batch:
+            batch = shared
+        self.committed[node].append((seq, digest, batch))
 
     def _partitioned(self, a: int, b: int) -> bool:
         for start, end, isolated in self.config.partitions:
@@ -378,12 +402,17 @@ class World:
         return by_seq
 
     def check_validity(self):
-        """Every committed non-NOOP batch carries valid client signatures."""
+        """Every committed non-NOOP batch carries valid client signatures;
+        a batch object that several records share is verified once."""
         if not self.keystores:
             return
         ks = self.keystores[0]
+        seen = set()
         for i in self.correct_nodes():
             for seq, digest, batch in self.committed[i]:
+                if id(batch) in seen:
+                    continue
+                seen.add(id(batch))
                 for req in batch:
                     if not crypto.verify_request(req, ks):
                         raise AssertionError(

@@ -265,9 +265,11 @@ class TestCli:
     @pytest.mark.parametrize("key, value", [
         ("client_auth", "false"), ("reqests_per_client", "false"),
         ("mode", "pk"), ("fault", "crash:1"), ("fault", "mute"),
-        ("latency", "0.001"), ("batch_size", "0"), ("auth", "ture")],
+        ("latency", "0.001"), ("batch_size", "0"), ("auth", "ture"),
+        ("fault", "crash:9:1.0"), ("fault", "mute:4")],
         ids=["client_auth", "reqests_per_client", "mode=pk", "fault=crash:1",
-             "fault=mute", "latency=0.001", "batch_size=0", "auth=ture"])
+             "fault=mute", "latency=0.001", "batch_size=0", "auth=ture",
+             "fault=crash:9:1.0", "fault=mute:4"])
     def test_simulate_unknown_key_exits_2(self, tmp_path, capsys, key, value):
         scn = tmp_path / "typo.scn"
         scn.write_text(f"auth=false\n{key}={value}\nexpect_committed=10\n")

@@ -79,6 +79,46 @@ class TestFailureFree:
             world.check_validity()
 
 
+    def test_validity_verifies_each_committed_request_once(self,
+                                                           monkeypatch):
+        world = World(SimConfig(requests_per_client=3))
+        world.run()
+        verify, checked = crypto.verify_request, []
+
+        def counting(req, ks):
+            checked.append(req)
+            return verify(req, ks)
+        monkeypatch.setattr(crypto, "verify_request", counting)
+        world.check_validity()
+        assert len(checked) == world.total_requests_committed(1) == 3
+
+
+class TestCommittedRecords:
+    """``World.committed`` keeps one batch object per seq."""
+
+    def test_replicas_share_each_seqs_batch(self):
+        world = run_world(num_clients=2, requests_per_client=10)
+        ids = {}
+        for i in world.correct_nodes():
+            for seq, _, batch in world.committed[i]:
+                ids.setdefault(seq, set()).add(id(batch))
+        assert len(ids) == 20
+        assert all(len(objs) == 1 for objs in ids.values())
+
+    def test_batch_shared_only_when_equal(self):
+        # Node 0 is faulty, so node 1 is the first correct one to record
+        # seq 1; node 3's batch differs in content and stays its own.
+        world = World(SimConfig(auth=False, faults={0: (CRASH_AT, 9.0)}))
+        batches = [(Request(4, 0, b"x"),) for _ in range(3)]
+        other = (Request(4, 0, b"y"),)
+        for node, batch in enumerate(batches + [other]):
+            world._record(node, 1, b"digest", batch)
+        recorded = [world.committed[i][0][2] for i in range(4)]
+        assert recorded[0] is batches[0]
+        assert recorded[1] is recorded[2] is batches[1]
+        assert recorded[3] is other
+
+
 class TestLossyLinks:
     def test_drops_do_not_break_safety(self):
         for seed in range(5):
