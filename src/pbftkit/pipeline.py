@@ -223,11 +223,11 @@ class Pipeline(Node):
         CPU time under ``stage`` and the envelope's kind."""
         clock, rec = time.thread_time_ns, self._rec
 
-        def run(env, *args):
-            fn = get(self)
+        def run(*args):  # args[0] is the envelope
+            fn, kind = get(self), args[0].kind  # outside the timed span
             t0 = clock()
-            result = fn(env, *args)
-            rec(stage, env.kind, t0, clock())
+            result = fn(*args)
+            rec(stage, kind, t0, clock())
             return result
         return run
 
