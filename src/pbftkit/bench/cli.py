@@ -16,9 +16,9 @@ payload_size, batch_size, view_change_timeout, auth (true | false: every
 message signed, or nothing), fault (none | crash:<node>:<time> |
 mute:<node> | equivocate:<node> | forge_vc:<node>, repeatable with `;`),
 expect_committed, expect_view, expect_max_view. Any other key, a value
-that does not parse, or one the replica config rejects (`batch_size=0`) is
-an error: `simulate` prints it and exits 2, as `node` does for a bad
-deployment file.
+that does not parse, or one the simulator or replica config rejects
+(`batch_size=0`, a fault on a node outside 0..n-1) is an error: `simulate`
+prints it and exits 2, as `node` does for a bad deployment file.
 """
 
 from __future__ import annotations

@@ -78,7 +78,6 @@ class TestFailureFree:
         with pytest.raises(AssertionError):
             world.check_validity()
 
-
     def test_validity_verifies_each_committed_request_once(self,
                                                            monkeypatch):
         world = World(SimConfig(requests_per_client=3))
