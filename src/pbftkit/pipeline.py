@@ -25,7 +25,8 @@ both are only marshalled.
 Per-origin FIFO order holds by construction: a transport puts one origin's
 frames on the inbox in arrival order and the loop handles one frame at a
 time. The inbox holds frames only; the core's timers sit on a heap owned
-by the loop, which waits on the inbox no longer than the next deadline.
+by the loop, which waits on the inbox no longer than the next deadline;
+the step skips an entry whose timer was stopped or started again.
 Backpressure is the bounded inbox: while the core is busy, producers block
 on ``put``. The pipeline never drops a frame it took from the inbox; the
 only exits are delivery to the core or a counted rejection (undecodable
@@ -35,6 +36,7 @@ frame or failed authentication).
 from __future__ import annotations
 
 import heapq
+import itertools
 import queue
 import threading
 import time
@@ -142,7 +144,10 @@ def write_stage_rows(path, rows):
 class Node:
     """One replica's per-frame step. A driver provides the ``replica``, whose
     mode and keystore the step uses, and its effects: ``on_commit``,
-    ``_send(dests, env)``, ``_arm(key, delay)`` and ``_disarm(key)``.
+    ``_send(dests, env)`` and ``_arm(key, delay, token)``, which schedules
+    ``timeout(key, token)`` after ``delay`` seconds. Each timer start gets a
+    fresh token that replaces the key's earlier one, a stop drops it, and
+    ``timeout`` runs the core's only for a live token.
 
     The stage callables ``_hash_rx``, ``_verify``, ``_decide``, ``_hash_tx``
     and ``_sign`` are bound once per node: to the plain functions on first
@@ -155,6 +160,8 @@ class Node:
     _decide = cached_property(lambda self: self.replica.on_envelope)
     _hash_tx = cached_property(lambda self: crypto.envelope_digest)
     _sign = cached_property(lambda self: crypto.authenticate)
+    _live = cached_property(lambda self: {})  # key -> token of its live start
+    _tokens = cached_property(lambda self: itertools.count())
 
     def _meter_stages(self, meter):
         """Bind each stage callable to ``meter(stage, get)``, a wrapper that
@@ -174,8 +181,11 @@ class Node:
         self._apply(self._decide(env))
         return True
 
-    def timeout(self, key):
-        self._apply(self.replica.on_timeout(key))
+    def timeout(self, key, token):
+        """Run the core's timeout for ``key`` if ``token`` is its live start."""
+        if self._live.get(key) == token:
+            del self._live[key]
+            self._apply(self.replica.on_timeout(key))
 
     def _apply(self, out):
         """Commits, sealed sends, then timers: the golden traces need it."""
@@ -189,10 +199,12 @@ class Node:
                 env = env.with_auths(self._sign(
                     env, dests, self.replica.config.mode, ks, d))
             self._send(dests, env)
+        live = self._live
         for key, delay in out.timer_starts:
-            self._arm(key, delay)
+            live[key] = token = next(self._tokens)
+            self._arm(key, delay, token)
         for key in out.timer_stops:
-            self._disarm(key)
+            live.pop(key, None)
 
 
 class Pipeline(Node):
@@ -209,9 +221,7 @@ class Pipeline(Node):
         self._clock_ovh = _clock_overhead_ns()
         self._inbox = merge_inbound(transport,
                                     queue.Queue(config.queue_capacity))
-        self._heap = []  # (due, generation, key); stale entries are skipped
-        self._gens = {}  # key -> generation of its live entry
-        self._generation = 0
+        self._heap = []  # (due, token, key)
         self._stopping = False
         self._meter_stages(self._metered)
         self._thread = threading.Thread(target=self._loop, daemon=True,
@@ -252,23 +262,15 @@ class Pipeline(Node):
 
     # -- timers --------------------------------------------------------------
 
-    def _arm(self, key, delay: float):
-        self._generation += 1
-        self._gens[key] = self._generation
-        heapq.heappush(self._heap, (time.monotonic() + delay,
-                                    self._generation, key))
-
-    def _disarm(self, key):
-        self._gens.pop(key, None)
+    def _arm(self, key, delay: float, token):
+        heapq.heappush(self._heap, (time.monotonic() + delay, token, key))
 
     def _fire_due(self):
-        heap, gens = self._heap, self._gens
+        heap = self._heap
         now = time.monotonic()
         while heap and heap[0][0] <= now:
-            _, gen, key = heapq.heappop(heap)
-            if gens.get(key) == gen:
-                del gens[key]
-                self.timeout(key)
+            _, token, key = heapq.heappop(heap)
+            self.timeout(key, token)
 
     # -- frames: unmarshal, the step, marshal and send -----------------------
 

@@ -92,6 +92,9 @@ class ReplicaConfig:
         if not 0 < self.batch_size <= MAX_BATCH_SIZE:
             raise ValueError(f"'batch_size' {self.batch_size} is not in "
                              f"1..{MAX_BATCH_SIZE}")
+        if not self.view_change_timeout > 0:
+            raise ValueError(f"'view_change_timeout' "
+                             f"{self.view_change_timeout} is not positive")
         self.quorum = 2 * self.f + 1
 
 

@@ -26,6 +26,10 @@ A ``deliver`` or replica timer that would land at or after its node's
 ``CRASH_AT`` time is not scheduled at all; the link's drop and delay are
 still drawn, so the RNG sequence and every trace stay the same.
 
+A stopped or superseded timer's event stays queued until its deadline:
+the node's step skips a replica timer whose token is no longer live, and
+a client session ignores a finished request's timer.
+
 Each client takes its requests from ``requests``, which draws a payload
 and signs it only when the client submits. With ``latency=(0.0, 0.0)`` a
 world is also the crypto-mode benchmark (``pbftkit.bench.cli.timed_run``):
@@ -90,6 +94,12 @@ class SimConfig:
             if not 0 <= i < self.n:
                 raise ValueError(f"'fault' names node {i}, not a replica "
                                  f"0..{self.n - 1}")
+        lo, hi = self.latency
+        if not 0 <= lo <= hi:
+            raise ValueError(f"'latency' {self.latency} is not 0 <= lo <= hi")
+        for key in ("payload_size", "num_clients"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key!r} {getattr(self, key)} is negative")
         if self.client_auth is None:
             self.client_auth = self.auth
         elif self.client_auth != self.auth:
@@ -150,11 +160,10 @@ class _SimNode(Node):
     def _send(self, dests, env):
         self._world._transmit(self.id, dests, env)
 
-    def _arm(self, key, delay: float):
-        self._world._arm(self._world.now + delay, "node_timer", self.id, key)
-
-    def _disarm(self, key):
-        self._world._timers.pop((self.id, key), None)
+    def _arm(self, key, delay: float, token):
+        at = self._world.now + delay
+        if at < self._world._crash_at[self.id]:
+            self._world._push(at, ("node_timer", self.id, key, token))
 
 
 class _FaultyNode(_SimNode):
@@ -181,10 +190,6 @@ class World:
         self.rng = random.Random(config.seed)
         self._tiebreak = itertools.count()
         self._events: list = []
-        # (owner, key) -> id of that timer's one live event in _events; a
-        # stopped or superseded timer's event stays queued and is skipped.
-        self._timers: dict = {}
-        self._timer_ids = itertools.count()
         self.trace: list = []
         # Per replica, (seq, digest, batch) in commit order; records of one
         # seq share a batch object when their contents are equal.
@@ -235,25 +240,6 @@ class World:
 
     def _push(self, at: float, item):
         heapq.heappush(self._events, (at, next(self._tiebreak), item))
-
-    def _arm(self, at: float, kind: str, owner: int, key):
-        """Queue the timer event (kind, owner, key, id), superseding any
-        event still queued for (owner, key); none lands at or after the
-        owner's crash."""
-        if at >= self._crash_at[owner]:
-            self._timers.pop((owner, key), None)
-            return
-        timer_id = next(self._timer_ids)
-        self._timers[(owner, key)] = timer_id
-        self._push(at, (kind, owner, key, timer_id))
-
-    def _take_timer(self, item) -> bool:
-        """Consume a popped timer event; False when it is stale."""
-        timer = (item[1], item[2])
-        if self._timers.get(timer) != item[3]:
-            return False
-        del self._timers[timer]
-        return True
 
     def _node_trace(self, record):
         record["t"] = round(self.now, 9)
@@ -319,13 +305,11 @@ class World:
             elif not node.deliver(env):
                 node.replica.counters["rejected"] += 1
         elif kind == "node_timer":
-            if self._take_timer(item):
-                self.nodes[item[1]].timeout(item[2])
+            self.nodes[item[1]].timeout(item[2], item[3])
         elif kind == "client_submit":
             self._client_submit(item[1])
         elif kind == "client_timer":
-            if self._take_timer(item):
-                self._client_timeout(item[1], item[2])
+            self._client_timeout(item[1], item[2])
 
     def _client_submit(self, cid: int):
         cl = self.clients[cid]
@@ -336,8 +320,8 @@ class World:
         cl.session.pending[req.request_id].sent_at = self.now
         self._transmit(cid, (cl.session.believed_leader % self.config.n,),
                        env)
-        self._arm(self.now + self.config.client_timeout, "client_timer", cid,
-                  req.request_id)
+        self._push(self.now + self.config.client_timeout,
+                   ("client_timer", cid, req.request_id))
 
     def _client_timeout(self, cid: int, rid: int):
         cl = self.clients[cid]
@@ -351,14 +335,13 @@ class World:
             return
         dests, env = action
         self._transmit(cid, dests, env)
-        self._arm(self.now + self.config.client_timeout, "client_timer", cid,
-                  rid)
+        self._push(self.now + self.config.client_timeout,
+                   ("client_timer", cid, rid))
 
     def _client_deliver(self, cid: int, env: WireEnvelope):
         cl = self.clients[cid]
         done = cl.session.on_reply(env, self.now)
         if done is not None:
-            self._timers.pop((cid, done.request_id), None)
             self.trace.append({"node": cid, "event": "client_done",
                                "view": env.view, "rid": done.request_id,
                                "t": round(self.now, 9)})

@@ -1,8 +1,8 @@
 """One authentication path: the drivers take the same accept/reject decision
 on the same frames, the policy is applied in ``crypto`` alone, one
 per-frame step (``pipeline.Node``) applies it for both drivers, only the
-simulator and the pipeline drive the replica core, and the bench harness
-starts no thread of its own."""
+simulator and the pipeline drive the replica core, only the step runs a
+replica's timeout, and the bench harness starts no thread of its own."""
 
 import ast
 import time
@@ -155,26 +155,39 @@ def test_policy_applied_in_crypto_alone():
     assert found == []
 
 
-def core_calls(tree):
-    """Calls that drive a replica core: ``on_envelope`` and ``on_timeout``
-    on anything but a client session, whose ``on_timeout`` retransmits."""
-    for node in ast.walk(tree):
+def core_calls(tree, scope=()):
+    """(scope, line, name) for each call that drives a replica core:
+    ``on_envelope`` and ``on_timeout`` on anything but a client session,
+    whose ``on_timeout`` retransmits. ``scope`` names the enclosing classes
+    and functions."""
+    for node in ast.iter_child_nodes(tree):
         if (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and node.func.attr in ("on_envelope", "on_timeout")):
             receiver = node.func.value
             if not (isinstance(receiver, ast.Attribute)
                     and receiver.attr == "session"):
-                yield node.lineno, node.func.attr
+                yield scope, node.lineno, node.func.attr
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            yield from core_calls(node, scope + (node.name,))
+        else:
+            yield from core_calls(node, scope)
 
 
 def test_replica_core_driven_by_simulator_and_pipeline_alone():
     drivers = {Path(p) for p in ("replica.py", "simnet.py", "pipeline.py")}
-    found = [f"{path.relative_to(SRC)}:{line}: {what}"
+    calls = [(path.relative_to(SRC), scope, line, what)
              for path in sorted(SRC.rglob("*.py"))
-             if path.relative_to(SRC) not in drivers
-             for line, what in core_calls(ast.parse(path.read_text()))]
+             for scope, line, what in core_calls(ast.parse(path.read_text()))]
+    found = [f"{path}:{line}: {what}" for path, _, line, what in calls
+             if path not in drivers]
     assert found == []
+    # The step decides which timer is live, so no driver may run a
+    # replica's timeout around it.
+    timeouts = [(str(path), scope) for path, scope, _, what in calls
+                if what == "on_timeout"]
+    assert timeouts == [("pipeline.py", ("Node", "timeout"))]
 
 
 def thread_constructions(tree):

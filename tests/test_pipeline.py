@@ -158,6 +158,26 @@ class TestOrdering:
         finally:
             pipe.stop()
 
+    def test_restarted_timer_fires_once_at_its_later_deadline(self):
+        # Each PREPARE restarts the timer. The first start's deadline passes
+        # while the second start is live, and only the second one fires.
+        transport = FakeTransport(origins=(2,))
+        replica = StubReplica(self.timer_output(starts=[(("batch",), 0.2)]))
+        pipe = start(transport, replica)
+        try:
+            transport.rx[2].put(encode(env_for(1)))
+            assert wait_for(lambda: len(replica.seen) == 1)
+            time.sleep(0.05)
+            restarted = time.monotonic()
+            transport.rx[2].put(encode(env_for(2)))
+            assert wait_for(lambda: replica.timeouts == [("batch",)])
+            fired = time.monotonic()
+            time.sleep(0.2)
+            assert replica.timeouts == [("batch",)]
+        finally:
+            pipe.stop()
+        assert len(replica.seen) == 2 and fired - restarted >= 0.2
+
 
 @pytest.fixture(scope="module")
 def stores():

@@ -115,10 +115,12 @@ class TestConfig:
             ReplicaConfig(n=4, f=1, self_id=0, batch_size=2048)
 
     @pytest.mark.parametrize("value", [0, -1])
-    @pytest.mark.parametrize("key", ["batch_size", "checkpoint_interval"])
+    @pytest.mark.parametrize("key", ["batch_size", "checkpoint_interval",
+                                     "view_change_timeout"])
     def test_rejects_non_positive(self, key, value):
         # A batch of 0 was proposed empty and rejected by every follower;
-        # an interval of 0 raised ZeroDivisionError at the first commit.
+        # an interval of 0 raised ZeroDivisionError at the first commit; a
+        # view-change timeout of 0 kept a simulated world from finishing.
         with pytest.raises(ValueError, match=repr(key)):
             ReplicaConfig(n=4, f=1, self_id=0, **{key: value})
 
