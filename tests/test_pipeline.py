@@ -176,7 +176,8 @@ class TestOrdering:
             assert replica.timeouts == [("batch",)]
         finally:
             pipe.stop()
-        assert len(replica.seen) == 2 and fired - restarted >= 0.2
+        assert len(replica.seen) == 2
+        assert fired - restarted >= 0.2
 
 
 @pytest.fixture(scope="module")
