@@ -224,7 +224,13 @@ def parse_scenario(path) -> tuple:
                     opts[field] = parse(value)
                 except (KeyError, ValueError) as exc:
                     raise ValueError(f"bad {key!r} value {value!r}") from exc
-    return SimConfig(**opts), expect
+    try:
+        return SimConfig(**opts), expect
+    except ValueError as exc:  # name the key as the scenario spells it
+        message = str(exc)
+        for key, (field, _) in _SCENARIO_FIELDS.items():
+            message = message.replace(repr(field), repr(key))
+        raise ValueError(message) from None
 
 
 def evaluate_scenario(world: World, expect: dict):

@@ -86,6 +86,9 @@ class ReplicaConfig:
     def __post_init__(self):
         if self.n < 3 * self.f + 1:
             raise ValueError(f"n={self.n} < 3f+1 with f={self.f}")
+        if not self.batch_timeout >= 0:
+            raise ValueError(f"'batch_timeout' {self.batch_timeout} is "
+                             f"negative")
         if not 0 < self.checkpoint_interval < self.log_capacity:
             raise ValueError(f"'checkpoint_interval' {self.checkpoint_interval}"
                              f" is not in 1..log_capacity-1")
@@ -175,6 +178,11 @@ class Replica:
 
     Each public entry point returns a fresh :class:`ProtocolOutput`; the
     internal handlers all append their effects to that one accumulator.
+
+    ``tracer``, if given, is called as ``tracer(node, event, view, fields)``
+    for each protocol event: this replica's id, the event name, the current
+    view and a dict of the event's own fields (such as ``seq``), which the
+    tracer may keep.
     """
 
     def __init__(self, config: ReplicaConfig, keystore=None, tracer=None):
@@ -221,8 +229,7 @@ class Replica:
 
     def _trace(self, event: str, **fields):
         if self.tracer is not None:
-            self.tracer({"node": self.config.self_id, "event": event,
-                         "view": self.view, **fields})
+            self.tracer(self.config.self_id, event, self.view, fields)
 
     def _in_window(self, seq: int) -> bool:
         return self.h < seq <= self.h + self.config.log_capacity

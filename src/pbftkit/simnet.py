@@ -17,10 +17,13 @@ checks, and every recipient's ``deliver`` event carries that one decoded
 envelope. Client signatures inside REQUESTs are checked by the replica
 core. With ``auth`` off nothing is signed or checked.
 
-``World.committed`` holds one batch object per seq: the first correct
-replica to commit a seq records its own batch, and a later commit there
-records that object when its batch is equal in content, else its own. So a
-world holds each committed request once, not once per replica.
+A world keeps its history compact. ``World.committed`` holds one record
+per seq: the first correct replica to commit a seq appends its own
+``(seq, digest, batch)`` tuple, and a later commit there appends that same
+tuple when its own is equal as a whole, else its own. So a world holds each
+committed request once, not once per replica. ``World.trace`` keeps each
+record as one row of values behind a key tuple that every record with the
+same keys shares, and gives back a fresh dict per record when iterated.
 
 A ``deliver`` or replica timer that would land at or after its node's
 ``CRASH_AT`` time is not scheduled at all; the link's drop and delay are
@@ -97,9 +100,14 @@ class SimConfig:
         lo, hi = self.latency
         if not 0 <= lo <= hi:
             raise ValueError(f"'latency' {self.latency} is not 0 <= lo <= hi")
-        for key in ("payload_size", "num_clients"):
+        for key in ("payload_size", "num_clients", "requests_per_client"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key!r} {getattr(self, key)} is negative")
+        if not 0 <= self.drop_prob <= 1:
+            raise ValueError(f"'drop_prob' {self.drop_prob} is not in [0, 1]")
+        if not self.client_timeout > 0:
+            raise ValueError(f"'client_timeout' {self.client_timeout} is not "
+                             f"positive")
         if self.client_auth is None:
             self.client_auth = self.auth
         elif self.client_auth != self.auth:
@@ -175,6 +183,36 @@ class _FaultyNode(_SimNode):
         super()._apply(out)
 
 
+class Trace:
+    """A world's trace records in order. Each is kept as one row, a tuple
+    of its values led by the key tuple that every record with the same keys
+    shares, so no record keeps a dict; iterating gives a fresh dict per
+    record."""
+
+    __slots__ = ("_rows", "_keys")
+
+    def __init__(self):
+        self._rows: list = []
+        self._keys: dict = {}  # field names -> key tuple
+
+    def append(self, node: int, event: str, view: int, fields: dict,
+               t: float):
+        """Add the record ``{node, event, view, **fields, t}``."""
+        names = tuple(fields)
+        keys = self._keys.get(names)
+        if keys is None:
+            keys = self._keys[names] = ("node", "event", "view", *names, "t")
+        self._rows.append((keys, node, event, view, *fields.values(), t))
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self):
+        for row in self._rows:
+            values = iter(row)
+            yield dict(zip(next(values), values))
+
+
 @dataclass
 class _SimClient:
     session: ClientSession
@@ -190,11 +228,11 @@ class World:
         self.rng = random.Random(config.seed)
         self._tiebreak = itertools.count()
         self._events: list = []
-        self.trace: list = []
-        # Per replica, (seq, digest, batch) in commit order; records of one
-        # seq share a batch object when their contents are equal.
+        self.trace = Trace()
+        # Per replica, (seq, digest, batch) in commit order; equal records
+        # of one seq are one tuple.
         self.committed: dict = {i: [] for i in range(config.n)}
-        self._batches: dict = {}  # seq -> batch of the first correct commit
+        self._records: dict = {}  # seq -> record of the first correct commit
         self.client_ids = [config.n + k for k in range(config.num_clients)]
 
         self.keystores = (build_keystores(config.n, self.client_ids,
@@ -241,27 +279,25 @@ class World:
     def _push(self, at: float, item):
         heapq.heappush(self._events, (at, next(self._tiebreak), item))
 
-    def _node_trace(self, record):
-        record["t"] = round(self.now, 9)
-        self.trace.append(record)
-        if record["event"] == "committed":
-            node = record["node"]
-            rep = self.nodes[node].replica
-            seq = record["seq"]
-            entry = rep.log.get(seq)
+    def _node_trace(self, node: int, event: str, view: int, fields: dict):
+        self.trace.append(node, event, view, fields, round(self.now, 9))
+        if event == "committed":
+            seq = fields["seq"]
+            entry = self.nodes[node].replica.log[seq]
             self._record(node, seq, entry.digest, entry.body.batch)
 
     def _record(self, node: int, seq: int, digest: bytes, batch: tuple):
-        """Append ``node``'s commit, sharing the seq's recorded batch object
-        when ``batch`` equals it in content; the first correct replica to
-        commit a seq records its own."""
-        shared = self._batches.get(seq)
+        """Append ``node``'s commit record. The first correct replica to
+        commit a seq appends its own; a later record equal to that one as a
+        whole appends that same tuple, any other its own."""
+        record = (seq, digest, batch)
+        shared = self._records.get(seq)
         if shared is None:
             if node not in self.config.faults:
-                self._batches[seq] = batch
-        elif shared == batch:
-            batch = shared
-        self.committed[node].append((seq, digest, batch))
+                self._records[seq] = record
+        elif shared == record:
+            record = shared
+        self.committed[node].append(record)
 
     def _partitioned(self, a: int, b: int) -> bool:
         for start, end, isolated in self.config.partitions:
@@ -342,14 +378,13 @@ class World:
         cl = self.clients[cid]
         done = cl.session.on_reply(env, self.now)
         if done is not None:
-            self.trace.append({"node": cid, "event": "client_done",
-                               "view": env.view, "rid": done.request_id,
-                               "t": round(self.now, 9)})
+            self.trace.append(cid, "client_done", env.view,
+                              {"rid": done.request_id}, round(self.now, 9))
             self._push(self.now, ("client_submit", cid))
 
     # -- running and checking ----------------------------------------------
 
-    def run(self, until: float = None) -> list:
+    def run(self, until: float = None) -> Trace:
         """Drain events until quiescent, or until the next event lies past
         ``until``; that event stays queued, so a run in time slices takes
         the same course as one call. Returns the trace."""

@@ -268,11 +268,13 @@ class TestCli:
         ("latency", "0.001"), ("batch_size", "0"), ("auth", "ture"),
         ("fault", "crash:9:1.0"), ("fault", "mute:4"),
         ("latency", "-0.01,0.001"), ("payload_size", "-1"),
-        ("num_clients", "-1"), ("view_change_timeout", "0")],
+        ("num_clients", "-1"), ("view_change_timeout", "0"),
+        ("drop", "1.5"), ("drop", "-0.5"), ("requests_per_client", "-3")],
         ids=["client_auth", "reqests_per_client", "mode=pk", "fault=crash:1",
              "fault=mute", "latency=0.001", "batch_size=0", "auth=ture",
              "fault=crash:9:1.0", "fault=mute:4", "latency=-0.01,0.001",
-             "payload_size=-1", "num_clients=-1", "view_change_timeout=0"])
+             "payload_size=-1", "num_clients=-1", "view_change_timeout=0",
+             "drop=1.5", "drop=-0.5", "requests_per_client=-3"])
     def test_simulate_unknown_key_exits_2(self, tmp_path, capsys, key, value):
         scn = tmp_path / "typo.scn"
         scn.write_text(f"auth=false\n{key}={value}\nexpect_committed=10\n")

@@ -124,6 +124,27 @@ class TestConfig:
         with pytest.raises(ValueError, match=repr(key)):
             ReplicaConfig(n=4, f=1, self_id=0, **{key: value})
 
+    @pytest.mark.parametrize("make, key, value", [
+        (ReplicaConfig, "batch_timeout", -1.0),
+        (SimConfig, "client_timeout", 0.0),
+        (SimConfig, "client_timeout", -1.0),
+        (SimConfig, "drop_prob", 1.5),
+        (SimConfig, "drop_prob", -0.5),
+        (SimConfig, "requests_per_client", -3)])
+    def test_rejects_values_that_break_the_clock(self, make, key, value):
+        # At the parent a negative client or batch timeout ran virtual time
+        # backwards, a zero client timeout failed every request, and a drop
+        # probability outside [0, 1] or a negative request count was taken
+        # silently.
+        kw = dict(n=4, f=1, self_id=0) if make is ReplicaConfig else {}
+        with pytest.raises(ValueError, match=repr(key)):
+            make(**kw, **{key: value})
+
+    def test_zero_batch_timeout_is_valid(self):
+        # A partial batch goes out without waiting.
+        assert ReplicaConfig(n=4, f=1, self_id=0,
+                             batch_timeout=0).batch_timeout == 0
+
 
 class TestQuorumBoundaries:
     """Prepared at exactly 2f+1 prepare votes, committed at exactly 2f+1

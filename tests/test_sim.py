@@ -1,6 +1,7 @@
 """Discrete-event simulator: determinism, faults, and safety checks."""
 
 import hashlib
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -116,6 +117,57 @@ class TestCommittedRecords:
         assert recorded[0] is batches[0]
         assert recorded[1] is recorded[2] is batches[1]
         assert recorded[3] is other
+
+
+
+class TestCompactHistory:
+    """A world keeps each trace record as a row of values behind a shared
+    key tuple, and one commit record per seq for its correct replicas."""
+
+    def test_trace_iterates_fresh_equal_dicts(self):
+        world = World(SimConfig(num_clients=2, requests_per_client=5, **FAST))
+        assert world.run() is world.trace
+        first, second = list(world.trace), list(world.trace)
+        assert first == second
+        assert len(world.trace) == len(first) > 0
+        first[0]["event"] = "edited"
+        del first[1]["t"]
+        assert list(world.trace) == second
+        assert {"node", "event", "view", "t"} <= second[0].keys()
+
+    def test_each_key_set_gets_its_own_keys(self):
+        # One event name traced with two field sets keeps each set's keys.
+        trace = simnet.Trace()
+        trace.append(0, "e", 1, {"seq": 5}, 0.5)
+        trace.append(2, "e", 3, {"target": 4, "entries": 0}, 0.75)
+        trace.append(1, "f", 1, {"seq": 6}, 1.0)
+        assert list(trace) == [
+            {"node": 0, "event": "e", "view": 1, "seq": 5, "t": 0.5},
+            {"node": 2, "event": "e", "view": 3, "target": 4, "entries": 0,
+             "t": 0.75},
+            {"node": 1, "event": "f", "view": 1, "seq": 6, "t": 1.0}]
+
+    def test_correct_replicas_share_each_seqs_record(self):
+        world = run_world(num_clients=2, requests_per_client=10,
+                          faults={3: (MUTE,)})
+        records = {}
+        for i in world.correct_nodes():
+            for record in world.committed[i]:
+                records.setdefault(record[0], set()).add(id(record))
+        assert len(records) == 20
+        assert all(len(ids) == 1 for ids in records.values())
+
+    def test_record_with_another_digest_keeps_its_own(self):
+        world = World(SimConfig(auth=False))
+        batches = [(Request(4, 0, b"x"),) for _ in range(3)]
+        for node, digest in ((0, b"a"), (1, b"a"), (2, b"b")):
+            world._record(node, 1, digest, batches[node])
+        records = [world.committed[i][0] for i in range(3)]
+        assert records[1] is records[0]
+        assert records[2] is not records[0]
+        assert records[2] == (1, b"b", batches[2])
+        with pytest.raises(AssertionError, match="agreement violation"):
+            world.check_agreement()
 
 
 class TestLossyLinks:
@@ -471,3 +523,22 @@ class TestGoldenTrace:
         world.run()
         world.check_agreement()
         assert fingerprint(world) == expected
+
+
+def test_world_memory_per_committed_request_bounded():
+    # Bytes the benchmark_shape world still holds after run(), traced from
+    # before it is built, per request committed. On CPython 3.11, run alone:
+    # 3,198 B with compact trace rows and one commit record per seq, 4,901 B
+    # with a dict per trace record and a record tuple per replica. After
+    # other tests in the same process both read a few hundred bytes less.
+    kw, _ = GOLDEN["benchmark_shape"]
+    tracemalloc.start()
+    try:
+        world = World(SimConfig(**kw))
+        world.run()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    committed = world.total_requests_committed(1)
+    assert committed == 800
+    assert retained / committed < 4000
