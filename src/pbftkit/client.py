@@ -10,7 +10,7 @@ actions and feed replies back in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import crypto
 from .wire import MessageKind, ReplyBody, Request, WireEnvelope, request_envelope
@@ -20,16 +20,19 @@ class RequestFailed(Exception):
     """Retransmit budget exhausted without a reply quorum."""
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingRequest:
+    """One outstanding request. Its reply dicts are made at the first
+    verified reply; until then both are the empty tuple."""
+
     request: Request
     sent_at: float
-    replies: dict = field(default_factory=dict)  # replica id -> result digest
-    reply_views: dict = field(default_factory=dict)  # replica id -> view
+    replies: dict | tuple = ()  # replica id -> result digest
+    reply_views: dict | tuple = ()  # replica id -> view
     retransmits: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class Completion:
     request_id: int
     result_digest: bytes
@@ -88,6 +91,8 @@ class ClientSession:
             return None
         if not self.verify_reply(env):
             return None
+        if not pend.replies:
+            pend.replies, pend.reply_views = {}, {}
         pend.replies[env.sender] = body.result_digest
         pend.reply_views[env.sender] = env.view
         votes = sum(1 for d in pend.replies.values()

@@ -26,7 +26,10 @@ Per-origin FIFO order holds by construction: a transport puts one origin's
 frames on the inbox in arrival order and the loop handles one frame at a
 time. The inbox holds frames only; the core's timers sit on a heap owned
 by the loop, which waits on the inbox no longer than the next deadline;
-the step skips an entry whose timer was stopped or started again.
+the step skips an entry whose timer was stopped or started again. Such a
+dead entry does not wait for its deadline: once the heap holds more than
+twice the node's live timers plus ``_SHED_SLACK`` entries, ``shed`` drops
+every dead one, so the heap stays in proportion to the live timers.
 Backpressure is the bounded inbox: while the core is busy, producers block
 on ``put``. The pipeline never drops a frame it took from the inbox; the
 only exits are delivery to the core or a counted rejection (undecodable
@@ -51,6 +54,18 @@ _STAGES = ("unmarshal", "hash_rx", "verify", "decide",
            "hash_tx", "sign", "marshal")
 
 _STOP = object()
+
+# A pipeline's timer heap is shed once it holds more entries than twice its
+# node's live timers plus this many.
+_SHED_SLACK = 64
+
+
+def shed(heap: list, live):
+    """Keep only the entries of ``heap`` for which ``live(entry)`` holds,
+    in place. Entries keep their keys, so where no two keys are equal the
+    rest pop in the same order."""
+    heap[:] = [entry for entry in heap if live(entry)]
+    heapq.heapify(heap)
 
 
 def _clock_overhead_ns(samples: int = 512) -> int:
@@ -181,9 +196,13 @@ class Node:
         self._apply(self._decide(env))
         return True
 
+    def is_live(self, key, token) -> bool:
+        """Whether ``token`` is the live start of ``key``'s timer."""
+        return self._live.get(key) == token
+
     def timeout(self, key, token):
         """Run the core's timeout for ``key`` if ``token`` is its live start."""
-        if self._live.get(key) == token:
+        if self.is_live(key, token):
             del self._live[key]
             self._apply(self.replica.on_timeout(key))
 
@@ -263,7 +282,10 @@ class Pipeline(Node):
     # -- timers --------------------------------------------------------------
 
     def _arm(self, key, delay: float, token):
-        heapq.heappush(self._heap, (time.monotonic() + delay, token, key))
+        heap = self._heap
+        heapq.heappush(heap, (time.monotonic() + delay, token, key))
+        if len(heap) > 2 * len(self._live) + _SHED_SLACK:
+            shed(heap, lambda entry: self.is_live(entry[2], entry[1]))
 
     def _fire_due(self):
         heap = self._heap

@@ -570,6 +570,9 @@ class Replica:
             return
         if self.mode == Mode.NORMAL:
             self.vc_attempts = 0
+        else:
+            # The pending view's timer could only fire as a no-op now.
+            out.timer_stops.append(("new_view", self._pending_view))
         self.mode = Mode.VIEW_CHANGING
         self._pending_view = target
         self.counters["view_changes"] += 1

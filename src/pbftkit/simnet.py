@@ -29,9 +29,14 @@ A ``deliver`` or replica timer that would land at or after its node's
 ``CRASH_AT`` time is not scheduled at all; the link's drop and delay are
 still drawn, so the RNG sequence and every trace stay the same.
 
-A stopped or superseded timer's event stays queued until its deadline:
-the node's step skips a replica timer whose token is no longer live, and
-a client session ignores a finished request's timer.
+A stopped or superseded timer's event is dead: the node's step would skip
+a replica timer whose token is no longer live, and a client session would
+ignore the timer of a request no longer pending. Once ``World._events``
+holds more than twice its length after the last shedding plus
+``_SHED_SLACK`` events, ``pipeline.shed`` drops every dead one. The rest
+keep their (time, tiebreak) keys and pop in the same order, so the trace
+is the same; only a run's end time can come earlier, when its last events
+were dead timers that were shed.
 
 Each client takes its requests from ``requests``, which draws a payload
 and signs it only when the client submits. With ``latency=(0.0, 0.0)`` a
@@ -51,7 +56,7 @@ from dataclasses import dataclass, field
 
 from . import crypto, wire
 from .client import ClientSession, RequestFailed
-from .pipeline import Node
+from .pipeline import Node, shed
 from .replica import Mode, Replica, ReplicaConfig
 from .wire import (MessageKind, PrePrepareBody, Request, ViewChangeBody,
                    WireEnvelope)
@@ -67,6 +72,9 @@ EQUIVOCATE = "equivocate"
 FORGE_VC = "forge_vc"
 # No client has this id: a committed batch that names it is a forgery.
 FORGED_CLIENT = 0xFFFF
+# The event queue is shed once it holds more than twice its length after
+# the last shedding plus this many events.
+_SHED_SLACK = 4096
 
 
 @dataclass
@@ -228,6 +236,7 @@ class World:
         self.rng = random.Random(config.seed)
         self._tiebreak = itertools.count()
         self._events: list = []
+        self._shed_at = _SHED_SLACK  # queue length that triggers shedding
         self.trace = Trace()
         # Per replica, (seq, digest, batch) in commit order; equal records
         # of one seq are one tuple.
@@ -277,7 +286,20 @@ class World:
     # -- event plumbing ----------------------------------------------------
 
     def _push(self, at: float, item):
-        heapq.heappush(self._events, (at, next(self._tiebreak), item))
+        events = self._events
+        heapq.heappush(events, (at, next(self._tiebreak), item))
+        if len(events) > self._shed_at:
+            shed(events, self._live_event)
+            self._shed_at = 2 * len(events) + _SHED_SLACK
+
+    def _live_event(self, event) -> bool:
+        """False for a timer whose node or client would ignore it."""
+        item = event[2]
+        if item[0] == "node_timer":
+            return self.nodes[item[1]].is_live(item[2], item[3])
+        if item[0] == "client_timer":
+            return item[2] in self.clients[item[1]].session.pending
+        return True
 
     def _node_trace(self, node: int, event: str, view: int, fields: dict):
         self.trace.append(node, event, view, fields, round(self.now, 9))

@@ -206,7 +206,7 @@ class FrameBuffer:
 # Kind-specific bodies.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Request:
     """A client operation: an opaque BLOB plus its identity.
 

@@ -1,5 +1,8 @@
 """Client sessions: reply quorums, policy checks, and retransmission."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import pytest
 
 from pbftkit import crypto
@@ -88,6 +91,26 @@ class TestRequestIds:
         sess = make_session(keystore=stores[4])
         req, env, _ = sess.make_request(b"x", 0.0)
         assert req.signature != b""
+
+    def test_memory_per_pending_request_bounded(self):
+        # Bytes a session holds per pre-made request: its record, the
+        # signed request, a 32-byte payload and a 256-byte signature from a
+        # stand-in signer. On CPython 3.11.7: 551 B with slotted records
+        # whose reply dicts wait for the first reply, 759 B with a
+        # __dict__ per record and two empty dicts each.
+        sess = make_session(keystore=SimpleNamespace(sign=lambda d: d * 8))
+        count = 10_000
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            for k in range(count):
+                sess.make_request(k.to_bytes(32, "big"), 0.0)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(sess.pending) == count
+        assert len(sess.pending[0].request.signature) == 256
+        assert (after - before) / count < 650
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from pbftkit import crypto
+from pbftkit import crypto, pipeline
 from pbftkit.crypto import CryptoMode
 from pbftkit.pipeline import (Pipeline, PipelineConfig, StageMetrics,
                               run_pipeline)
@@ -178,6 +178,40 @@ class TestOrdering:
             pipe.stop()
         assert len(replica.seen) == 2
         assert fired - restarted >= 0.2
+
+    def test_dead_timers_are_shed(self):
+        # Frame k starts request timer k and stops timer k-1, as a replica
+        # does for requests that execute one after another. Whenever a
+        # timer is armed, the heap holds at most twice the live timers plus
+        # the slack; the last timer, still live, fires.
+        class Watched(Pipeline):
+            excess = 0
+
+            def _arm(self, key, delay, token):
+                super()._arm(key, delay, token)
+                self.excess = max(self.excess,
+                                  len(self._heap) - 2 * len(self._live))
+
+        frames = 3000
+
+        def respond(env):
+            out = ProtocolOutput()
+            delay = 0.05 if env.seq == frames else 60.0
+            out.timer_starts.append((("request", env.seq), delay))
+            out.timer_stops.append(("request", env.seq - 1))
+            return out
+        transport = FakeTransport(origins=(2,))
+        replica = StubReplica(respond)
+        pipe = Watched(PipelineConfig(), transport, replica)
+        try:
+            for seq in range(1, frames + 1):
+                transport.rx[2].put(encode(env_for(seq)))
+            assert wait_for(lambda: replica.timeouts == [("request", frames)])
+        finally:
+            pipe.stop()
+        assert len(replica.seen) == frames
+        assert pipe.excess <= pipeline._SHED_SLACK
+        assert len(pipe._heap) <= 2 + pipeline._SHED_SLACK
 
 
 @pytest.fixture(scope="module")

@@ -498,6 +498,26 @@ class TestViewChange:
                          for r in batch]
             assert committed == [0]
 
+    def test_join_stops_the_superseded_new_view_timer(self):
+        # Replica 1 waits for view 1 when replicas 2 and 3 ask for view 2;
+        # it joins them, and the timer for view 1 could never act again.
+        reps = {i: make_replica(i) for i in (1, 2, 3)}
+        timers = Timers(reps[1])
+        timers.apply(reps[1].start_view_change())
+        assert ("new_view", 1) in timers.due
+        vc3 = view_change_to(reps[3], 2)
+        timers.apply(reps[1].on_envelope(vc3))
+        join = timers.apply(reps[1].on_envelope(view_change_to(reps[2], 2)))
+        assert reps[1].mode == Mode.VIEW_CHANGING
+        assert ("new_view", 1) in join.timer_stops
+        assert set(timers.due) == {("new_view", 2)}
+        (vc1,) = sent(join, MessageKind.VIEW_CHANGE)
+        reps[2].on_envelope(vc3)
+        (nv,) = sent(reps[2].on_envelope(vc1), MessageKind.NEW_VIEW)
+        timers.apply(reps[1].on_envelope(nv))
+        assert reps[1].view == 2 and reps[1].mode == Mode.NORMAL
+        assert not [key for key in timers.due if key[0] == "new_view"]
+
 
 class Timers:
     """One replica's timers as a driver keeps them: key -> due time. A start

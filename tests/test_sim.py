@@ -525,6 +525,41 @@ class TestGoldenTrace:
         assert fingerprint(world) == expected
 
 
+class TestDeadTimers:
+    """Dead timer events leave the queue without changing the world."""
+
+    class Watched(World):
+        peak = 0  # queued events, the one being handled included
+
+        def _handle(self, item):
+            self.peak = max(self.peak, len(self._events) + 1)
+            super()._handle(item)
+
+    # Criterion 10a's shape at 2,000 requests: every request's client and
+    # replica timers are dead long before their deadlines.
+    SHAPE = dict(auth=False, seed=1, num_clients=8, requests_per_client=250,
+                 latency=(0.0001, 0.0005), client_timeout=30.0,
+                 view_change_timeout=120.0)
+
+    def test_peak_queued_events_bounded(self):
+        # 4,266 queued events at the peak when dead ones are shed, 10,018
+        # when each waits for its deadline.
+        world = self.Watched(SimConfig(**self.SHAPE))
+        world.run()
+        assert world.total_requests_committed(0) == 2000
+        assert world.peak < 6000
+
+    def test_shedding_leaves_the_trace_unchanged(self, monkeypatch):
+        shed = self.Watched(SimConfig(**self.SHAPE))
+        shed.run()
+        monkeypatch.setattr(simnet, "_SHED_SLACK", 10**9)
+        kept = self.Watched(SimConfig(**self.SHAPE))
+        kept.run()
+        assert shed.peak < kept.peak
+        assert trace_lines(shed.trace) == trace_lines(kept.trace)
+        assert shed.committed == kept.committed
+
+
 def test_world_memory_per_committed_request_bounded():
     # Bytes the benchmark_shape world still holds after run(), traced from
     # before it is built, per request committed. On CPython 3.11, run alone:
