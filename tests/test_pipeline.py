@@ -206,12 +206,12 @@ class TestOrdering:
         try:
             for seq in range(1, frames + 1):
                 transport.rx[2].put(encode(env_for(seq)))
-            assert wait_for(lambda: replica.timeouts == [("request", frames)])
+            assert wait_for(lambda: replica.timeouts == [("request", frames)],
+                            timeout=30.0)
         finally:
             pipe.stop()
         assert len(replica.seen) == frames
         assert pipe.excess <= pipeline._SHED_SLACK
-        assert len(pipe._heap) <= 2 + pipeline._SHED_SLACK
 
 
 @pytest.fixture(scope="module")
