@@ -30,11 +30,12 @@ import os
 import signal
 import sys
 import time
+from collections import deque
 from pathlib import Path
 
 from .. import crypto
 from ..simnet import (CRASH_AT, EQUIVOCATE, FORGE_VC, MUTE, NonQuiescent,
-                      SimConfig, World)
+                      SimConfig, World, trace_line, trace_lines)
 
 log = logging.getLogger("pbftkit")
 
@@ -276,16 +277,19 @@ def cmd_simulate(args):
         print("FAIL: simulation did not quiesce", file=sys.stderr)
         return 1
     problems = evaluate_scenario(world, expect)
-    from ..simnet import trace_lines
-    lines = trace_lines(world.trace)
     if args.trace:
         with open(args.trace, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            # The lines joined by newlines, plus one at the end.
+            lines = map(trace_line, world.trace)
+            fh.write(next(lines, ""))
+            for line in lines:
+                fh.write("\n" + line)
+            fh.write("\n")
     if problems:
         print("FAIL:", file=sys.stderr)
         for p in problems:
             print(f"  {p}", file=sys.stderr)
-        for line in lines[-20:]:
+        for line in trace_lines(deque(world.trace, maxlen=20)):
             print(f"  | {line}", file=sys.stderr)
         return 1
     committed = max(world.total_requests_committed(i)

@@ -182,7 +182,9 @@ class Replica:
     ``tracer``, if given, is called as ``tracer(node, event, view, fields)``
     for each protocol event: this replica's id, the event name, the current
     view and a dict of the event's own fields (such as ``seq``), which the
-    tracer may keep.
+    tracer may keep. Every field value is an int, never a bool: the
+    simulator's trace stores them as 64-bit ints, where a bool would come
+    back as 1.
     """
 
     def __init__(self, config: ReplicaConfig, keystore=None, tracer=None):
@@ -759,6 +761,10 @@ class Replica:
 
     def _install_view(self, target: int, chosen, leader: bool,
                       out: ProtocolOutput):
+        if self.mode is _VIEW_CHANGING and self._pending_view != target:
+            # A NEW_VIEW for another view than the pending one: the pending
+            # view's timer could only fire as a no-op now.
+            out.timer_stops.append(("new_view", self._pending_view))
         self.view = target
         self.mode = Mode.NORMAL
         self.vc_attempts = 0

@@ -21,9 +21,11 @@ A world keeps its history compact. ``World.committed`` holds one record
 per seq: the first correct replica to commit a seq appends its own
 ``(seq, digest, batch)`` tuple, and a later commit there appends that same
 tuple when its own is equal as a whole, else its own. So a world holds each
-committed request once, not once per replica. ``World.trace`` keeps each
-record as one row of values behind a key tuple that every record with the
-same keys shares, and gives back a fresh dict per record when iterated.
+committed request once, not once per replica. ``World.trace`` keeps its
+records in two flat arrays, one of ints (each record's shape id, node,
+view and field values) and one of times, behind a table of the record
+shapes it has seen, so a ``{seq, batch}`` record costs about 50 B; it
+gives back a fresh dict per record when iterated.
 
 A ``deliver`` or replica timer that would land at or after its node's
 ``CRASH_AT`` time is not scheduled at all; the link's drop and delay are
@@ -51,6 +53,7 @@ import heapq
 import itertools
 import math
 import random
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -192,33 +195,43 @@ class _FaultyNode(_SimNode):
 
 
 class Trace:
-    """A world's trace records in order. Each is kept as one row, a tuple
-    of its values led by the key tuple that every record with the same keys
-    shares, so no record keeps a dict; iterating gives a fresh dict per
-    record."""
+    """A world's trace records in order, in two flat arrays: per record its
+    shape id, node, view and field values in ``_ints``, and its time in
+    ``_times``. A shape is an (event, field names) pair; the shape table
+    keeps its event name and key tuple, so no record keeps a name or a
+    dict. Iterating gives a fresh dict per record. Every field value is an
+    int (a bool would come back as 1), and a time is a float."""
 
-    __slots__ = ("_rows", "_keys")
+    __slots__ = ("_ints", "_times", "_shapes", "_ids")
 
     def __init__(self):
-        self._rows: list = []
-        self._keys: dict = {}  # field names -> key tuple
+        self._ints = array("q")
+        self._times = array("d")
+        self._shapes: list = []  # shape id -> (key tuple, event, field count)
+        self._ids: dict = {}  # (event, *field names) -> shape id
 
     def append(self, node: int, event: str, view: int, fields: dict,
                t: float):
         """Add the record ``{node, event, view, **fields, t}``."""
-        names = tuple(fields)
-        keys = self._keys.get(names)
-        if keys is None:
-            keys = self._keys[names] = ("node", "event", "view", *names, "t")
-        self._rows.append((keys, node, event, view, *fields.values(), t))
+        shape = (event, *fields)
+        sid = self._ids.get(shape)
+        if sid is None:
+            sid = self._ids[shape] = len(self._shapes)
+            self._shapes.append((("node", "event", "view", *fields, "t"),
+                                 event, len(fields)))
+        self._ints.fromlist([sid, node, view, *fields.values()])
+        self._times.append(t)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._times)
 
     def __iter__(self):
-        for row in self._rows:
-            values = iter(row)
-            yield dict(zip(next(values), values))
+        ints, shapes = iter(self._ints), self._shapes
+        for t in self._times:
+            keys, event, width = shapes[next(ints)]
+            # node, event, view, the fields and t, in the keys' order
+            yield dict(zip(keys, (next(ints), event, next(ints),
+                                  *itertools.islice(ints, width), t)))
 
 
 @dataclass
@@ -528,10 +541,11 @@ _REWRITES = {MUTE: lambda outbound: [], EQUIVOCATE: _equivocate,
              FORGE_VC: _forge_view_changes}
 
 
+def trace_line(rec: dict) -> str:
+    """Canonical text rendering of one trace record."""
+    return " ".join(f"{k}={v}" for k, v in sorted(rec.items()))
+
+
 def trace_lines(trace) -> list:
     """Canonical text rendering of a trace, for determinism comparisons."""
-    lines = []
-    for rec in trace:
-        items = sorted((k, v) for k, v in rec.items())
-        lines.append(" ".join(f"{k}={v}" for k, v in items))
-    return lines
+    return [trace_line(rec) for rec in trace]

@@ -19,7 +19,7 @@ from pbftkit.crypto import CryptoMode
 from pbftkit.pipeline import PipelineConfig, run_pipeline
 from pbftkit.replica import Replica, ReplicaConfig
 from pbftkit.simnet import (CRASH_AT, EQUIVOCATE, FORGE_VC, MUTE, SimConfig,
-                            World)
+                            World, trace_lines)
 from pbftkit.tcpnet import TcpFabric
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "pbftkit" / \
@@ -250,7 +250,13 @@ class TestCli:
                        "expect_committed=9999\n")
         rc = cli.main(["simulate", str(scn)])
         assert rc == 1
-        assert "FAIL" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "FAIL" in err
+        # The failure ends with the world's last 20 trace lines.
+        world = World(cli.parse_scenario(scn)[0])
+        world.run()
+        tail = [f"  | {line}" for line in trace_lines(world.trace)[-20:]]
+        assert err.splitlines()[-20:] == tail
 
     def test_simulate_writes_trace(self, tmp_path):
         scn = tmp_path / "t.scn"
@@ -260,6 +266,9 @@ class TestCli:
         rc = cli.main(["simulate", str(scn), "--trace", str(trace)])
         assert rc == 0
         assert "event=committed" in trace.read_text()
+        world = World(cli.parse_scenario(scn)[0])
+        world.run()
+        assert trace.read_text() == "\n".join(trace_lines(world.trace)) + "\n"
 
     # An unknown key, or a value that does not parse, is named, not raised.
     @pytest.mark.parametrize("key, value", [

@@ -518,6 +518,24 @@ class TestViewChange:
         assert reps[1].view == 2 and reps[1].mode == Mode.NORMAL
         assert not [key for key in timers.due if key[0] == "new_view"]
 
+    def test_adopting_a_lower_view_stops_the_pending_view_timer(self):
+        # Replica 3's timer for view 1 fires, so it waits for view 2; then
+        # replica 1 installs view 1 and replica 3 adopts that NEW_VIEW.
+        reps = {i: make_replica(i) for i in (1, 2, 3)}
+        timers = Timers(reps[3])
+        (vc3,) = sent(timers.apply(reps[3].start_view_change()),
+                      MessageKind.VIEW_CHANGE)
+        timers.advance(10.0)
+        assert set(timers.due) == {("new_view", 2)}
+        reps[1].on_envelope(vc3)
+        # With f+1 peers asking, replica 1 joins view 1 and leads it.
+        (nv,) = sent(reps[1].on_envelope(view_change_to(reps[2], 1)),
+                     MessageKind.NEW_VIEW)
+        adopt = timers.apply(reps[3].on_envelope(nv))
+        assert reps[3].view == 1 and reps[3].mode == Mode.NORMAL
+        assert ("new_view", 2) in adopt.timer_stops
+        assert not [key for key in timers.due if key[0] == "new_view"]
+
 
 class Timers:
     """One replica's timers as a driver keeps them: key -> due time. A start
