@@ -635,9 +635,10 @@ class TestDeadTimers:
 def test_world_memory_per_committed_request_bounded():
     # Bytes the benchmark_shape world still holds after run(), traced from
     # before it is built, per request committed. On CPython 3.11, run alone:
-    # 3,198 B with compact trace rows and one commit record per seq, 4,901 B
+    # about 2,140 B with the trace in two flat arrays, 3,198 B with a tuple
+    # per trace record, both with one commit record per seq, and 4,901 B
     # with a dict per trace record and a record tuple per replica. After
-    # other tests in the same process both read a few hundred bytes less.
+    # other tests in the same process each reads a few hundred bytes less.
     kw, _ = GOLDEN["benchmark_shape"]
     tracemalloc.start()
     try:
