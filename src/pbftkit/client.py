@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import crypto
-from .wire import MessageKind, ReplyBody, Request, WireEnvelope, request_envelope
+from .wire import (MessageKind, ReplyBody, Request, WireEnvelope, WireError,
+                   request_envelope)
 
 
 class RequestFailed(Exception):
@@ -80,7 +81,7 @@ class ClientSession:
         """Count one verified reply; returns a Completion on quorum."""
         try:
             body = ReplyBody.decode(env.payload)
-        except Exception:
+        except WireError:
             return None
         if body.client_id != self.client_id:
             return None

@@ -32,8 +32,8 @@ twice the node's live timers plus ``_SHED_SLACK`` entries, ``shed`` drops
 every dead one, so the heap stays in proportion to the live timers.
 Backpressure is the bounded inbox: while the core is busy, producers block
 on ``put``. The pipeline never drops a frame it took from the inbox; the
-only exits are delivery to the core or a counted rejection (undecodable
-frame or failed authentication).
+only exits are delivery to the core or a rejection counted in
+``rejected`` (undecodable frame or failed authentication).
 """
 
 from __future__ import annotations
@@ -158,11 +158,14 @@ def write_stage_rows(path, rows):
 
 class Node:
     """One replica's per-frame step. A driver provides the ``replica``, whose
-    mode and keystore the step uses, and its effects: ``on_commit``,
-    ``_send(dests, env)`` and ``_arm(key, delay, token)``, which schedules
-    ``timeout(key, token)`` after ``delay`` seconds. Each timer start gets a
-    fresh token that replaces the key's earlier one, a stop drops it, and
-    ``timeout`` runs the core's only for a live token.
+    mode and keystore the step uses, and its effects: ``on_commit(seq,
+    batch)``, through which every commit reaches the driver in both the
+    simulator and the pipeline, ``_send(dests, env)`` and ``_arm(key,
+    delay, token)``, which schedules ``timeout(key, token)`` after ``delay``
+    seconds. Each timer start gets a fresh token that replaces the key's
+    earlier one, a stop drops it, and ``timeout`` runs the core's only for a
+    live token. ``rejected`` counts the frames that failed the step's check;
+    the core counts its own rejections in ``replica.counters["rejected"]``.
 
     The stage callables ``_hash_rx``, ``_verify``, ``_decide``, ``_hash_tx``
     and ``_sign`` are bound once per node: to the plain functions on first
@@ -177,6 +180,7 @@ class Node:
     _sign = cached_property(lambda self: crypto.authenticate)
     _live = cached_property(lambda self: {})  # key -> token of its live start
     _tokens = cached_property(lambda self: itertools.count())
+    rejected = 0
 
     def _meter_stages(self, meter):
         """Bind each stage callable to ``meter(stage, get)``, a wrapper that
@@ -186,15 +190,16 @@ class Node:
             attr = "_" + stage
             setattr(self, attr, meter(stage, getattr(Node, attr).func))
 
-    def deliver(self, env) -> bool:
-        """hash_rx, verify and decide; False if ``env`` fails its check."""
+    def deliver(self, env):
+        """hash_rx, verify and decide; an ``env`` that fails its check is
+        counted in ``rejected`` and goes no further."""
         ks = self.replica.keystore
         if ks is not None and crypto.checked(env, ks):
             hashed = self._hash_rx(env, self.replica.config.mode, ks)
             if not self._verify(env, hashed, ks):
-                return False
+                self.rejected += 1
+                return
         self._apply(self._decide(env))
-        return True
 
     def is_live(self, key, token) -> bool:
         """Whether ``token`` is the live start of ``key``'s timer."""
@@ -236,7 +241,6 @@ class Pipeline(Node):
         self.replica = replica
         self.metrics = metrics if metrics is not None else StageMetrics()
         self.on_commit = on_commit
-        self.rejected = 0
         self._clock_ovh = _clock_overhead_ns()
         self._inbox = merge_inbound(transport,
                                     queue.Queue(config.queue_capacity))
@@ -304,8 +308,7 @@ class Pipeline(Node):
             self.rejected += 1
             return
         self._rec("unmarshal", env.kind, t0, time.thread_time_ns())
-        if not self.deliver(env):
-            self.rejected += 1
+        self.deliver(env)
 
     def _send(self, dests, env):
         t0 = time.thread_time_ns()

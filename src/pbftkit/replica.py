@@ -285,7 +285,7 @@ class Replica:
     def _on_request_envelope(self, env: WireEnvelope, out: ProtocolOutput):
         try:
             req = request_from_envelope(env)
-        except Exception:
+        except wire.WireError:
             req = None
         # The client signature is checked once, on intake: the leader
         # batches and a follower forwards or watches only verified requests.
@@ -375,7 +375,7 @@ class Replica:
             return
         try:
             body = PrePrepareBody.decode(env.payload)
-        except Exception:
+        except wire.WireError:
             self.counters["rejected"] += 1
             return
         if (not body.batch or body.digest != batch_digest(body.batch)
@@ -517,11 +517,12 @@ class Replica:
         self._advance_watermark(seq, out)
 
     def _on_checkpoint(self, env: WireEnvelope, out: ProtocolOutput):
-        if len(env.payload) != 32 or env.seq <= self.h:
+        if env.seq <= self.h:
             return
         # Votes are kept only where a checkpoint can fall, so a peer cannot
         # grow ``checkpoints`` past log_capacity / checkpoint_interval seqs.
-        if (env.seq % self.config.checkpoint_interval != 0
+        if (len(env.payload) != 32
+                or env.seq % self.config.checkpoint_interval != 0
                 or env.seq > self.h + self.config.log_capacity):
             self.counters["rejected"] += 1
             return
@@ -714,7 +715,10 @@ class Replica:
 
     def _on_new_view(self, env: WireEnvelope, out: ProtocolOutput):
         target = env.view
-        if target <= self.view or env.sender != primary(target, self.config.n):
+        if target <= self.view:
+            return
+        if env.sender != primary(target, self.config.n):
+            self.counters["rejected"] += 1
             return
         try:
             body = NewViewBody.decode(env.payload)

@@ -17,15 +17,18 @@ checks, and every recipient's ``deliver`` event carries that one decoded
 envelope. Client signatures inside REQUESTs are checked by the replica
 core. With ``auth`` off nothing is signed or checked.
 
-A world keeps its history compact. ``World.committed`` holds one record
-per seq: the first correct replica to commit a seq appends its own
-``(seq, digest, batch)`` tuple, and a later commit there appends that same
-tuple when its own is equal as a whole, else its own. So a world holds each
-committed request once, not once per replica. ``World.trace`` keeps its
-records in two flat arrays, one of ints (each record's shape id, node,
-view and field values) and one of times, behind a table of the record
-shapes it has seen, so a ``{seq, batch}`` record costs about 50 B; it
-gives back a fresh dict per record when iterated.
+A world keeps its history compact. Each node's commits reach the world
+through the step's ``on_commit``, as the pipeline's do, and
+``World.committed`` holds one record per seq: the first correct replica to
+commit a seq appends a ``(seq, digest, batch)`` tuple whose digest the
+world computes itself, and a later commit of an equal batch there appends
+that same tuple, so each seq's batch is hashed once; any other batch gets
+a record of its own. So a world holds each committed request once, not
+once per replica. ``World.trace`` keeps its records in two flat arrays,
+one of ints (each record's shape id, node, view and field values) and one
+of times, behind a table of the record shapes it has seen, so a ``{seq,
+batch}`` record costs about 50 B; it gives back a fresh dict per record
+when iterated.
 
 A ``deliver`` or replica timer that would land at or after its node's
 ``CRASH_AT`` time is not scheduled at all; the link's drop and delay are
@@ -160,11 +163,11 @@ def build_keystores(n: int, client_ids, seed: int = 0):
 
 
 class _SimNode(Node):
-    """A replica whose sends become link events and timers clock events;
-    the step reads the mode and keystore from the replica."""
+    """A replica whose commits become the world's records, sends link
+    events and timers clock events; the step reads the mode and keystore
+    from the replica."""
 
     __slots__ = ("id", "replica", "_world")
-    on_commit = None  # the world reads commits from the replica's tracer
 
     def __init__(self, node_id: int, replica: Replica, world: "World"):
         self.id = node_id
@@ -175,6 +178,9 @@ class _SimNode(Node):
     def crashed(self) -> bool:
         """True once virtual time reaches the node's CRASH_AT time."""
         return self._world.now >= self._world._crash_at[self.id]
+
+    def on_commit(self, seq: int, batch: tuple):
+        self._world._record(self.id, seq, batch)
 
     def _send(self, dests, env):
         self._world._transmit(self.id, dests, env)
@@ -251,8 +257,8 @@ class World:
         self._events: list = []
         self._shed_at = _SHED_SLACK  # queue length that triggers shedding
         self.trace = Trace()
-        # Per replica, (seq, digest, batch) in commit order; equal records
-        # of one seq are one tuple.
+        # Per replica, (seq, digest, batch) in commit order; the records of
+        # one seq with equal batches are one tuple.
         self.committed: dict = {i: [] for i in range(config.n)}
         self._records: dict = {}  # seq -> record of the first correct commit
         self.client_ids = [config.n + k for k in range(config.num_clients)]
@@ -316,22 +322,20 @@ class World:
 
     def _node_trace(self, node: int, event: str, view: int, fields: dict):
         self.trace.append(node, event, view, fields, round(self.now, 9))
-        if event == "committed":
-            seq = fields["seq"]
-            entry = self.nodes[node].replica.log[seq]
-            self._record(node, seq, entry.digest, entry.body.batch)
 
-    def _record(self, node: int, seq: int, digest: bytes, batch: tuple):
-        """Append ``node``'s commit record. The first correct replica to
-        commit a seq appends its own; a later record equal to that one as a
-        whole appends that same tuple, any other its own."""
-        record = (seq, digest, batch)
+    def _record(self, node: int, seq: int, batch: tuple):
+        """Append ``node``'s commit record ``(seq, digest, batch)``, with the
+        world's own ``wire.batch_digest`` of ``batch``. The first correct
+        replica to commit a seq appends its own; a later commit of an equal
+        batch appends that same tuple, so each seq's batch is hashed once,
+        and any other batch gets its own."""
         shared = self._records.get(seq)
-        if shared is None:
-            if node not in self.config.faults:
-                self._records[seq] = record
-        elif shared == record:
+        if shared is not None and shared[2] == batch:
             record = shared
+        else:
+            record = (seq, wire.batch_digest(batch), batch)
+            if shared is None and node not in self.config.faults:
+                self._records[seq] = record
         self.committed[node].append(record)
 
     def _partitioned(self, a: int, b: int) -> bool:
@@ -373,8 +377,8 @@ class World:
             node = self.nodes.get(dest)
             if node is None:
                 self._client_deliver(dest, env)
-            elif not node.deliver(env):
-                node.replica.counters["rejected"] += 1
+            else:
+                node.deliver(env)
         elif kind == "node_timer":
             self.nodes[item[1]].timeout(item[2], item[3])
         elif kind == "client_submit":

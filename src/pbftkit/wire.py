@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 MAX_PAYLOAD = 1 << 20  # 1 MiB application payload bound
@@ -69,43 +69,23 @@ class MessageKind(IntEnum):
 _KINDS = tuple(MessageKind)  # indexed by kind byte; the values run 0..7
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class WireEnvelope:
     """One protocol message: head fields, opaque payload, authenticators.
 
-    Treated as immutable. A plain class with slots rather than a frozen
-    dataclass, because the simulator builds hundreds of thousands per run;
-    equality, hashing and repr follow the six fields as a dataclass would.
+    Treated as immutable, but not a frozen dataclass: a frozen one sets
+    each field through ``object.__setattr__``, and the simulator builds
+    hundreds of thousands per run.
     """
 
-    __slots__ = ("kind", "view", "seq", "sender", "payload", "auths",
-                 "_sbytes")
-
-    def __init__(self, kind: MessageKind, view: int, seq: int, sender: int,
-                 payload: bytes = b"", auths: tuple = ()):
-        self.kind = kind
-        self.view = view
-        self.seq = seq
-        self.sender = sender
-        self.payload = payload
-        self.auths = auths  # ((recipient, auth_bytes), ...)
-        self._sbytes = None
-
-    def _fields(self) -> tuple:
-        return (self.kind, self.view, self.seq, self.sender, self.payload,
-                self.auths)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return (f"WireEnvelope(kind={self.kind!r}, view={self.view!r}, "
-                f"seq={self.seq!r}, sender={self.sender!r}, "
-                f"payload={self.payload!r}, auths={self.auths!r})")
+    kind: MessageKind
+    view: int
+    seq: int
+    sender: int
+    payload: bytes = b""
+    auths: tuple = ()  # ((recipient, auth_bytes), ...)
+    _sbytes: bytes = field(default=None, init=False, repr=False,
+                           compare=False)
 
     def signing_bytes(self) -> bytes:
         """Bytes covered by digests/authenticators: head + payload, no auths."""

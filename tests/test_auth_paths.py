@@ -2,7 +2,8 @@
 on the same frames, the policy is applied in ``crypto`` alone, one
 per-frame step (``pipeline.Node``) applies it for both drivers, only the
 simulator and the pipeline drive the replica core, only the step runs a
-replica's timeout, and the bench harness starts no thread of its own."""
+replica's timeout, no module but ``replica`` reads a replica's log or writes
+into its counters, and the bench harness starts no thread of its own."""
 
 import ast
 import time
@@ -188,6 +189,35 @@ def test_replica_core_driven_by_simulator_and_pipeline_alone():
     timeouts = [(str(path), scope) for path, scope, _, what in calls
                 if what == "on_timeout"]
     assert timeouts == [("pipeline.py", ("Node", "timeout"))]
+
+
+def replica_state_uses(tree):
+    """(line, what) for each read of a replica's log (``<expr>.replica.log``)
+    and each write into a ``counters`` dict, by item or as a whole."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            if (node.attr == "log" and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "replica"):
+                yield node.lineno, "replica.log"
+            elif node.attr == "counters" and not isinstance(node.ctx,
+                                                            ast.Load):
+                yield node.lineno, "counters ="
+        elif (isinstance(node, ast.Subscript)
+              and not isinstance(node.ctx, ast.Load)
+              and isinstance(node.value, ast.Attribute)
+              and node.value.attr == "counters"):
+            yield node.lineno, "counters[...] ="
+
+
+def test_replica_state_kept_in_replica_alone():
+    # A driver takes commits from ``Node.on_commit`` and finds the frames
+    # that failed the step's check in ``Node.rejected``; the log and the
+    # core's counters are the replica's own.
+    found = [f"{path.relative_to(SRC)}:{line}: {what}"
+             for path in sorted(SRC.rglob("*.py"))
+             if path != SRC / "replica.py"
+             for line, what in replica_state_uses(ast.parse(path.read_text()))]
+    assert found == []
 
 
 def thread_constructions(tree):

@@ -428,8 +428,11 @@ class TestCheckpointGC:
             for seq in (5 * i + 1, 25 + 5 * i):
                 rep.on_envelope(WireEnvelope(MessageKind.CHECKPOINT, 0, seq,
                                              2, b"\x00" * 32))
+        # One on the grid inside the window whose digest is 31 bytes.
+        rep.on_envelope(WireEnvelope(MessageKind.CHECKPOINT, 0, 20, 2,
+                                     b"\x00" * 31))
         assert len(rep.checkpoints) == 0
-        assert rep.counters["rejected"] == 10_000
+        assert rep.counters["rejected"] == 10_001
         # A vote on the grid inside the window is still kept.
         rep.on_envelope(WireEnvelope(MessageKind.CHECKPOINT, 0, 20, 2,
                                      b"\x00" * 32))
@@ -673,6 +676,15 @@ class TestNewViewValidation:
         env = WireEnvelope(MessageKind.NEW_VIEW, 1, 0, 1, body.encode())
         rep.on_envelope(env)
         assert rep.view == 0  # no quorum proof inside
+
+    def test_new_view_from_another_than_its_leader_rejected(self):
+        rep = make_replica(self_id=2)
+        body = NewViewBody(1, (), ())
+        out = rep.on_envelope(WireEnvelope(MessageKind.NEW_VIEW, 1, 0, 3,
+                                           body.encode()))
+        assert rep.counters["rejected"] == 1
+        assert rep.view == 0 and rep.mode is Mode.NORMAL
+        assert not out.outbound
 
     def test_new_view_with_wrong_reproposals_rejected(self):
         bus = Bus(drop={0})

@@ -107,16 +107,20 @@ class TestCommittedRecords:
 
     def test_batch_shared_only_when_equal(self):
         # Node 0 is faulty, so node 1 is the first correct one to record
-        # seq 1; node 3's batch differs in content and stays its own.
+        # seq 1; node 3's batch differs in content and stays its own. Each
+        # record's digest is the world's own digest of its batch.
         world = World(SimConfig(auth=False, faults={0: (CRASH_AT, 9.0)}))
         batches = [(Request(4, 0, b"x"),) for _ in range(3)]
         other = (Request(4, 0, b"y"),)
         for node, batch in enumerate(batches + [other]):
-            world._record(node, 1, b"digest", batch)
-        recorded = [world.committed[i][0][2] for i in range(4)]
-        assert recorded[0] is batches[0]
-        assert recorded[1] is recorded[2] is batches[1]
-        assert recorded[3] is other
+            world._record(node, 1, batch)
+        records = [world.committed[i][0] for i in range(4)]
+        assert records[0][2] is batches[0]
+        assert records[1] is records[2]
+        assert records[1][2] is batches[1]
+        assert records[3][2] is other
+        assert [digest for _, digest, _ in records] == [
+            wire.batch_digest(batches[0])] * 3 + [wire.batch_digest(other)]
 
 
 
@@ -230,14 +234,18 @@ class TestCompactHistory:
         assert all(len(ids) == 1 for ids in records.values())
 
     def test_record_with_another_digest_keeps_its_own(self):
+        # Node 2 commits another batch at seq 1, so its record has another
+        # digest and is its own.
         world = World(SimConfig(auth=False))
-        batches = [(Request(4, 0, b"x"),) for _ in range(3)]
-        for node, digest in ((0, b"a"), (1, b"a"), (2, b"b")):
-            world._record(node, 1, digest, batches[node])
+        batches = [(Request(4, 0, b"x"),), (Request(4, 0, b"x"),),
+                   (Request(4, 0, b"z"),)]
+        for node, batch in enumerate(batches):
+            world._record(node, 1, batch)
         records = [world.committed[i][0] for i in range(3)]
         assert records[1] is records[0]
         assert records[2] is not records[0]
-        assert records[2] == (1, b"b", batches[2])
+        assert records[2] == (1, wire.batch_digest(batches[2]), batches[2])
+        assert records[2][1] != records[0][1]
         with pytest.raises(AssertionError, match="agreement violation"):
             world.check_agreement()
 
@@ -435,7 +443,7 @@ class TestAuthSwitch:
 class TestAuthenticatedPath:
     def test_forged_inter_node_traffic_rejected(self):
         # With auth on, a frame whose tag fails verification is counted
-        # as rejected and never reaches the replica core.
+        # by the node's step and never reaches the replica core.
         world = World(SimConfig(requests_per_client=2, drop_prob=0.0))
         from pbftkit import wire
         from pbftkit.wire import MessageKind, WireEnvelope
@@ -443,7 +451,8 @@ class TestAuthenticatedPath:
                            auths=((1, b"\x00" * 32),))
         world._push(0.001, ("deliver", 2, 1, wire.decode(wire.encode(env))))
         world.run()
-        assert world.nodes[1].replica.counters["rejected"] >= 1
+        assert world.nodes[1].rejected == 1
+        assert world.nodes[1].replica.counters["rejected"] == 0
         world.check_agreement()
         assert world.total_requests_committed(0) == 2
 

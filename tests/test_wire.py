@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pbftkit import wire
+from pbftkit.client import ClientSession
+from pbftkit.crypto import CryptoMode
 from pbftkit.replica import Replica, ReplicaConfig
 from pbftkit.wire import (FrameBuffer, MessageKind, NewViewBody,
                           PrePrepareBody, ReplyBody, Request, ViewChangeBody,
@@ -243,6 +245,8 @@ new_views = st.builds(
     NewViewBody, u64,
     st.lists(st.binary(max_size=200), max_size=4).map(tuple),
     st.lists(st.tuples(u64, digests), max_size=4).map(tuple))
+replies = st.builds(ReplyBody, st.integers(0, 2**16 - 1), u64, u64, digests)
+bodies = st.one_of(view_changes, new_views, batches, replies)
 
 
 def damaged(encoded, data):
@@ -264,19 +268,30 @@ class TestViewChangeBodies:
         assert NewViewBody.decode(body.encode()) == body
 
     @settings(max_examples=300, deadline=None)
-    @given(st.one_of(view_changes, new_views), st.data())
+    @given(bodies, st.data())
     def test_damaged_bodies_raise_only_wire_errors(self, body, data):
         with pytest.raises(wire.WireError):
             type(body).decode(damaged(body.encode(), data))
 
     @settings(max_examples=200, deadline=None)
-    @given(st.one_of(view_changes, new_views), st.data())
+    @given(bodies, st.data())
     def test_replica_counts_damaged_bodies_as_rejected(self, body, data):
-        # Sent by view 1's leader for view 1, so only the body is at fault.
+        payload = damaged(body.encode(), data)
+        if isinstance(body, ReplyBody):
+            session = ClientSession(4, 4, 1, CryptoMode.MAC_INTER_NODE)
+            session.make_request(b"x", 0.0)
+            assert session.on_reply(WireEnvelope(MessageKind.REPLY, 0, 1, 1,
+                                                 payload), 0.0) is None
+            assert list(session.pending) == [0]
+            return
+        # Sent by the leader of the view it names (view 1 for a view
+        # change, view 0 for a PRE_PREPARE at seq 1), so only the body is
+        # at fault.
+        kind, view, seq = {
+            ViewChangeBody: (MessageKind.VIEW_CHANGE, 1, 0),
+            NewViewBody: (MessageKind.NEW_VIEW, 1, 0),
+            PrePrepareBody: (MessageKind.PRE_PREPARE, 0, 1)}[type(body)]
         rep = Replica(ReplicaConfig(n=4, f=1, self_id=2))
-        kind = (MessageKind.VIEW_CHANGE if isinstance(body, ViewChangeBody)
-                else MessageKind.NEW_VIEW)
-        rep.on_envelope(WireEnvelope(kind, 1, 0, 1,
-                                     damaged(body.encode(), data)))
+        rep.on_envelope(WireEnvelope(kind, view, seq, view, payload))
         assert rep.counters["rejected"] == 1
         assert rep.view == 0 and rep.vc_messages == {}
