@@ -31,7 +31,6 @@ import signal
 import sys
 import time
 from collections import deque
-from pathlib import Path
 
 from .. import crypto
 from ..simnet import (CRASH_AT, EQUIVOCATE, FORGE_VC, MUTE, NonQuiescent,
@@ -87,7 +86,7 @@ def cmd_keygen(args):
 
 
 def cmd_node(args):
-    from ..pipeline import PipelineConfig, StageMetrics, run_pipeline
+    from ..pipeline import PipelineConfig, run_pipeline
     from ..replica import Replica, ReplicaConfig
     from ..tcpnet import TcpFabric
 
@@ -108,9 +107,8 @@ def cmd_node(args):
     except OSError as exc:
         print(f"cannot bind: {exc}", file=sys.stderr)
         return 2
-    replica = Replica(cfg, keystore=keystore)
-    metrics = StageMetrics()
-    pipe = run_pipeline(PipelineConfig(), fabric, replica, metrics=metrics)
+    pipe = run_pipeline(PipelineConfig(), fabric,
+                        Replica(cfg, keystore=keystore))
     log.info("node %d serving (leader=%s)", args.id,
              args.id == 0)
     stop = {"flag": False}
@@ -125,7 +123,7 @@ def cmd_node(args):
             time.sleep(0.2)
     finally:
         if args.stages_out:
-            metrics.write_csv(args.stages_out)
+            pipe.metrics.write_csv(args.stages_out)
         pipe.stop()
         fabric.close()
     return 0
@@ -143,7 +141,7 @@ def cmd_loadgen(args):
     fabrics, clients = [], []
     try:
         for cid, ks in keystores.items():
-            fabric = TcpFabric(cid, dep["nodes"], queue_capacity=4096)
+            fabric = TcpFabric(cid, dep["nodes"])
             fabrics.append(fabric)
             if not fabric.wait_connected(list(dep["nodes"]), timeout=10.0):
                 reachable = sum(fabric.connected(i) for i in dep["nodes"])

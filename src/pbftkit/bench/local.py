@@ -20,8 +20,7 @@ from pathlib import Path
 
 from .. import crypto
 from ..client import ClientSession, RequestFailed
-from ..pipeline import (PipelineConfig, StageMetrics, run_pipeline,
-                        write_stage_rows)
+from ..pipeline import PipelineConfig, run_pipeline
 from ..replica import Replica, ReplicaConfig
 from ..simnet import build_keystores
 from ..tcpnet import LoopbackFabric, merge_inbound
@@ -79,7 +78,6 @@ class RunReport:
             fh.write("latency_us,cumulative_fraction\n")
             for us, frac in self.cdf:
                 fh.write(f"{us:.1f},{frac:.6f}\n")
-        write_stage_rows(outdir / "stages.csv", self.stage_rows)
 
     def add_latencies(self, lat: list, window: float, value_size: int):
         """Fill the throughput and latency fields from the latencies of the
@@ -128,20 +126,14 @@ class LocalCluster:
         self.client_ids = list(range(n, n + num_clients))
         self.hub = LoopbackFabric(list(range(n)) + self.client_ids)
         self.keystores = build_keystores(n, self.client_ids)
-        self.metrics = {}
         self.pipelines = {}
-        self.replicas = {}
         for i in range(n):
             cfg = ReplicaConfig(n=n, f=f, self_id=i, mode=mode,
                                 batch_size=batch_size, batch_timeout=0.002,
                                 view_change_timeout=5.0)
-            replica = Replica(cfg, keystore=self.keystores[i])
-            metrics = StageMetrics()
-            pipe = run_pipeline(PipelineConfig(), self.hub.port(i), replica,
-                                metrics=metrics)
-            self.metrics[i] = metrics
-            self.pipelines[i] = pipe
-            self.replicas[i] = replica
+            self.pipelines[i] = run_pipeline(
+                PipelineConfig(), self.hub.port(i),
+                Replica(cfg, keystore=self.keystores[i]))
 
     def stop(self):
         for pipe in self.pipelines.values():
@@ -150,7 +142,8 @@ class LocalCluster:
 
     def view_changes(self) -> int:
         """View changes the busiest replica started (one per new view)."""
-        return max(r.counters["view_changes"] for r in self.replicas.values())
+        return max(p.replica.counters["view_changes"]
+                   for p in self.pipelines.values())
 
 
 @dataclass
@@ -227,7 +220,7 @@ def run_benchmark(config: BenchConfig) -> RunReport:
             completed=len(lat), failed=sum(c.failed for c in clients),
             view_changes=cluster.view_changes(),
             rejected=sum(p.rejected for p in cluster.pipelines.values()),
-            stage_rows=cluster.metrics[0].table())
+            stage_rows=cluster.pipelines[0].metrics.table())
     finally:
         cluster.stop()
     report.add_latencies(lat, window, config.value_size)

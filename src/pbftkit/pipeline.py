@@ -6,8 +6,9 @@ pipeline: one loop per replica around the single-threaded core.
 sign or MAC. The pipeline (1) unmarshals each frame it takes from one
 bounded inbox, to which every receive queue of the transport is rebound,
 and (7) marshals and sends. The stages are accounting boundaries only:
-StageMetrics records the thread CPU time of each. The step reads the mode
-and keystore from its replica; a driver supplies only effects.
+StageMetrics, the stage table and its only CSV writer, records the thread
+CPU time of each per message kind. The step reads the mode and keystore
+from its replica; a driver supplies only effects.
 
 The authentication work is ``crypto``'s; the step only times it. Inbound,
 the hash stage is ``crypto.hash_incoming`` (the envelope digest and, for
@@ -68,8 +69,9 @@ def shed(heap: list, live):
     heapq.heapify(heap)
 
 
-def _clock_overhead_ns(samples: int = 512) -> int:
-    """Median cost of one thread-CPU clock read, for span correction.
+def _clock_overhead_ns() -> int:
+    """Median cost of one thread-CPU clock read over 512 reads, for span
+    correction.
 
     Every stage span pays roughly one full clock call of instrument
     overhead; subtracting it keeps sub-microsecond stages (a MAC compare
@@ -77,7 +79,7 @@ def _clock_overhead_ns(samples: int = 512) -> int:
     """
     deltas = []
     prev = time.thread_time_ns()
-    for _ in range(samples):
+    for _ in range(512):
         now = time.thread_time_ns()
         deltas.append(now - prev)
         prev = now
@@ -94,66 +96,49 @@ class PipelineConfig:
             raise ValueError("queue capacity must be >= 1")
 
 
-def _kind_name(kind) -> str:
-    return getattr(kind, "name", None) or str(kind)
-
-
 class StageMetrics:
-    """Per (stage, kind) counters; safe for concurrent appends.
+    """The stage table: per (stage, kind) counters, safe for concurrent
+    appends, and the only writer of stage rows as CSV.
 
-    Cells are keyed by the kind as recorded and named only when read, which
-    keeps the enum name lookup off the per-message path.
+    Every recorded kind is an envelope's ``MessageKind``, so cells are keyed
+    by it and named only when read, which keeps the enum name lookup off the
+    per-message path.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._cells = {}
 
-    def record(self, stage: str, kind, elapsed_ns: int, count: int = 1):
+    def record(self, stage: str, kind, elapsed_ns: int):
         key = (stage, kind)
         with self._lock:
             cell = self._cells.get(key)
             if cell is None:
-                self._cells[key] = [count, elapsed_ns]
+                self._cells[key] = [1, elapsed_ns]
             else:
-                cell[0] += count
+                cell[0] += 1
                 cell[1] += elapsed_ns
 
-    def _named(self) -> dict:
-        """{(stage, kind name): [count, total_ns]}"""
-        with self._lock:
-            cells = [(key, tuple(cell)) for key, cell in self._cells.items()]
-        named = {}
-        for (stage, kind), (count, total) in cells:
-            cell = named.setdefault((stage, _kind_name(kind)), [0, 0])
-            cell[0] += count
-            cell[1] += total
-        return named
-
     def table(self):
-        """Rows of (stage, kind, count, total_ns, mean_ns)."""
-        cells = self._named()
-        rows = []
-        for stage in _STAGES:
-            for (s, kind), (count, total) in sorted(cells.items()):
-                if s == stage:
-                    rows.append((s, kind, count, total,
-                                 total // count if count else 0))
-        return rows
+        """Rows of (stage, kind name, count, total_ns, mean_ns), in stage
+        order and then by kind name."""
+        with self._lock:
+            cells = [(stage, kind, *cell)
+                     for (stage, kind), cell in self._cells.items()]
+        cells.sort(key=lambda c: (_STAGES.index(c[0]), c[1].name))
+        return [(stage, kind.name, count, total, total // count)
+                for stage, kind, count, total in cells]
 
     def write_csv(self, path):
-        write_stage_rows(path, self.table())
+        with open(path, "w") as fh:
+            fh.write("stage,kind,count,total_ns,mean_ns\n")
+            for row in self.table():
+                fh.write(",".join(str(v) for v in row) + "\n")
 
     def get(self, stage: str, kind) -> tuple:
-        return tuple(self._named().get((stage, _kind_name(kind)), (0, 0)))
-
-
-def write_stage_rows(path, rows):
-    """Write ``StageMetrics.table()`` rows as CSV."""
-    with open(path, "w") as fh:
-        fh.write("stage,kind,count,total_ns,mean_ns\n")
-        for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+        """(count, total_ns) of ``stage`` for ``kind``, a ``MessageKind``."""
+        with self._lock:
+            return tuple(self._cells.get((stage, kind), (0, 0)))
 
 
 class Node:
@@ -186,7 +171,7 @@ class Node:
         """Bind each stage callable to ``meter(stage, get)``, a wrapper that
         takes the stage's function from ``get(self)`` on every call, so one
         replaced later (a span around it) is still the one run."""
-        for stage in ("hash_rx", "verify", "decide", "hash_tx", "sign"):
+        for stage in _STAGES[1:-1]:  # (un)marshal are the driver's
             attr = "_" + stage
             setattr(self, attr, meter(stage, getattr(Node, attr).func))
 

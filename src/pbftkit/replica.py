@@ -272,7 +272,7 @@ class Replica:
                 self._start_view_change(out)
         elif key[0] == "new_view":
             # NEW_VIEW for the pending view never arrived; try the next one.
-            if self.mode == Mode.VIEW_CHANGING and key[1] == self._pending_view:
+            if self.mode == Mode.VIEW_CHANGING:
                 self._start_view_change(out)
         return out
 
@@ -573,9 +573,6 @@ class Replica:
             return
         if self.mode == Mode.NORMAL:
             self.vc_attempts = 0
-        else:
-            # The pending view's timer could only fire as a no-op now.
-            out.timer_stops.append(("new_view", self._pending_view))
         self.mode = Mode.VIEW_CHANGING
         self._pending_view = target
         self.counters["view_changes"] += 1
@@ -590,7 +587,9 @@ class Replica:
         # state transfer it cannot rejoin anyway and must not overflow time.
         delay = self.config.view_change_timeout * (2 ** min(self.vc_attempts, 24))
         self.vc_attempts += 1
-        out.timer_starts.append((("new_view", target), delay))
+        # One timer for whichever view is pending: this start replaces the
+        # earlier view's (TOCS §4.5.2).
+        out.timer_starts.append((("new_view",), delay))
         self._trace("view_change", target=target)
         # Count our own VIEW_CHANGE; if we lead the target view we may
         # already hold a quorum from earlier arrivals.
@@ -765,14 +764,14 @@ class Replica:
 
     def _install_view(self, target: int, chosen, leader: bool,
                       out: ProtocolOutput):
-        if self.mode is _VIEW_CHANGING and self._pending_view != target:
-            # A NEW_VIEW for another view than the pending one: the pending
-            # view's timer could only fire as a no-op now.
-            out.timer_stops.append(("new_view", self._pending_view))
         self.view = target
         self.mode = Mode.NORMAL
         self.vc_attempts = 0
-        out.timer_stops.append(("new_view", target))
+        # A driver applies an output's timer stops after its starts, so this
+        # stop must not follow a view-change timer start in ``out``. None
+        # does: all that follows is the replay of buffered PRE_PREPAREs and
+        # votes (the only kinds ``future`` holds) and re-entered requests.
+        out.timer_stops.append(("new_view",))
         new_leader = primary(target, self.config.n)
         # Anything uncommitted that O does not carry over is abandoned; its
         # sequence numbers will be reassigned in the new view. P and Q stay.

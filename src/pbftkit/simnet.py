@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 from . import crypto, wire
 from .client import ClientSession, RequestFailed
 from .pipeline import Node, shed
-from .replica import Mode, Replica, ReplicaConfig
+from .replica import Replica, ReplicaConfig
 from .wire import (MessageKind, PrePrepareBody, Request, ViewChangeBody,
                    WireEnvelope)
 
@@ -476,18 +476,14 @@ class World:
                             f"validity violation at node {i} seq {seq}")
 
     def check_total_order(self):
-        """Committed logs of correct replicas are prefix-consistent."""
-        logs = {i: {seq: d for seq, d, _ in self.committed[i]}
-                for i in self.correct_nodes()}
-        ids = list(logs)
-        for a in ids:
-            for b in ids:
-                if a >= b:
-                    continue
-                for seq in logs[a].keys() & logs[b].keys():
-                    if logs[a][seq] != logs[b][seq]:
-                        raise AssertionError(
-                            f"order violation seq {seq} nodes {a},{b}")
+        """Each correct replica commits seqs 1, 2, 3, ... in that order,
+        with no gap and no repeat; with agreement, the committed logs of
+        correct replicas are prefix-consistent."""
+        for i in self.correct_nodes():
+            for want, (seq, _, _) in enumerate(self.committed[i], 1):
+                if seq != want:
+                    raise AssertionError(f"order violation at node {i}: "
+                                         f"seq {seq} where {want} is due")
 
     def committed_count(self, node: int) -> int:
         return len(self.committed[node])

@@ -33,6 +33,8 @@ HELLO_TIMEOUT = 3.0
 # Hellos read at once: past this many, accepting waits for a free slot, so
 # a flood of silent connectors holds a bounded number of threads.
 MAX_PENDING_HELLOS = 64
+# Frames each per-peer receive queue holds before a sender blocks.
+RX_CAPACITY = 4096
 
 
 def merge_inbound(transport, inbox=None):
@@ -141,7 +143,7 @@ class TcpFabric:
     """
 
     def __init__(self, self_id: int, node_addrs: dict, client_ids=(),
-                 queue_capacity: int = 4096):
+                 queue_capacity: int = RX_CAPACITY):
         self.self_id = self_id
         self.node_addrs = dict(node_addrs)
         self.queue_capacity = queue_capacity
@@ -269,10 +271,9 @@ class LoopbackFabric:
     signal, and for tests.
     """
 
-    def __init__(self, ids, queue_capacity: int = 4096):
+    def __init__(self, ids):
         self.ids = tuple(ids)
-        self._ports = {i: _LoopbackPort(i, self, queue_capacity)
-                       for i in self.ids}
+        self._ports = {i: _LoopbackPort(i, self) for i in self.ids}
 
     def port(self, pid: int) -> "_LoopbackPort":
         return self._ports[pid]
@@ -294,11 +295,11 @@ class LoopbackFabric:
 
 
 class _LoopbackPort:
-    def __init__(self, pid: int, hub: LoopbackFabric, cap: int):
+    def __init__(self, pid: int, hub: LoopbackFabric):
         self.pid = pid
         self.hub = hub
         self.closed = threading.Event()
-        self._rx = {p: queue.Queue(cap) for p in hub.ids if p != pid}
+        self._rx = {p: queue.Queue(RX_CAPACITY) for p in hub.ids if p != pid}
 
     def receive_queues(self) -> dict:
         return self._rx

@@ -165,8 +165,9 @@ class FrameBuffer:
     def __init__(self):
         self._buf = bytearray()
 
-    def feed(self, data: bytes):
-        """Append stream bytes; yield every complete frame (prefix included)."""
+    def feed(self, data: bytes) -> list:
+        """Append stream bytes; return the list of every frame they complete
+        (prefix included)."""
         self._buf += data
         frames = []
         while True:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from pbftkit import crypto, wire
+from pbftkit import wire
 from pbftkit.bench import cli
 from pbftkit.bench.local import BenchConfig, run_benchmark
 from pbftkit.client import ClientSession

@@ -3,7 +3,8 @@ on the same frames, the policy is applied in ``crypto`` alone, one
 per-frame step (``pipeline.Node``) applies it for both drivers, only the
 simulator and the pipeline drive the replica core, only the step runs a
 replica's timeout, no module but ``replica`` reads a replica's log or writes
-into its counters, and the bench harness starts no thread of its own."""
+into its counters, the bench harness starts no thread of its own, and no
+module under ``src`` imports a name it does not use."""
 
 import ast
 import time
@@ -273,4 +274,32 @@ def test_one_per_frame_step():
     found = [f"{path}:{line}: {cls}: {name}" for path, cls, line, name in uses
              if (name in STEP and (str(path), cls) != ("pipeline.py", "Node"))
              or (name == "verify_incoming" and str(path) == "simnet.py")]
+    assert found == []
+
+
+def unused_imports(tree):
+    """(line, name) for each top-level import that the module neither uses
+    as a name or an attribute root nor lists in ``__all__``."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets]
+                == ["__all__"]):
+            used.update(ast.literal_eval(node.value))
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    yield node.lineno, name
+
+
+def test_no_unused_imports():
+    # Tests stay outside the rule: a test module may import a pytest
+    # fixture by name without using it.
+    found = [f"{path.relative_to(SRC)}:{line}: {name}"
+             for path in sorted(SRC.rglob("*.py"))
+             for line, name in unused_imports(ast.parse(path.read_text()))]
     assert found == []

@@ -208,8 +208,7 @@ class TestReportCsv:
                          latency_p99=0.004, cdf=build_cdf(lat),
                          goodput_gbps=250 * 512 * 8 / 1e9,
                          completed=1000, failed=0, rejected=2,
-                         view_changes=0,
-                         stage_rows=[("decide", "PREPARE", 10, 5000, 500)])
+                         view_changes=0)
 
     def test_summary_schema_and_goodput(self, tmp_path):
         self.report().write_csv(tmp_path)
@@ -230,12 +229,6 @@ class TestReportCsv:
         fracs = [float(r["cumulative_fraction"]) for r in rows]
         assert fracs == sorted(fracs)
         assert fracs[-1] == 1.0
-
-    def test_stages_file_schema(self, tmp_path):
-        self.report().write_csv(tmp_path)
-        lines = (tmp_path / "stages.csv").read_text().splitlines()
-        assert lines[0] == "stage,kind,count,total_ns,mean_ns"
-        assert lines[1] == "decide,PREPARE,10,5000,500"
 
 
 class TestCli:
@@ -412,10 +405,11 @@ class TestViewChangeCount:
                     for dest in dests:
                         cluster.hub.port(i).send(dest, wire.encode(env))
             deadline = time.monotonic() + 10.0
-            while (any(r.view != 1 for r in cluster.replicas.values())
+            replicas = [cluster.pipelines[i].replica for i in range(4)]
+            while (any(r.view != 1 for r in replicas)
                    and time.monotonic() < deadline):
                 time.sleep(0.01)
-            assert {r.view for r in cluster.replicas.values()} == {1}
+            assert {r.view for r in replicas} == {1}
             assert cluster.view_changes() == 1
         finally:
             cluster.stop()

@@ -5,8 +5,8 @@ import hashlib
 import pytest
 
 from pbftkit import crypto
-from pbftkit.crypto import (AuthScheme, CryptoMode, KeyStore, MessageClass,
-                            classify, required_auth)
+from pbftkit.crypto import (AuthScheme, CryptoMode, MessageClass, classify,
+                            required_auth)
 from pbftkit.simnet import build_keystores
 from pbftkit.wire import MessageKind, ReplyBody, WireEnvelope
 

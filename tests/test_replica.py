@@ -10,7 +10,7 @@ from pbftkit.crypto import CryptoMode, KeyStore
 from pbftkit.replica import (Mode, Replica, ReplicaConfig, Status, primary)
 from pbftkit.simnet import CRASH_AT, SimConfig, World, build_keystores
 from pbftkit.wire import (MessageKind, NewViewBody, PrePrepareBody, ReplyBody,
-                          Request, ViewChangeBody, WireEnvelope, batch_digest,
+                          Request, ViewChangeBody, WireEnvelope,
                           request_envelope)
 
 
@@ -503,18 +503,21 @@ class TestViewChange:
 
     def test_join_stops_the_superseded_new_view_timer(self):
         # Replica 1 waits for view 1 when replicas 2 and 3 ask for view 2;
-        # it joins them, and the timer for view 1 could never act again.
+        # it joins them, and its one view-change timer is view 2's.
         reps = {i: make_replica(i) for i in (1, 2, 3)}
         timers = Timers(reps[1])
         timers.apply(reps[1].start_view_change())
-        assert ("new_view", 1) in timers.due
         vc3 = view_change_to(reps[3], 2)
         timers.apply(reps[1].on_envelope(vc3))
         join = timers.apply(reps[1].on_envelope(view_change_to(reps[2], 2)))
         assert reps[1].mode == Mode.VIEW_CHANGING
-        assert ("new_view", 1) in join.timer_stops
-        assert set(timers.due) == {("new_view", 2)}
+        (due,) = [key for key in timers.due if key[0] == "new_view"]
         (vc1,) = sent(join, MessageKind.VIEW_CHANGE)
+        # Firing it escalates from view 2, so no timer of view 1 was left.
+        fired = reps[1].on_timeout(due)
+        assert [env.view for env in sent(fired, MessageKind.VIEW_CHANGE)] \
+            == [3]
+        timers.apply(fired)
         reps[2].on_envelope(vc3)
         (nv,) = sent(reps[2].on_envelope(vc1), MessageKind.NEW_VIEW)
         timers.apply(reps[1].on_envelope(nv))
@@ -529,14 +532,13 @@ class TestViewChange:
         (vc3,) = sent(timers.apply(reps[3].start_view_change()),
                       MessageKind.VIEW_CHANGE)
         timers.advance(10.0)
-        assert set(timers.due) == {("new_view", 2)}
+        assert len([key for key in timers.due if key[0] == "new_view"]) == 1
         reps[1].on_envelope(vc3)
         # With f+1 peers asking, replica 1 joins view 1 and leads it.
         (nv,) = sent(reps[1].on_envelope(view_change_to(reps[2], 1)),
                      MessageKind.NEW_VIEW)
-        adopt = timers.apply(reps[3].on_envelope(nv))
+        timers.apply(reps[3].on_envelope(nv))
         assert reps[3].view == 1 and reps[3].mode == Mode.NORMAL
-        assert ("new_view", 2) in adopt.timer_stops
         assert not [key for key in timers.due if key[0] == "new_view"]
 
 

@@ -122,6 +122,20 @@ class TestCommittedRecords:
         assert [digest for _, digest, _ in records] == [
             wire.batch_digest(batches[0])] * 3 + [wire.batch_digest(other)]
 
+    @pytest.mark.parametrize("seqs", [(1, 3), (1, 1), (2,)],
+                             ids=["gap", "repeat", "not_from_one"])
+    def test_total_order_requires_seqs_from_one_in_turn(self, seqs):
+        # Every correct replica records the same batch at each of ``seqs``:
+        # they agree on each seq, but none committed 1, 2, 3, ... in turn.
+        world = World(SimConfig(auth=False))
+        batch = (Request(4, 0, b"x"),)
+        for node in world.correct_nodes():
+            for seq in seqs:
+                world._record(node, seq, batch)
+        world.check_agreement()
+        with pytest.raises(AssertionError, match="order violation at node 0"):
+            world.check_total_order()
+
 
 
 def _show_both_batches(outbound):

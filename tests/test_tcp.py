@@ -6,15 +6,13 @@ import struct
 import threading
 import time
 
-import pytest
-
 from pbftkit.client import ClientSession
 from pbftkit.crypto import CryptoMode
 from pbftkit.pipeline import PipelineConfig, run_pipeline
 from pbftkit.replica import Replica, ReplicaConfig
 from pbftkit.simnet import SimConfig, World
 from pbftkit.tcpnet import LoopbackFabric, TcpFabric, merge_inbound
-from pbftkit.wire import MessageKind, encode, request_envelope
+from pbftkit.wire import encode
 
 
 def frame(payload: bytes) -> bytes:
