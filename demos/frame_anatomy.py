@@ -22,7 +22,7 @@ def main():
     req = Request(client_id=7, request_id=1, payload=b"transfer 5")
     dump("REQUEST frame", encode(request_envelope(req)))
 
-    body = PrePrepareBody.for_batch((req,))
+    body = PrePrepareBody((req,))
     env = WireEnvelope(MessageKind.PRE_PREPARE, view=0, seq=1, sender=0,
                        payload=body.encode())
     dump("PRE_PREPARE frame", encode(env))

@@ -106,7 +106,7 @@ class ClientSession:
             views = sorted(pend.reply_views.values(), reverse=True)
             self.believed_leader = views[self.f] % self.n
             done = Completion(body.request_id, body.result_digest,
-                              now - pend.sent_at, body.seq)
+                              now - pend.sent_at, env.seq)
             self.completions.append(done)
             return done
         return None

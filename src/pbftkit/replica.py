@@ -32,6 +32,9 @@ forwards it to the new leader. So a leader crash costs one view change,
 and no timer of the old view starts another.
 
 View changes follow Castro & Liskov (ACM TOCS 20(4), 2002, §4.4-4.5).
+One is pending while ``Replica.pending_view`` exceeds ``Replica.view``.
+The envelope of a VIEW_CHANGE or NEW_VIEW names the target view, and
+every VIEW_CHANGE a NEW_VIEW embeds must name it too.
 Each log entry keeps, across views, its P entry (the latest view in which
 it prepared, with the batch) and its Q entries (each digest pre-prepared,
 with the latest view). A VIEW_CHANGE reports C (the checkpoints held), P
@@ -58,9 +61,8 @@ from itertools import islice
 from operator import itemgetter
 
 from . import crypto, wire
-from .wire import (NOOP_BODY_DIGEST, MessageKind, NewViewBody,
-                   PrePrepareBody, ReplyBody, Request, ViewChangeBody,
-                   WireEnvelope, batch_digest, request_envelope,
+from .wire import (MessageKind, NewViewBody, PrePrepareBody, ReplyBody,
+                   Request, ViewChangeBody, WireEnvelope, request_envelope,
                    request_from_envelope)
 
 DEFAULT_CHECKPOINT_INTERVAL = 500
@@ -111,23 +113,16 @@ class Status(Enum):
     COMMITTED = "committed"
 
 
-class Mode(Enum):
-    NORMAL = "normal"
-    VIEW_CHANGING = "view_changing"
-
-
 # Module-level aliases for the per-request paths: an enum member read off
 # its class costs a slow attribute lookup. Compared by identity.
 _PRE_PREPARED = Status.PRE_PREPARED
 _PREPARED = Status.PREPARED
 _COMMITTED = Status.COMMITTED
-_NORMAL = Mode.NORMAL
-_VIEW_CHANGING = Mode.VIEW_CHANGING
 _PRE_PREPARE = MessageKind.PRE_PREPARE
 _PREPARE = MessageKind.PREPARE
 _COMMIT = MessageKind.COMMIT
 _REPLY = MessageKind.REPLY
-_NOOP = PrePrepareBody((), NOOP_BODY_DIGEST)
+_NOOP = PrePrepareBody(())
 
 
 @dataclass
@@ -179,6 +174,10 @@ class Replica:
     Each public entry point returns a fresh :class:`ProtocolOutput`; the
     internal handlers all append their effects to that one accumulator.
 
+    ``view`` is the installed view and ``pending_view`` the latest one this
+    replica asked to change to: a view change is pending exactly while
+    ``pending_view > view``, and installing a view sets both.
+
     ``tracer``, if given, is called as ``tracer(node, event, view, fields)``
     for each protocol event: this replica's id, the event name, the current
     view and a dict of the event's own fields (such as ``seq``), which the
@@ -193,7 +192,7 @@ class Replica:
         self.tracer = tracer
 
         self.view = 0
-        self.mode = Mode.NORMAL
+        self.pending_view = 0  # above ``view`` while a view change runs
         self.h = 0  # last stable checkpoint seq
         self.next_seq = 1  # leader only
         self.committed_seq = 0  # highest contiguously committed seq
@@ -208,7 +207,6 @@ class Replica:
         self.watching: dict = {}
         self.vc_messages: dict[int, dict] = {}  # view -> {sender: (body, env)}
         self.vc_attempts = 0
-        self._pending_view = 0
         self.future: dict[int, list] = {}  # view -> buffered envelopes
         self.counters = {"equivocations": 0, "rejected": 0, "view_changes": 0,
                          "pre_prepares": 0}
@@ -268,11 +266,11 @@ class Replica:
             # flight is the new_view timer's job, not the request timers'.
             if self._is_committed_request(client, rid):
                 self.watching.pop((client, rid), None)
-            elif self.mode is _NORMAL:
+            elif self.pending_view == self.view:
                 self._start_view_change(out)
         elif key[0] == "new_view":
             # NEW_VIEW for the pending view never arrived; try the next one.
-            if self.mode == Mode.VIEW_CHANGING:
+            if self.pending_view > self.view:
                 self._start_view_change(out)
         return out
 
@@ -314,7 +312,7 @@ class Replica:
             return
         if cached is not None and cached[0] > req.request_id:
             return  # stale duplicate
-        if self.mode is _VIEW_CHANGING:
+        if self.pending_view > self.view:
             self.queued.setdefault(key, req)
             return
         if not self.is_leader:
@@ -337,7 +335,7 @@ class Replica:
         """Propose the queued requests, oldest first and batch_size at a
         time, while the window has room. What a full window holds back goes
         out when a stable checkpoint advances the window."""
-        if self.mode is not _NORMAL:
+        if self.pending_view > self.view:
             return
         queued, size = self.queued, self.config.batch_size
         while queued and self._in_window(self.next_seq):
@@ -345,7 +343,7 @@ class Replica:
             batch = tuple(map(queued.pop, keys))
             seq = self.next_seq
             self.next_seq += 1
-            body = PrePrepareBody.for_batch(batch)
+            body = PrePrepareBody(batch)
             env = self._env(_PRE_PREPARE, body.encode(), seq=seq)
             self._entry(seq).pre_prepare(self.view, body, self.config.self_id)
             self.counters["pre_prepares"] += 1
@@ -361,7 +359,7 @@ class Replica:
     # -- normal case -------------------------------------------------------
 
     def _on_pre_prepare(self, env: WireEnvelope, out: ProtocolOutput):
-        if env.view != self.view or self.mode is not _NORMAL:
+        if not env.view == self.view == self.pending_view:
             if env.view > self.view:
                 self.future.setdefault(env.view, []).append(env)
             else:
@@ -378,8 +376,7 @@ class Replica:
         except wire.WireError:
             self.counters["rejected"] += 1
             return
-        if (not body.batch or body.digest != batch_digest(body.batch)
-                or _repeats_request(body.batch)):
+        if not body.batch or _repeats_request(body.batch):
             self.counters["rejected"] += 1
             return
         entry = self._entry(env.seq)
@@ -410,7 +407,7 @@ class Replica:
     def _on_vote(self, env: WireEnvelope, out: ProtocolOutput):
         """A PREPARE or COMMIT vote; the payload is the voted digest."""
         view = env.view
-        if view != self.view or self.mode is not _NORMAL:
+        if not view == self.view == self.pending_view:
             if view > self.view:
                 self.future.setdefault(view, []).append(env)
             else:
@@ -474,7 +471,7 @@ class Replica:
                 self.chain_digest + entry.body.digest).digest()
             out.commits.append((seq, batch))
             replies = [self._env(_REPLY, ReplyBody(
-                req.client_id, req.request_id, seq,
+                req.client_id, req.request_id,
                 crypto.digest(req.canonical_bytes())).encode(), seq=seq)
                 for req in batch]
             replies = crypto.seal_replies(replies, self.config.mode,
@@ -553,15 +550,14 @@ class Replica:
         return out
 
     def _start_view_change(self, out: ProtocolOutput):
-        self._enter_view_change(self.view + 1 if self.mode == Mode.NORMAL
-                                else self._pending_view + 1, out)
+        self._enter_view_change(self.pending_view + 1, out)
 
-    def _view_change_body(self, target: int) -> ViewChangeBody:
-        """VIEW_CHANGE(target, h, C, P, Q) from this replica's log."""
+    def _view_change_body(self) -> ViewChangeBody:
+        """VIEW_CHANGE(h, C, P, Q) from this replica's log."""
         me = self.config.self_id
         log = [(seq, self.log[seq]) for seq in sorted(self.log)]
         return ViewChangeBody(
-            target, self.h,
+            self.h,
             tuple((seq, votes[me]) for seq, votes
                   in sorted(self.checkpoints.items()) if me in votes),
             tuple((seq, *e.prepared) for seq, e in log if e.prepared),
@@ -569,14 +565,11 @@ class Replica:
                   for d, view in e.pre_prepared.items()))
 
     def _enter_view_change(self, target: int, out: ProtocolOutput):
-        if self.mode == Mode.VIEW_CHANGING and target <= self._pending_view:
+        if target <= self.pending_view:
             return
-        if self.mode == Mode.NORMAL:
-            self.vc_attempts = 0
-        self.mode = Mode.VIEW_CHANGING
-        self._pending_view = target
+        self.pending_view = target
         self.counters["view_changes"] += 1
-        body = self._view_change_body(target)
+        body = self._view_change_body()
         # Signed once here: drivers send it as is, and a NEW_VIEW that this
         # replica builds carries the same signed frame.
         env = crypto.sealed(
@@ -606,14 +599,12 @@ class Replica:
         except wire.WireError:
             self.counters["rejected"] += 1
             return
-        if body.new_view != target or not self._valid_view_change(body):
+        if not self._valid_view_change(body, target):
             self.counters["rejected"] += 1
             return
         self.vc_messages.setdefault(target, {})[env.sender] = (body, env)
         # Liveness: join the view change once f+1 others are attempting it.
-        current_target = self._pending_view if self.mode == Mode.VIEW_CHANGING \
-            else self.view
-        if target > current_target:
+        if target > self.pending_view:
             others = [s for s in self.vc_messages.get(target, {})
                       if s != self.config.self_id]
             if len(others) >= self.config.f + 1:
@@ -621,26 +612,26 @@ class Replica:
                 return
         self._maybe_new_view(target, out)
 
-    def _valid_view_change(self, body: ViewChangeBody) -> bool:
+    def _valid_view_change(self, body: ViewChangeBody, target: int) -> bool:
         """Structural checks only: every entry lies in the sender's window
-        and names an earlier view, each P body matches its digest and
-        repeats no request, and P has one entry per seq. What the entries
-        claim is weighed by :meth:`_decide`, never trusted here."""
+        and names a view before ``target``, each P body repeats no request,
+        and P has one entry per seq. What the entries claim is weighed by
+        :meth:`_decide`, never trusted here."""
         low = body.last_stable_seq
         high = low + self.config.log_capacity
         return (len({e[0] for e in body.prepared}) == len(body.prepared)
                 and all(low <= seq <= high for seq, _ in body.checkpoints)
-                and all(low < seq <= high and view < body.new_view
+                and all(low < seq <= high and view < target
                         for seq, _, view in body.pre_prepared)
-                and all(low < seq <= high and view < body.new_view
-                        and b.digest == batch_digest(b.batch)
+                and all(low < seq <= high and view < target
                         and not _repeats_request(b.batch)
                         for seq, view, b in body.prepared))
 
     def _maybe_new_view(self, target: int, out: ProtocolOutput):
         if primary(target, self.config.n) != self.config.self_id:
             return
-        if self.mode != Mode.VIEW_CHANGING or self._pending_view != target:
+        # Both callers hold ``target > view``.
+        if self.pending_view != target:
             return
         msgs = self.vc_messages.get(target, {})
         if len(msgs) < self.config.quorum:
@@ -650,7 +641,7 @@ class Replica:
         if chosen is None:
             return  # some seq is undecided: wait for more VIEW_CHANGEs
         frames = tuple(wire.encode(msgs[s][1]) for s in senders)
-        nv_body = NewViewBody(target, frames,
+        nv_body = NewViewBody(frames,
                               tuple((seq, b.digest) for seq, b in chosen))
         nv_env = self._env(MessageKind.NEW_VIEW, nv_body.encode(), view=target)
         out.outbound.append((self._peers, nv_env))
@@ -724,7 +715,7 @@ class Replica:
         except wire.WireError:
             self.counters["rejected"] += 1
             return
-        chosen = self._check_new_view(body)
+        chosen = self._check_new_view(body, target)
         if chosen is None:
             self.counters["rejected"] += 1
             # A provably bad NEW_VIEW from the new leader: move past it.
@@ -733,10 +724,10 @@ class Replica:
         self._install_view(target, chosen, False, out)
         self._trace("adopt_new_view", target=target)
 
-    def _check_new_view(self, body: NewViewBody):
+    def _check_new_view(self, body: NewViewBody, target: int):
         """Re-decide O over the embedded VIEW_CHANGEs (2f+1 to n verified,
-        distinct senders); the chosen bodies, or None unless the leader's O
-        matches."""
+        distinct senders, each for ``target``); the chosen bodies, or None
+        unless the leader's O matches."""
         if not self.config.quorum <= len(body.view_changes) <= self.config.n:
             return None
         senders = set()
@@ -747,10 +738,9 @@ class Replica:
                 vc = ViewChangeBody.decode(env.payload)
             except wire.WireError:
                 return None
-            if (env.kind != MessageKind.VIEW_CHANGE or env.view != body.view
-                    or vc.new_view != body.view or env.sender in senders
-                    or env.sender >= self.config.n
-                    or not self._valid_view_change(vc)
+            if (env.kind != MessageKind.VIEW_CHANGE or env.view != target
+                    or env.sender in senders or env.sender >= self.config.n
+                    or not self._valid_view_change(vc, target)
                     or not crypto.verify_incoming(env, self.config.mode,
                                                   self.keystore)):
                 return None
@@ -764,8 +754,7 @@ class Replica:
 
     def _install_view(self, target: int, chosen, leader: bool,
                       out: ProtocolOutput):
-        self.view = target
-        self.mode = Mode.NORMAL
+        self.view = self.pending_view = target
         self.vc_attempts = 0
         # A driver applies an output's timer stops after its starts, so this
         # stop must not follow a view-change timer start in ``out``. None

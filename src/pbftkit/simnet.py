@@ -503,7 +503,7 @@ def _equivocate(outbound):
     for dests, env in outbound:
         if env.kind == MessageKind.PRE_PREPARE:
             batch = PrePrepareBody.decode(env.payload).batch
-            alt = PrePrepareBody.for_batch((batch[0],) + batch)
+            alt = PrePrepareBody((batch[0],) + batch)
             result.append((tuple(d for d in dests if d % 2 == 0), env))
             dests = tuple(d for d in dests if d % 2)
             env = WireEnvelope(env.kind, env.view, env.seq, env.sender,
@@ -521,15 +521,15 @@ def _forge_view_changes(outbound):
     for dests, env in outbound:
         if env.kind == MessageKind.VIEW_CHANGE:
             vc = ViewChangeBody.decode(env.payload)
-            h, view = vc.last_stable_seq, vc.new_view - 1
+            h, view = vc.last_stable_seq, env.view - 1
             top = max([e[0] for e in vc.prepared + vc.pre_prepared],
                       default=h + 1)
-            p = [(seq, view, PrePrepareBody.for_batch(
+            p = [(seq, view, PrePrepareBody(
                 (Request(FORGED_CLIENT, seq, b"forged"),)))
                 for seq in range(h + 1, top + 1)]
             env = WireEnvelope(env.kind, env.view, env.seq, env.sender,
                                ViewChangeBody(
-                                   vc.new_view, h, vc.checkpoints, tuple(p),
+                                   h, vc.checkpoints, tuple(p),
                                    tuple((seq, b.digest, view)
                                          for seq, view, b in p)).encode())
         result.append((dests, env))

@@ -272,13 +272,17 @@ def batch_digest(batch) -> bytes:
 
 @dataclass(frozen=True)
 class PrePrepareBody:
+    """A proposed batch; its digest is derived, never carried."""
+
     batch: tuple  # tuple[Request, ...]; empty only for the NOOP filler
-    digest: bytes
+    digest: bytes = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "digest", batch_digest(self.batch))
 
     def encode(self) -> bytes:
         parts = [_U32.pack(len(self.batch))]
         parts += [_encode_request_item(r) for r in self.batch]
-        parts.append(self.digest)
         return b"".join(parts)
 
     @classmethod
@@ -291,29 +295,23 @@ class PrePrepareBody:
         for _ in range(count):
             req, off = _decode_request_item(buf, off)
             batch.append(req)
-        if len(buf) - off != 32:
-            raise Malformed("batch digest missing or trailing bytes")
-        return cls(tuple(batch), bytes(buf[off:off + 32]))
-
-    @classmethod
-    def for_batch(cls, batch) -> "PrePrepareBody":
-        return cls(tuple(batch), batch_digest(batch))
-
-
-NOOP_BODY_DIGEST = batch_digest(())
+        if off != len(buf):
+            raise Malformed("trailing bytes after batch")
+        return cls(tuple(batch))
 
 
 @dataclass(frozen=True)
 class ReplyBody:
+    """REPLY: the seq travels in the envelope."""
+
     client_id: int
     request_id: int
-    seq: int
     result_digest: bytes  # digest of the committed request's canonical bytes
 
-    _S = struct.Struct("<HQQ32s")
+    _S = struct.Struct("<HQ32s")
 
     def encode(self) -> bytes:
-        return self._S.pack(self.client_id, self.request_id, self.seq,
+        return self._S.pack(self.client_id, self.request_id,
                             self.result_digest)
 
     @classmethod
@@ -342,21 +340,21 @@ def _unpack_items(buf: bytes, off: int, item: struct.Struct):
 
 @dataclass(frozen=True)
 class ViewChangeBody:
-    """VIEW_CHANGE(v, h, C, P, Q) of Castro & Liskov (ACM TOCS 20(4), 2002,
-    §4.5): claims, not certificates; only the envelope's signature vouches
-    for them. C holds the stable checkpoint and any later one the sender
-    took; P, per seq above h, the latest view the sender prepared in with
-    that batch; Q each (seq, digest) it pre-prepared with the latest view.
+    """VIEW_CHANGE(h, C, P, Q) of Castro & Liskov (ACM TOCS 20(4), 2002,
+    §4.5), for the view its envelope names: claims, not certificates; only
+    the envelope's signature vouches for them. C holds the stable
+    checkpoint and any later one the sender took; P, per seq above h, the
+    latest view the sender prepared in with that batch; Q each (seq,
+    digest) it pre-prepared with the latest view.
     """
 
-    new_view: int
     last_stable_seq: int
     checkpoints: tuple  # ((seq, state digest), ...)
     prepared: tuple  # ((seq, view, PrePrepareBody), ...)
     pre_prepared: tuple  # ((seq, digest, view), ...)
 
     def encode(self) -> bytes:
-        parts = [struct.pack("<QQI", self.new_view, self.last_stable_seq,
+        parts = [struct.pack("<QI", self.last_stable_seq,
                              len(self.checkpoints))]
         parts += [_CHECKPOINT.pack(*c) for c in self.checkpoints]
         parts.append(_U32.pack(len(self.prepared)))
@@ -369,10 +367,10 @@ class ViewChangeBody:
 
     @classmethod
     def decode(cls, buf: bytes) -> "ViewChangeBody":
-        if len(buf) < 16:
+        if len(buf) < 8:
             raise Malformed("truncated view-change header")
-        new_view, last_stable = struct.unpack_from("<QQ", buf)
-        checkpoints, off = _unpack_items(buf, 16, _CHECKPOINT)
+        (last_stable,) = struct.unpack_from("<Q", buf)
+        checkpoints, off = _unpack_items(buf, 8, _CHECKPOINT)
         if off + 4 > len(buf):
             raise Malformed("truncated prepared-set count")
         (count,) = _U32.unpack_from(buf, off)
@@ -387,22 +385,21 @@ class ViewChangeBody:
         pre_prepared, off = _unpack_items(buf, off, _Q_ITEM)
         if off != len(buf):
             raise Malformed("trailing bytes after view change")
-        return cls(new_view, last_stable, checkpoints, tuple(prepared),
-                   pre_prepared)
+        return cls(last_stable, checkpoints, tuple(prepared), pre_prepared)
 
 
 @dataclass(frozen=True)
 class NewViewBody:
-    """NEW_VIEW(v, V, O): the VIEW_CHANGE frames decided over, auths
-    included so followers re-verify and re-decide, and O as (seq, digest)
-    pairs. Batch bodies travel only inside the VIEW_CHANGEs."""
+    """NEW_VIEW(V, O) for the view its envelope names: the VIEW_CHANGE
+    frames decided over, auths included so followers re-verify and
+    re-decide, each for that same view, and O as (seq, digest) pairs.
+    Batch bodies travel only inside the VIEW_CHANGEs."""
 
-    view: int
     view_changes: tuple  # frames of 2f+1 to n VIEW_CHANGE envelopes
     reproposals: tuple  # ((seq, digest), ...) -- the set O, seq order
 
     def encode(self) -> bytes:
-        parts = [struct.pack("<QH", self.view, len(self.view_changes))]
+        parts = [_U16.pack(len(self.view_changes))]
         parts += [_pack_bytes(frame) for frame in self.view_changes]
         parts.append(_U32.pack(len(self.reproposals)))
         parts += [_ORDER.pack(*o) for o in self.reproposals]
@@ -410,10 +407,10 @@ class NewViewBody:
 
     @classmethod
     def decode(cls, buf: bytes) -> "NewViewBody":
-        if len(buf) < 10:
+        if len(buf) < 2:
             raise Malformed("truncated new-view header")
-        view, vc_count = struct.unpack_from("<QH", buf)
-        off = 10
+        (vc_count,) = _U16.unpack_from(buf)
+        off = 2
         frames = []
         for _ in range(vc_count):
             frame, off = _unpack_bytes(buf, off)
@@ -421,4 +418,4 @@ class NewViewBody:
         reproposals, off = _unpack_items(buf, off, _ORDER)
         if off != len(buf):
             raise Malformed("trailing bytes after reproposals")
-        return cls(view, tuple(frames), reproposals)
+        return cls(tuple(frames), reproposals)

@@ -171,7 +171,7 @@ class TestCriterion3QuorumExactness:
                                      (15, 4)])
     def test_transitions_at_exact_thresholds(self, n, f):
         rep = Replica(ReplicaConfig(n=n, f=f, self_id=1, batch_size=1))
-        body = PrePrepareBody.for_batch((Request(100, 0, b"v"),))
+        body = PrePrepareBody((Request(100, 0, b"v"),))
         rep.on_envelope(WireEnvelope(MessageKind.PRE_PREPARE, 0, 1, 0,
                                      body.encode()))
         # prepare: own vote + leader's; 2f votes never suffice, 2f+1 do
@@ -197,7 +197,7 @@ class TestCriterion3QuorumExactness:
         from pbftkit.wire import ReplyBody
         sess = ClientSession(n, n, f, CryptoMode.DOMAIN_OPTIMIZED)
         sess.make_request(b"x", 0.0)
-        body = ReplyBody(n, 0, 1, b"\x07" * 32).encode()
+        body = ReplyBody(n, 0, b"\x07" * 32).encode()
         for s in range(f):
             env = WireEnvelope(MessageKind.REPLY, 0, 1, s, body)
             assert sess.on_reply(env, 1.0) is None

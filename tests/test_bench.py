@@ -161,7 +161,7 @@ class RecordingPort:
         rx = self.reply_via.rx
         for sender, cid in ((0, req.client_id), (1, req.client_id),
                             (3, 99)):
-            body = wire.ReplyBody(cid, req.request_id, 1, bytes(32))
+            body = wire.ReplyBody(cid, req.request_id, bytes(32))
             rx[sender].put(wire.encode(wire.WireEnvelope(
                 wire.MessageKind.REPLY, 0, 1, sender, body.encode())))
         rx[2].put(b"\x00not a frame")

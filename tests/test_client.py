@@ -17,7 +17,7 @@ def make_session(mode=CryptoMode.DOMAIN_OPTIMIZED, **kw):
 
 
 def reply(rid, sender, digest=b"\x07" * 32, view=0, seq=1, client=4):
-    body = ReplyBody(client, rid, seq, digest)
+    body = ReplyBody(client, rid, digest)
     return WireEnvelope(MessageKind.REPLY, view, seq, sender, body.encode())
 
 

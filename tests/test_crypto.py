@@ -153,7 +153,7 @@ class TestAuthenticateVerify:
 
 
 def _reply(rid, sender=1):
-    body = ReplyBody(4, rid, 1, bytes([rid]) * 32).encode()
+    body = ReplyBody(4, rid, bytes([rid]) * 32).encode()
     return WireEnvelope(MessageKind.REPLY, 0, 1, sender, body)
 
 

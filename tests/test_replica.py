@@ -7,7 +7,7 @@ import pytest
 from pbftkit import crypto, wire
 from pbftkit.client import ClientSession
 from pbftkit.crypto import CryptoMode, KeyStore
-from pbftkit.replica import (Mode, Replica, ReplicaConfig, Status, primary)
+from pbftkit.replica import Replica, ReplicaConfig, Status, primary
 from pbftkit.simnet import CRASH_AT, SimConfig, World, build_keystores
 from pbftkit.wire import (MessageKind, NewViewBody, PrePrepareBody, ReplyBody,
                           Request, ViewChangeBody, WireEnvelope,
@@ -21,7 +21,7 @@ def make_replica(self_id=1, n=4, f=1, **kw):
 
 def pre_prepare(seq, batch, view=0, sender=None, n=4):
     sender = primary(view, n) if sender is None else sender
-    body = PrePrepareBody.for_batch(tuple(batch))
+    body = PrePrepareBody(tuple(batch))
     return WireEnvelope(MessageKind.PRE_PREPARE, view, seq, sender,
                         body.encode()), body.digest
 
@@ -315,7 +315,7 @@ class TestRequestQueue:
         for i in (1, 2, 3):
             bus.absorb(i, bus.replicas[i].start_view_change())
         bus.run()
-        assert all(r.view == 1 and r.mode is Mode.NORMAL
+        assert all(r.view == 1 == r.pending_view
                    for r in bus.replicas.values())
         assert bus.replicas[0].queued == {}
         assert list(bus.replicas[1].queued) == [(100, 0), (100, 1), (100, 2)]
@@ -403,7 +403,7 @@ class TestCheckpointGC:
             bus.submit(Request(100, rid, b"v"))
         reps = bus.replicas
         assert all(r.h == 5 for r in reps.values())
-        liar = ViewChangeBody(1, 10, ((10, b"\x01" * 32),), (), ())
+        liar = ViewChangeBody(10, ((10, b"\x01" * 32),), (), ())
         reps[1].on_envelope(WireEnvelope(MessageKind.VIEW_CHANGE, 1, 0, 3,
                                          liar.encode()))
         out = reps[1].start_view_change()
@@ -453,7 +453,7 @@ class TestViewChange:
             bus.timeout(i, ("request", 100, 0))
         for i in (1, 2, 3):
             assert bus.replicas[i].view == 1
-            assert bus.replicas[i].mode == Mode.NORMAL
+            assert bus.replicas[i].pending_view == bus.replicas[i].view
 
     def test_requests_recommitted_after_view_change(self):
         bus = self.crash_leader_cluster(requests=2)
@@ -477,8 +477,9 @@ class TestViewChange:
         bus = Bus(drop={0})
         bus.submit(Request(100, 0, b"v"))
         bus.timeout(3, ("request", 100, 0))
-        assert bus.replicas[3].mode == Mode.VIEW_CHANGING
-        assert bus.replicas[1].mode == Mode.NORMAL  # one voice is not f+1
+        assert bus.replicas[3].pending_view > bus.replicas[3].view
+        # one voice is not f+1
+        assert bus.replicas[1].pending_view == bus.replicas[1].view
 
     def test_new_view_carries_prepared_request(self):
         # Nodes prepare seq 1 but never exchange commits; the next view
@@ -510,7 +511,7 @@ class TestViewChange:
         vc3 = view_change_to(reps[3], 2)
         timers.apply(reps[1].on_envelope(vc3))
         join = timers.apply(reps[1].on_envelope(view_change_to(reps[2], 2)))
-        assert reps[1].mode == Mode.VIEW_CHANGING
+        assert reps[1].pending_view > reps[1].view
         (due,) = [key for key in timers.due if key[0] == "new_view"]
         (vc1,) = sent(join, MessageKind.VIEW_CHANGE)
         # Firing it escalates from view 2, so no timer of view 1 was left.
@@ -521,7 +522,7 @@ class TestViewChange:
         reps[2].on_envelope(vc3)
         (nv,) = sent(reps[2].on_envelope(vc1), MessageKind.NEW_VIEW)
         timers.apply(reps[1].on_envelope(nv))
-        assert reps[1].view == 2 and reps[1].mode == Mode.NORMAL
+        assert reps[1].view == 2 == reps[1].pending_view
         assert not [key for key in timers.due if key[0] == "new_view"]
 
     def test_adopting_a_lower_view_stops_the_pending_view_timer(self):
@@ -538,7 +539,7 @@ class TestViewChange:
         (nv,) = sent(reps[1].on_envelope(view_change_to(reps[2], 1)),
                      MessageKind.NEW_VIEW)
         timers.apply(reps[3].on_envelope(nv))
-        assert reps[3].view == 1 and reps[3].mode == Mode.NORMAL
+        assert reps[3].view == 1 == reps[3].pending_view
         assert not [key for key in timers.due if key[0] == "new_view"]
 
 
@@ -609,7 +610,7 @@ class TestWatchedRequests:
         out = leader.on_request(Request(100, 0, b"v"))
         assert [d for d, _ in out.outbound] == [(0,)] and key in armed(out)
         leader.on_timeout(key)
-        assert leader.mode is Mode.VIEW_CHANGING
+        assert leader.pending_view > leader.view
         leader.on_envelope(view_change_to(reps[2], 1))
         out = leader.on_envelope(view_change_to(reps[3], 1))
         assert leader.view == 1 and batches(out) == [[0]]
@@ -627,7 +628,7 @@ class TestWatchedRequests:
         timers.apply(reps[2].on_envelope(nv))
         assert reps[2].view == 1 and timers.due == {key: 1.5}
         timers.advance(1.0)
-        assert reps[2].mode is Mode.NORMAL
+        assert reps[2].pending_view == reps[2].view
         assert reps[2].counters["view_changes"] == 1
         for kind, s in ((MessageKind.PREPARE, 3), (MessageKind.COMMIT, 1),
                         (MessageKind.COMMIT, 3)):
@@ -649,7 +650,7 @@ class TestWatchedRequests:
         out = self.new_view(reps)
         (nv,) = sent(out, MessageKind.NEW_VIEW)
         assert NewViewBody.decode(nv.payload).reproposals[0] == (
-            1, wire.NOOP_BODY_DIGEST)
+            1, wire.batch_digest(()))
         (pp,) = sent(out, MessageKind.PRE_PREPARE)
         assert pp.seq == 3 and batches(out) == [[0]]
 
@@ -674,19 +675,33 @@ class TestWatchedRequests:
 class TestNewViewValidation:
     def test_forged_new_view_rejected(self):
         rep = make_replica(self_id=2)
-        body = NewViewBody(1, (), ())
+        body = NewViewBody((), ())
         env = WireEnvelope(MessageKind.NEW_VIEW, 1, 0, 1, body.encode())
         rep.on_envelope(env)
         assert rep.view == 0  # no quorum proof inside
 
     def test_new_view_from_another_than_its_leader_rejected(self):
         rep = make_replica(self_id=2)
-        body = NewViewBody(1, (), ())
+        body = NewViewBody((), ())
         out = rep.on_envelope(WireEnvelope(MessageKind.NEW_VIEW, 1, 0, 3,
                                            body.encode()))
         assert rep.counters["rejected"] == 1
-        assert rep.view == 0 and rep.mode is Mode.NORMAL
+        assert rep.view == 0 == rep.pending_view
         assert not out.outbound
+
+    def test_new_view_built_on_another_views_view_changes_rejected(self):
+        # Three genuine VIEW_CHANGEs for view 1 prove nothing about view 5:
+        # view 5's leader may not install it with them (TOCS §4.4).
+        frames = tuple(wire.encode(env) for i in (1, 2, 3)
+                       for env in sent(make_replica(i).start_view_change(),
+                                       MessageKind.VIEW_CHANGE))
+        assert [wire.decode(f).view for f in frames] == [1, 1, 1]
+        rep = make_replica(self_id=0)
+        rep.on_envelope(WireEnvelope(MessageKind.NEW_VIEW, 5, 0,
+                                     primary(5, 4),
+                                     NewViewBody(frames, ()).encode()))
+        assert rep.counters["rejected"] == 1
+        assert rep.view == 0 and rep.pending_view == 6
 
     def test_new_view_with_wrong_reproposals_rejected(self):
         bus = Bus(drop={0})
@@ -726,8 +741,8 @@ class TestForgedViewChange:
 
     @staticmethod
     def forged(target, claimed_view):
-        b = PrePrepareBody.for_batch((Request(101, 0, b"B"),))
-        body = ViewChangeBody(target, 0, (), ((1, claimed_view, b),),
+        b = PrePrepareBody((Request(101, 0, b"B"),))
+        body = ViewChangeBody(0, (), ((1, claimed_view, b),),
                               ((1, b.digest, claimed_view),))
         return WireEnvelope(MessageKind.VIEW_CHANGE, target, 0, 3,
                             body.encode())
@@ -760,14 +775,14 @@ class TestForgedViewChange:
         # A sender may put its stable checkpoint anywhere; a P entry above
         # the chosen checkpoint's window neither widens O nor stalls it.
         reps = bus.replicas
-        b = PrePrepareBody.for_batch((Request(101, 0, b"B"),))
+        b = PrePrepareBody((Request(101, 0, b"B"),))
         far = 2**60
-        lie = ViewChangeBody(1, far, (), ((far + 1, 0, b),),
+        lie = ViewChangeBody(far, (), ((far + 1, 0, b),),
                              ((far + 1, b.digest, 0),))
         reps[1].on_envelope(WireEnvelope(MessageKind.VIEW_CHANGE, 1, 0, 3,
                                          lie.encode()))
         reps[1].on_envelope(view_change_to(reps[2], 1))
-        assert reps[1].mode == Mode.VIEW_CHANGING  # joined under f+1
+        assert reps[1].pending_view > reps[1].view  # joined under f+1
         (nv,) = sent(reps[1].on_envelope(view_change_to(reps[0], 1)),
                      MessageKind.NEW_VIEW)
         assert NewViewBody.decode(nv.payload).reproposals == (
@@ -989,24 +1004,25 @@ class TestNonReplicaSenders:
     @staticmethod
     def empty_view_change(sender, target=1):
         return WireEnvelope(MessageKind.VIEW_CHANGE, target, 0, sender,
-                            ViewChangeBody(target, 0, (), (), ()).encode())
+                            ViewChangeBody(0, (), (), ()).encode())
 
     def test_view_changes_never_make_a_replica_join(self):
         rep = make_replica(self_id=2)
         for sender in (4, 5):
             assert rep.on_envelope(self.empty_view_change(sender)).outbound \
                 == []
-        assert rep.mode is Mode.NORMAL and rep.counters["rejected"] == 2
+        assert rep.pending_view == rep.view
+        assert rep.counters["rejected"] == 2
         for sender in (1, 3):
             rep.on_envelope(self.empty_view_change(sender))
-        assert rep.mode is Mode.VIEW_CHANGING
+        assert rep.pending_view > rep.view
 
     def test_new_view_embedding_one_is_rejected(self):
         def new_view(senders):
             frames = tuple(wire.encode(self.empty_view_change(s))
                            for s in senders)
             return WireEnvelope(MessageKind.NEW_VIEW, 1, 0, 1,
-                                NewViewBody(1, frames, ()).encode())
+                                NewViewBody(frames, ()).encode())
 
         rep = make_replica(self_id=2)
         rep.on_envelope(new_view((1, 3, 5)))

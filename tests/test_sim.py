@@ -147,7 +147,7 @@ def _show_both_batches(outbound):
     result = list(outbound)
     for dests, env in outbound:
         if env.kind == MessageKind.PRE_PREPARE:
-            alt = PrePrepareBody.for_batch(tuple(
+            alt = PrePrepareBody(tuple(
                 Request(r.client_id, r.request_id, r.payload + b"'")
                 for r in PrePrepareBody.decode(env.payload).batch))
             result.append((tuple(d for d in dests if d % 2), WireEnvelope(

@@ -216,13 +216,13 @@ class TestBodies:
 
     def test_pre_prepare_round_trip(self):
         reqs = (Request(5, 9, b"hello", b"s" * 16), Request(6, 1, b""))
-        body = PrePrepareBody.for_batch(reqs)
+        body = PrePrepareBody(reqs)
         back = PrePrepareBody.decode(body.encode())
         assert back.batch == reqs
         assert back.digest == body.digest
 
     def test_reply_round_trip(self):
-        rb = ReplyBody(5, 9, 4, bytes(range(32)))
+        rb = ReplyBody(5, 9, bytes(range(32)))
         assert ReplyBody.decode(rb.encode()) == rb
 
     def test_reply_golden(self):
@@ -235,17 +235,17 @@ u64 = st.integers(0, 2**64 - 1)
 digests = st.binary(min_size=32, max_size=32)
 requests = st.builds(Request, st.integers(0, 2**16 - 1), u64,
                      st.binary(max_size=40), st.binary(max_size=40))
-batches = st.lists(requests, max_size=3).map(PrePrepareBody.for_batch)
+batches = st.lists(requests, max_size=3).map(tuple).map(PrePrepareBody)
 view_changes = st.builds(
-    ViewChangeBody, u64, u64,
+    ViewChangeBody, u64,
     st.lists(st.tuples(u64, digests), max_size=3).map(tuple),
     st.lists(st.tuples(u64, u64, batches), max_size=3).map(tuple),
     st.lists(st.tuples(u64, digests, u64), max_size=3).map(tuple))
 new_views = st.builds(
-    NewViewBody, u64,
+    NewViewBody,
     st.lists(st.binary(max_size=200), max_size=4).map(tuple),
     st.lists(st.tuples(u64, digests), max_size=4).map(tuple))
-replies = st.builds(ReplyBody, st.integers(0, 2**16 - 1), u64, u64, digests)
+replies = st.builds(ReplyBody, st.integers(0, 2**16 - 1), u64, digests)
 bodies = st.one_of(view_changes, new_views, batches, replies)
 
 
