@@ -226,9 +226,9 @@ class TestBodies:
         assert ReplyBody.decode(rb.encode()) == rb
 
     def test_reply_golden(self):
-        assert ReplyBody(5, 9, 4, bytes(range(32))).encode().hex() == (
-            "05000900000000000000040000000000000000010203040506070809"
-            "0a0b0c0d0e0f101112131415161718191a1b1c1d1e1f")
+        assert ReplyBody(5, 9, bytes(range(32))).encode().hex() == (
+            "05000900000000000000000102030405060708090a0b0c0d0e0f"
+            "101112131415161718191a1b1c1d1e1f")
 
 
 u64 = st.integers(0, 2**64 - 1)
