@@ -3,8 +3,9 @@ on the same frames, the policy is applied in ``crypto`` alone, one
 per-frame step (``pipeline.Node``) applies it for both drivers, only the
 simulator and the pipeline drive the replica core, only the step runs a
 replica's timeout, no module but ``replica`` reads a replica's log or writes
-into its counters, the bench harness starts no thread of its own, and no
-module under ``src`` imports a name it does not use."""
+into its counters, the bench harness starts no thread of its own, no
+module under ``src`` imports a name it does not use, and none reads the
+environment but for the CLI's log level (``test_no_environment_knobs``)."""
 
 import ast
 import time
@@ -302,4 +303,40 @@ def test_no_unused_imports():
     found = [f"{path.relative_to(SRC)}:{line}: {name}"
              for path in sorted(SRC.rglob("*.py"))
              for line, name in unused_imports(ast.parse(path.read_text()))]
+    assert found == []
+
+
+ENVIRONMENT = {"environ", "getenv"}
+
+
+def environment_reads(tree):
+    """(line, variable) for each read of the environment through ``os``, as
+    ``os.environ``, ``os.getenv`` or either imported from ``os``.
+    ``variable`` is the name read when a literal gives it, else None."""
+    parents = {child: node for node in ast.walk(tree)
+               for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            for alias in node.names:
+                if alias.name in ENVIRONMENT:
+                    yield node.lineno, None
+        elif (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT
+              and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            use = parents[node]
+            if isinstance(use, ast.Attribute):  # os.environ.get(...)
+                use = parents[use]
+            key = (use.args[0] if isinstance(use, ast.Call) and use.args
+                   else getattr(use, "slice", None))
+            yield node.lineno, getattr(key, "value", None)
+
+
+def test_no_environment_knobs():
+    # A setting is an option or a config field that a reader can find in
+    # one place, never an environment switch.
+    found = [f"{path.relative_to(SRC)}:{line}: {variable}"
+             for path in sorted(SRC.rglob("*.py"))
+             for line, variable in environment_reads(
+                 ast.parse(path.read_text()))
+             if (str(path.relative_to(SRC)), variable)
+             != ("bench/cli.py", "PBFTKIT_LOG")]
     assert found == []
