@@ -33,6 +33,7 @@ import time
 from collections import deque
 
 from .. import crypto
+from ..replica import check_group
 from ..simnet import (CRASH_AT, EQUIVOCATE, FORGE_VC, MUTE, NonQuiescent,
                       SimConfig, World, trace_line, trace_lines)
 
@@ -48,9 +49,10 @@ def _load_deployment(path):
         nodes = {int(k): tuple([v.rsplit(":", 1)[0],
                                 int(v.rsplit(":", 1)[1])])
                  for k, v in dep["nodes"].items()}
+        n, f = int(dep["n"]), int(dep["f"])
+        check_group(n, f)
         return {
-            "n": int(dep["n"]),
-            "f": int(dep["f"]),
+            "n": n, "f": f,
             "mode": _MODES[dep.get("mode", "mac_inter_node")],
             "keys": dep.get("keys"),
             "nodes": nodes,

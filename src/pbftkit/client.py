@@ -38,7 +38,6 @@ class Completion:
     request_id: int
     result_digest: bytes
     latency: float
-    seq: int
 
 
 class ClientSession:
@@ -106,7 +105,7 @@ class ClientSession:
             views = sorted(pend.reply_views.values(), reverse=True)
             self.believed_leader = views[self.f] % self.n
             done = Completion(body.request_id, body.result_digest,
-                              now - pend.sent_at, env.seq)
+                              now - pend.sent_at)
             self.completions.append(done)
             return done
         return None

@@ -9,11 +9,14 @@ discrete-event simulator replay it bit-for-bit.
 Quorum rules: an entry is *prepared* with 2f+1 matching votes counting the
 leader's PRE_PREPARE as its prepare vote, and *committed* with 2f+1 COMMIT
 votes once every lower sequence has committed. A vote is kept as its
-sender's bit in a per-digest bitmask, nothing more. Only replicas vote:
-anything but a REQUEST from a non-replica id is a counted rejection. The
-in-memory log is a bounded window above the last stable checkpoint;
-collecting 2f+1 matching CHECKPOINT messages advances the watermark and
-evicts older entries.
+sender's bit in a per-digest bitmask, nothing more. The in-memory log is
+a bounded window above the last stable checkpoint; collecting 2f+1
+matching CHECKPOINT messages advances the watermark and evicts older
+entries. A handler returns True for an input it rejects, and ``_dispatch``
+alone counts it, as it counts anything but a REQUEST from a non-replica
+id: only replicas vote. One view gate, ``_off_view``, buffers each
+PRE_PREPARE or vote for a later view in ``Replica.future``, uncounted,
+until that view is installed.
 
 Every verified request that waits for a seq (while a batch fills, while
 the window is full, during a view change) sits in one insertion-ordered
@@ -22,14 +25,14 @@ batch starts the batch timer, which is never stopped: fired with nothing
 queued, it does nothing.
 
 A replica watches each request it proposes, forwards or pre-prepares, in
-``Replica.watching``, which keeps the request body; the request's timer
-starts a view change if it has not executed in time. A request stays
-watched until it executes (TOCS §4.5.2), also at a leader that a view
-change demotes. Installing a view restarts the timer of each watched
-request that the view re-proposes, and every other one re-enters with
-the queue: the new leader proposes what it watched, and a follower
-forwards it to the new leader. So a leader crash costs one view change,
-and no timer of the old view starts another.
+``Replica.watching``, which keeps the request body; the request's timer,
+started by ``_watch`` alone, starts a view change if it has not executed
+in time. A request stays watched until it executes (TOCS §4.5.2), also at
+a leader that a view change demotes. Installing a view restarts the timer
+of each watched request that the view re-proposes, and every other one
+re-enters with the queue: the new leader proposes what it watched, and a
+follower forwards it to the new leader. So a leader crash costs one view
+change, and no timer of the old view starts another.
 
 View changes follow Castro & Liskov (ACM TOCS 20(4), 2002, §4.4-4.5).
 One is pending while ``Replica.pending_view`` exceeds ``Replica.view``.
@@ -71,6 +74,12 @@ DEFAULT_LOG_CAPACITY = 10_000
 MAX_BATCH_SIZE = 0xFFFF // crypto.DIGEST_LEN
 
 
+def check_group(n: int, f: int):
+    """Raise ValueError unless ``n`` replicas tolerate ``f`` faulty ones."""
+    if not 0 <= f <= (n - 1) // 3:
+        raise ValueError(f"'f' {f} is not in 0..{(n - 1) // 3} for n={n}")
+
+
 @dataclass
 class ReplicaConfig:
     n: int
@@ -86,8 +95,10 @@ class ReplicaConfig:
     quorum: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 3 * self.f + 1:
-            raise ValueError(f"n={self.n} < 3f+1 with f={self.f}")
+        check_group(self.n, self.f)
+        if not 0 <= self.self_id < self.n:
+            raise ValueError(f"'self_id' {self.self_id} is not in "
+                             f"0..{self.n - 1}")
         if not self.batch_timeout >= 0:
             raise ValueError(f"'batch_timeout' {self.batch_timeout} is "
                              f"negative")
@@ -172,7 +183,8 @@ class Replica:
     """One node's protocol engine. Not thread-safe; single owner only.
 
     Each public entry point returns a fresh :class:`ProtocolOutput`; the
-    internal handlers all append their effects to that one accumulator.
+    internal handlers all append their effects to that one accumulator,
+    and return True for an envelope they reject: ``_dispatch`` counts it.
 
     ``view`` is the installed view and ``pending_view`` the latest one this
     replica asked to change to: a view change is pending exactly while
@@ -248,12 +260,12 @@ class Replica:
 
     def _dispatch(self, env: WireEnvelope, out: ProtocolOutput):
         handler = _HANDLERS.get(env.kind)
-        # Only replicas vote: a client may send nothing but a REQUEST.
-        if handler is None or (env.sender >= self.config.n
-                               and env.kind is not MessageKind.REQUEST):
+        # Only replicas vote: a client may send nothing but a REQUEST. A
+        # handler returns True for a rejection, which is counted here alone.
+        if (handler is None or (env.sender >= self.config.n
+                                and env.kind is not MessageKind.REQUEST)
+                or handler(self, env, out)):
             self.counters["rejected"] += 1
-        else:
-            handler(self, env, out)
 
     def on_timeout(self, key) -> ProtocolOutput:
         out = ProtocolOutput()
@@ -288,8 +300,7 @@ class Replica:
         # The client signature is checked once, on intake: the leader
         # batches and a follower forwards or watches only verified requests.
         if req is None or not crypto.verify_request(req, self.keystore):
-            self.counters["rejected"] += 1
-            return
+            return True
         self._on_request(req, out)
 
     def on_request(self, req: Request) -> ProtocolOutput:
@@ -319,9 +330,7 @@ class Replica:
             out.outbound.append(((primary(self.view, self.config.n),),
                                  request_envelope(req)))
             if key not in self.watching:
-                self.watching[key] = req
-                out.timer_starts.append((("request", *key),
-                                         self.config.view_change_timeout))
+                self._watch(key, req, out)
             return
         if key in self.assigned or key in self.queued:
             return
@@ -351,34 +360,37 @@ class Replica:
             out.outbound.append((self._peers, env))
             for key, req in zip(keys, batch):
                 self.assigned[key] = seq
-                self.watching[key] = req
-                out.timer_starts.append((("request", *key),
-                                         self.config.view_change_timeout))
+                self._watch(key, req, out)
             self._check_progress(seq, out)
+
+    def _watch(self, key, req: Request, out: ProtocolOutput):
+        """Watch ``req`` until it executes, under a view-change timer."""
+        self.watching[key] = req
+        out.timer_starts.append((("request", *key),
+                                 self.config.view_change_timeout))
 
     # -- normal case -------------------------------------------------------
 
+    def _off_view(self, env: WireEnvelope) -> bool:
+        """Gate a PRE_PREPARE or vote off the settled view; True rejects."""
+        if env.view > self.view:
+            self.future.setdefault(env.view, []).append(env)
+            return False
+        return True
+
     def _on_pre_prepare(self, env: WireEnvelope, out: ProtocolOutput):
         if not env.view == self.view == self.pending_view:
-            if env.view > self.view:
-                self.future.setdefault(env.view, []).append(env)
-            else:
-                self.counters["rejected"] += 1
-            return
+            return self._off_view(env)
         if env.sender != primary(self.view, self.config.n):
-            self.counters["rejected"] += 1
-            return
+            return True
         if not self._in_window(env.seq):
-            self.counters["rejected"] += 1
-            return
+            return True
         try:
             body = PrePrepareBody.decode(env.payload)
         except wire.WireError:
-            self.counters["rejected"] += 1
-            return
+            return True
         if not body.batch or _repeats_request(body.batch):
-            self.counters["rejected"] += 1
-            return
+            return True
         entry = self._entry(env.seq)
         if entry.body is not None:
             if entry.digest != body.digest:
@@ -389,16 +401,13 @@ class Replica:
             return
         if not all(crypto.verify_request(r, self.keystore)
                    for r in body.batch):
-            self.counters["rejected"] += 1
-            return
+            return True
         entry.pre_prepare(env.view, body, env.sender, self.config.self_id)
         for req in body.batch:
             key = (req.client_id, req.request_id)
             self.assigned[key] = env.seq
             if key not in self.watching:
-                self.watching[key] = req
-                out.timer_starts.append((("request", *key),
-                                         self.config.view_change_timeout))
+                self._watch(key, req, out)
         out.outbound.append((self._peers,
                              self._env(_PREPARE, body.digest, seq=env.seq)))
         self._trace("accept_pre_prepare", seq=env.seq)
@@ -406,19 +415,13 @@ class Replica:
 
     def _on_vote(self, env: WireEnvelope, out: ProtocolOutput):
         """A PREPARE or COMMIT vote; the payload is the voted digest."""
-        view = env.view
-        if not view == self.view == self.pending_view:
-            if view > self.view:
-                self.future.setdefault(view, []).append(env)
-            else:
-                self.counters["rejected"] += 1
-            return
+        if not env.view == self.view == self.pending_view:
+            return self._off_view(env)
         seq = env.seq
         h = self.h
         if (not h < seq <= h + self.config.log_capacity
                 or len(env.payload) != 32):
-            self.counters["rejected"] += 1
-            return
+            return True
         entry = self.log.get(seq)
         if entry is None:
             entry = self.log[seq] = LogEntry(seq)
@@ -521,8 +524,7 @@ class Replica:
         if (len(env.payload) != 32
                 or env.seq % self.config.checkpoint_interval != 0
                 or env.seq > self.h + self.config.log_capacity):
-            self.counters["rejected"] += 1
-            return
+            return True
         self.checkpoints.setdefault(env.seq, {})[env.sender] = env.payload
         self._advance_watermark(env.seq, out)
 
@@ -597,11 +599,9 @@ class Replica:
         try:
             body = ViewChangeBody.decode(env.payload)
         except wire.WireError:
-            self.counters["rejected"] += 1
-            return
+            return True
         if not self._valid_view_change(body, target):
-            self.counters["rejected"] += 1
-            return
+            return True
         self.vc_messages.setdefault(target, {})[env.sender] = (body, env)
         # Liveness: join the view change once f+1 others are attempting it.
         if target > self.pending_view:
@@ -708,19 +708,16 @@ class Replica:
         if target <= self.view:
             return
         if env.sender != primary(target, self.config.n):
-            self.counters["rejected"] += 1
-            return
+            return True
         try:
             body = NewViewBody.decode(env.payload)
         except wire.WireError:
-            self.counters["rejected"] += 1
-            return
+            return True
         chosen = self._check_new_view(body, target)
         if chosen is None:
-            self.counters["rejected"] += 1
             # A provably bad NEW_VIEW from the new leader: move past it.
             self._enter_view_change(target + 1, out)
-            return
+            return True
         self._install_view(target, chosen, False, out)
         self._trace("adopt_new_view", target=target)
 
@@ -815,8 +812,7 @@ class Replica:
             if key not in self.watching:
                 continue  # committed above
             if key in self.assigned:
-                out.timer_starts.append((("request", *key),
-                                         self.config.view_change_timeout))
+                self._watch(key, self.watching[key], out)
             else:
                 again[key] = self.watching.pop(key)
         again.update(queued)

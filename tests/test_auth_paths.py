@@ -4,8 +4,11 @@ per-frame step (``pipeline.Node``) applies it for both drivers, only the
 simulator and the pipeline drive the replica core, only the step runs a
 replica's timeout, no module but ``replica`` reads a replica's log or writes
 into its counters, the bench harness starts no thread of its own, no
-module under ``src`` imports a name it does not use, and none reads the
-environment but for the CLI's log level (``test_no_environment_knobs``)."""
+module under ``src`` imports a name it does not use, none reads the
+environment but for the CLI's log level (``test_no_environment_knobs``),
+and in the replica core ``Replica._dispatch`` alone counts a rejection and
+the view gate alone buffers later-view traffic
+(``test_one_rejection_keeper``)."""
 
 import ast
 import time
@@ -339,4 +342,47 @@ def test_no_environment_knobs():
                  ast.parse(path.read_text()))
              if (str(path.relative_to(SRC)), variable)
              != ("bench/cli.py", "PBFTKIT_LOG")]
+    assert found == []
+
+
+# Methods that put an envelope into ``future``, or into one of its lists.
+GROW = {"append", "extend", "insert", "setdefault"}
+
+
+def admission_writes(tree, scope=()):
+    """(scope, line, what) for each write of ``counters["rejected"]``
+    (``what`` is "rejected") and each addition to ``future`` ("future"),
+    where ``scope`` names the enclosing classes and functions."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            yield from admission_writes(node, scope + (node.name,))
+            continue
+        if isinstance(node, ast.Subscript) and not isinstance(node.ctx,
+                                                              ast.Load):
+            target = getattr(node.value, "attr", None)
+            if (target == "counters"
+                    and getattr(node.slice, "value", None) == "rejected"):
+                yield scope, node.lineno, "rejected"
+            elif target == "future":
+                yield scope, node.lineno, "future"
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in GROW
+              and any(getattr(n, "attr", None) == "future"
+                      for n in ast.walk(node.func.value))):
+            yield scope, node.lineno, "future"
+        yield from admission_writes(node, scope)
+
+
+def test_one_rejection_keeper():
+    # A handler returns True for a rejection and ``_dispatch`` counts it;
+    # one view gate buffers a PRE_PREPARE or vote for a later view. So a
+    # reject label or a bound on ``future`` goes in one place.
+    keepers = {"rejected": ("Replica", "_dispatch"),
+               "future": ("Replica", "_off_view")}
+    writes = set(admission_writes(
+        ast.parse((SRC / "replica.py").read_text())))
+    assert {what for _, _, what in writes} == set(keepers)
+    found = sorted(f"replica.py:{line}: {what} in {'.'.join(scope)}"
+                   for scope, line, what in writes if scope != keepers[what])
     assert found == []

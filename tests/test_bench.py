@@ -303,6 +303,26 @@ class TestCli:
                              "--id", "0"]) == 2
         assert "'batch_size'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["node", "--id", "0"],
+                                         ["loadgen", "--duration", "0.1",
+                                          "--warmup", "0"]],
+                             ids=["node", "loadgen"])
+    def test_rejects_negative_f(self, tmp_path, capsys, command):
+        # With f=-1 a node's quorum was -1 and a load client completed on
+        # a single reply. The deployment is refused before anything binds
+        # or connects, so the taken port is never reached.
+        with socket.create_server(("127.0.0.1", 0)) as taken:
+            addr = f"127.0.0.1:{taken.getsockname()[1]}"
+            dep = tmp_path / "dep.json"
+            dep.write_text(json.dumps({"n": 4, "f": -1, "clients": [4],
+                                       "nodes": {str(i): addr
+                                                 for i in range(4)}}))
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command[0], "--deployment", str(dep),
+                          *command[1:]])
+        assert exc.value.code == 2
+        assert "'f'" in capsys.readouterr().err
+
     def test_loadgen_completes_against_tcp_replicas(self, tmp_path):
         keys = tmp_path / "keys"
         assert cli.main(["keygen", "--n", "4", "--clients", "1",

@@ -130,15 +130,21 @@ class TestConfig:
         (SimConfig, "client_timeout", -1.0),
         (SimConfig, "drop_prob", 1.5),
         (SimConfig, "drop_prob", -0.5),
-        (SimConfig, "requests_per_client", -3)])
+        (SimConfig, "requests_per_client", -3),
+        (ReplicaConfig, "f", -1),
+        (ReplicaConfig, "self_id", -1),
+        (ReplicaConfig, "self_id", 4),
+        (ReplicaConfig, "self_id", 7)])
     def test_rejects_values_that_break_the_clock(self, make, key, value):
         # At the parent a negative client or batch timeout ran virtual time
         # backwards, a zero client timeout failed every request, and a drop
         # probability outside [0, 1] or a negative request count was taken
-        # silently.
+        # silently. An f of -1 made the quorum -1, a leader then committing
+        # its own PRE_PREPARE with no vote; a self_id of -1 raised on the
+        # first vote, and one past n-1 voted as an extra replica.
         kw = dict(n=4, f=1, self_id=0) if make is ReplicaConfig else {}
         with pytest.raises(ValueError, match=repr(key)):
-            make(**kw, **{key: value})
+            make(**{**kw, key: value})
 
     def test_zero_batch_timeout_is_valid(self):
         # A partial batch goes out without waiting.
@@ -1030,3 +1036,119 @@ class TestNonReplicaSenders:
         rep = make_replica(self_id=2)
         rep.on_envelope(new_view((1, 3, 0)))
         assert rep.view == 1
+
+
+
+# Inputs for TestRejections, each to a fresh replica 2.
+REQ, DIGEST = Request(4, 0, b"x"), b"\x11" * 32
+
+
+def keyed_replica(stores):
+    return Replica(ReplicaConfig(n=4, f=1, self_id=2,
+                                 mode=CryptoMode.MAC_INTER_NODE),
+                   keystore=stores[2])
+
+
+def forged_request(stores):
+    """A request in client 4's name, signed by client 5."""
+    req = ClientSession(5, 4, 1, CryptoMode.MAC_INTER_NODE,
+                        keystore=stores[5]).make_request(b"x", 0.0)[0]
+    return Request(4, 0, req.payload, req.signature)
+
+
+def in_view_1():
+    bus = Bus()
+    for i in (1, 2, 3):
+        bus.absorb(i, bus.replicas[i].start_view_change())
+    bus.run()
+    assert bus.replicas[2].view == 1 == bus.replicas[2].pending_view
+    return bus.replicas[2]
+
+
+def changing_view():
+    rep = make_replica(self_id=2)
+    rep.start_view_change()
+    return rep
+
+
+def fresh(env):
+    return make_replica(self_id=2), env
+
+
+# Case -> stores -> (replica, the envelope it rejects).
+REJECTED = {
+    "unknown_kind": lambda stores: fresh(
+        WireEnvelope(MessageKind.REPLY, 0, 1, 0, b"")),
+    "vote_from_a_client": lambda stores: fresh(
+        vote(MessageKind.PREPARE, 1, DIGEST, 5)),
+    "undecodable_request": lambda stores: fresh(
+        WireEnvelope(MessageKind.REQUEST, 0, 0, 4, b"short")),
+    "request_with_a_bad_signature": lambda stores: (
+        keyed_replica(stores), request_envelope(forged_request(stores))),
+    "pre_prepare_for_an_earlier_view": lambda stores: (
+        in_view_1(), pre_prepare(1, [REQ])[0]),
+    "pre_prepare_while_a_change_is_pending": lambda stores: (
+        changing_view(), pre_prepare(1, [REQ])[0]),
+    "pre_prepare_from_a_follower": lambda stores: fresh(
+        pre_prepare(1, [REQ], sender=3)[0]),
+    "pre_prepare_outside_the_window": lambda stores: fresh(
+        pre_prepare(10_001, [REQ])[0]),
+    "undecodable_pre_prepare": lambda stores: fresh(
+        WireEnvelope(MessageKind.PRE_PREPARE, 0, 1, 0, b"junk")),
+    "empty_batch": lambda stores: fresh(pre_prepare(1, [])[0]),
+    "batch_repeating_a_request": lambda stores: fresh(
+        pre_prepare(1, [REQ, REQ])[0]),
+    "batch_with_a_bad_client_signature": lambda stores: (
+        keyed_replica(stores), pre_prepare(1, [forged_request(stores)])[0]),
+    "vote_for_an_earlier_view": lambda stores: (
+        in_view_1(), vote(MessageKind.PREPARE, 1, DIGEST, 3)),
+    "vote_while_a_change_is_pending": lambda stores: (
+        changing_view(), vote(MessageKind.COMMIT, 1, DIGEST, 3)),
+    "vote_outside_the_window": lambda stores: fresh(
+        vote(MessageKind.PREPARE, 10_001, DIGEST, 3)),
+    "vote_with_a_short_digest": lambda stores: fresh(
+        vote(MessageKind.COMMIT, 1, DIGEST[:31], 3)),
+    "checkpoint_off_the_grid": lambda stores: fresh(
+        WireEnvelope(MessageKind.CHECKPOINT, 0, 7, 3, DIGEST)),
+    "undecodable_view_change": lambda stores: fresh(
+        WireEnvelope(MessageKind.VIEW_CHANGE, 1, 0, 3, b"junk")),
+    "view_change_claiming_its_own_view": lambda stores: fresh(
+        WireEnvelope(MessageKind.VIEW_CHANGE, 1, 0, 3, ViewChangeBody(
+            0, (), ((1, 1, PrePrepareBody((REQ,))),), ()).encode())),
+    "new_view_from_a_follower": lambda stores: fresh(
+        WireEnvelope(MessageKind.NEW_VIEW, 1, 0, 3,
+                     NewViewBody((), ()).encode())),
+    "undecodable_new_view": lambda stores: fresh(
+        WireEnvelope(MessageKind.NEW_VIEW, 1, 0, 1, b"junk")),
+    "new_view_without_a_quorum": lambda stores: fresh(
+        WireEnvelope(MessageKind.NEW_VIEW, 1, 0, 1,
+                     NewViewBody((), ()).encode())),
+}
+
+
+class TestRejections:
+    """One input behind each rejection the core counts: each is counted
+    exactly once. A PRE_PREPARE or vote for a later view is no rejection;
+    it waits in ``future`` for that view."""
+
+    @pytest.fixture(scope="class")
+    def stores(self):
+        return build_keystores(4, [4, 5])
+
+    @pytest.mark.parametrize("case", REJECTED)
+    def test_counted_once(self, stores, case):
+        rep, env = REJECTED[case](stores)
+        before = rep.counters["rejected"]
+        rep.on_envelope(env)
+        assert rep.counters["rejected"] == before + 1
+        assert rep.future == {}
+
+    @pytest.mark.parametrize("env", [
+        pre_prepare(1, [REQ], view=1)[0],
+        vote(MessageKind.PREPARE, 1, DIGEST, 3, view=1)],
+        ids=["pre_prepare", "vote"])
+    def test_later_view_waits_uncounted(self, env):
+        rep = make_replica(self_id=2)
+        rep.on_envelope(env)
+        assert rep.counters["rejected"] == 0
+        assert rep.future == {1: [env]}
