@@ -52,7 +52,8 @@ def _load_deployment(path):
         n, f = int(dep["n"]), int(dep["f"])
         check_group(n, f)
         return {
-            "n": n, "f": f,
+            "n": n,
+            "f": f,
             "mode": _MODES[dep.get("mode", "mac_inter_node")],
             "keys": dep.get("keys"),
             "nodes": nodes,

@@ -308,9 +308,9 @@ class TestCli:
                                           "--warmup", "0"]],
                              ids=["node", "loadgen"])
     def test_rejects_negative_f(self, tmp_path, capsys, command):
-        # With f=-1 a node's quorum was -1 and a load client completed on
-        # a single reply. The deployment is refused before anything binds
-        # or connects, so the taken port is never reached.
+        # With f=-1 a node's quorum would be -1 and a load client would
+        # complete on a single reply. The deployment is refused before
+        # anything binds or connects, so the taken port is never reached.
         with socket.create_server(("127.0.0.1", 0)) as taken:
             addr = f"127.0.0.1:{taken.getsockname()[1]}"
             dep = tmp_path / "dep.json"

@@ -139,9 +139,9 @@ class TestConfig:
         # At the parent a negative client or batch timeout ran virtual time
         # backwards, a zero client timeout failed every request, and a drop
         # probability outside [0, 1] or a negative request count was taken
-        # silently. An f of -1 made the quorum -1, a leader then committing
-        # its own PRE_PREPARE with no vote; a self_id of -1 raised on the
-        # first vote, and one past n-1 voted as an extra replica.
+        # silently. An f of -1 would make the quorum -1, so that a leader
+        # commits its own PRE_PREPARE with no vote; a self_id of -1 would
+        # raise on the first vote, and one past n-1 vote as an extra replica.
         kw = dict(n=4, f=1, self_id=0) if make is ReplicaConfig else {}
         with pytest.raises(ValueError, match=repr(key)):
             make(**{**kw, key: value})
@@ -1036,7 +1036,6 @@ class TestNonReplicaSenders:
         rep = make_replica(self_id=2)
         rep.on_envelope(new_view((1, 3, 0)))
         assert rep.view == 1
-
 
 
 # Inputs for TestRejections, each to a fresh replica 2.
