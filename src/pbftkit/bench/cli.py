@@ -112,8 +112,6 @@ def cmd_node(args):
         return 2
     pipe = run_pipeline(PipelineConfig(), fabric,
                         Replica(cfg, keystore=keystore))
-    log.info("node %d serving (leader=%s)", args.id,
-             args.id == 0)
     stop = {"flag": False}
 
     def _sig(_s, _f):
@@ -121,13 +119,15 @@ def cmd_node(args):
 
     signal.signal(signal.SIGTERM, _sig)
     signal.signal(signal.SIGINT, _sig)
+    log.info("node %d serving (leader=%s)", args.id,
+             args.id == 0)
     try:
         while not stop["flag"]:
             time.sleep(0.2)
     finally:
+        pipe.stop()  # the table is whole once the loop has stopped
         if args.stages_out:
             pipe.metrics.write_csv(args.stages_out)
-        pipe.stop()
         fabric.close()
     return 0
 

@@ -6,9 +6,12 @@ pipeline: one loop per replica around the single-threaded core.
 sign or MAC. The pipeline (1) unmarshals each frame it takes from one
 bounded inbox, to which every receive queue of the transport is rebound,
 and (7) marshals and sends. The stages are accounting boundaries only:
-StageMetrics, the stage table and its only CSV writer, records the thread
-CPU time of each per message kind. The step reads the mode and keystore
-from its replica; a driver supplies only effects.
+StageMetrics, the stage table and its only CSV writer, counts every call
+of each stage per message kind and records the thread CPU time of one
+call in ``_TIME_EVERY`` (16), so counts are exact and each total is the
+timed sum scaled to the count. The other calls read no clock and take no
+lock. The step reads the mode and keystore from its replica; a driver
+supplies only effects.
 
 The authentication work is ``crypto``'s; the step only times it. Inbound,
 the hash stage is ``crypto.hash_incoming`` (the envelope digest and, for
@@ -60,6 +63,10 @@ _STOP = object()
 # node's live timers plus this many.
 _SHED_SLACK = 64
 
+# One call in this many of each stage and message kind is timed, the first
+# among them; every call is counted.
+_TIME_EVERY = 16
+
 
 def shed(heap: list, live):
     """Keep only the entries of ``heap`` for which ``live(entry)`` holds,
@@ -97,37 +104,67 @@ class PipelineConfig:
 
 
 class StageMetrics:
-    """The stage table: per (stage, kind) counters, safe for concurrent
-    appends, and the only writer of stage rows as CSV.
+    """The stage table: per (stage, kind) cells and the only writer of stage
+    rows as CSV.
 
-    Every recorded kind is an envelope's ``MessageKind``, so cells are keyed
-    by it and named only when read, which keeps the enum name lookup off the
-    per-message path.
+    A cell is ``[calls, timed calls, timed ns]``. A pipeline counts every
+    call and times one in ``_TIME_EVERY`` of each cell, the first among
+    them, so a row's ``count`` is exact and its ``total_ns`` is the timed
+    sum times calls over timed calls. Timing the first call is what gives a
+    rare kind (VIEW_CHANGE, NEW_VIEW) a row at all; its cost is that a cold
+    first call weighs one tenth of a 160-call mean, where it weighed one
+    160th when every call was timed. ``record`` adds one timed call.
+
+    Counting takes no lock, so a table belongs to one pipeline's loop.
+    Cells are created under the lock, and ``table`` and ``get`` copy them
+    under it; a cell whose first timed call is still running reads a total
+    of 0. Every recorded kind is an envelope's ``MessageKind``, so cells
+    are keyed by it and named only when read, which keeps the enum name
+    lookup off the per-message path.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._cells = {}
+        self._cells = {stage: {} for stage in _STAGES}
+
+    def _cell(self, stage: str, kind) -> list:
+        with self._lock:
+            return self._cells[stage].setdefault(kind, [0, 0, 0])
+
+    def tick(self, stage: str, kind):
+        """Count one call of ``stage`` for ``kind``, without the lock once
+        the cell exists; the cell if the call is one to time, else None."""
+        cell = self._cells[stage].get(kind) or self._cell(stage, kind)
+        calls = cell[0]
+        cell[0] = calls + 1
+        return None if calls % _TIME_EVERY else cell
+
+    @staticmethod
+    def add(cell: list, elapsed_ns: int):
+        """Add the time of a call ``tick`` picked to its ``cell``."""
+        cell[1] += 1
+        cell[2] += elapsed_ns
 
     def record(self, stage: str, kind, elapsed_ns: int):
-        key = (stage, kind)
-        with self._lock:
-            cell = self._cells.get(key)
-            if cell is None:
-                self._cells[key] = [1, elapsed_ns]
-            else:
-                cell[0] += 1
-                cell[1] += elapsed_ns
+        """Count one call of ``stage`` for ``kind``, timed at
+        ``elapsed_ns``."""
+        cell = self._cell(stage, kind)
+        cell[0] += 1
+        self.add(cell, elapsed_ns)
 
     def table(self):
         """Rows of (stage, kind name, count, total_ns, mean_ns), in stage
-        order and then by kind name."""
+        order and then by kind name; a cell with no call yet is left out."""
         with self._lock:
-            cells = [(stage, kind, *cell)
-                     for (stage, kind), cell in self._cells.items()]
+            cells = [(stage, kind, *cell) for stage, kinds in
+                     self._cells.items() for kind, cell in kinds.items()]
         cells.sort(key=lambda c: (_STAGES.index(c[0]), c[1].name))
-        return [(stage, kind.name, count, total, total // count)
-                for stage, kind, count, total in cells]
+        rows = []
+        for stage, kind, calls, timed, ns in cells:
+            if calls:
+                total = _scaled(calls, timed, ns)
+                rows.append((stage, kind.name, calls, total, total // calls))
+        return rows
 
     def write_csv(self, path):
         with open(path, "w") as fh:
@@ -138,7 +175,13 @@ class StageMetrics:
     def get(self, stage: str, kind) -> tuple:
         """(count, total_ns) of ``stage`` for ``kind``, a ``MessageKind``."""
         with self._lock:
-            return tuple(self._cells.get((stage, kind), (0, 0)))
+            calls, timed, ns = self._cells.get(stage, {}).get(kind, (0, 0, 0))
+        return calls, _scaled(calls, timed, ns)
+
+
+def _scaled(calls: int, timed: int, ns: int) -> int:
+    """The timed ``ns`` of ``timed`` calls scaled to all ``calls``."""
+    return ns * calls // timed if timed else 0
 
 
 class Node:
@@ -237,20 +280,24 @@ class Pipeline(Node):
         self._thread.start()
 
     def _metered(self, stage, get):
-        """A stage callable that runs ``get(self)`` and records its thread
-        CPU time under ``stage`` and the envelope's kind."""
-        clock, rec = time.thread_time_ns, self._rec
+        """A stage callable that runs ``get(self)``, counts the call under
+        ``stage`` and the envelope's kind, and times the calls
+        ``StageMetrics.tick`` picks."""
+        clock, tick = time.thread_time_ns, self.metrics.tick
 
         def run(*args):  # args[0] is the envelope
-            fn, kind = get(self), args[0].kind  # outside the timed span
+            fn = get(self)  # outside the timed span
+            cell = tick(stage, args[0].kind)
+            if cell is None:
+                return fn(*args)
             t0 = clock()
             result = fn(*args)
-            rec(stage, kind, t0, clock())
+            self._timed(cell, t0, clock())
             return result
         return run
 
-    def _rec(self, stage, kind, t0, t1):
-        self.metrics.record(stage, kind, max(0, t1 - t0 - self._clock_ovh))
+    def _timed(self, cell, t0, t1):
+        self.metrics.add(cell, max(0, t1 - t0 - self._clock_ovh))
 
     def _loop(self):
         inbox, heap = self._inbox, self._heap
@@ -286,19 +333,27 @@ class Pipeline(Node):
     # -- frames: unmarshal, the step, marshal and send -----------------------
 
     def _on_frame(self, frame):
+        # A frame's kind is known only once it is decoded, so every frame
+        # pays the read that starts the span.
         t0 = time.thread_time_ns()
         try:
             env = decode(frame)
         except WireError:
             self.rejected += 1
             return
-        self._rec("unmarshal", env.kind, t0, time.thread_time_ns())
+        cell = self.metrics.tick("unmarshal", env.kind)
+        if cell is not None:
+            self._timed(cell, t0, time.thread_time_ns())
         self.deliver(env)
 
     def _send(self, dests, env):
-        t0 = time.thread_time_ns()
-        frame = encode(env)
-        self._rec("marshal", env.kind, t0, time.thread_time_ns())
+        cell = self.metrics.tick("marshal", env.kind)
+        if cell is None:
+            frame = encode(env)
+        else:
+            t0 = time.thread_time_ns()
+            frame = encode(env)
+            self._timed(cell, t0, time.thread_time_ns())
         send = self.transport.send
         for dest in dests:
             send(dest, frame)

@@ -2,9 +2,14 @@
 
 import csv
 import json
+import os
 import queue
 import random
+import select
+import signal
 import socket
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -322,6 +327,44 @@ class TestCli:
                           *command[1:]])
         assert exc.value.code == 2
         assert "'f'" in capsys.readouterr().err
+
+    def test_node_writes_stages_after_sigterm(self, tmp_path):
+        """``node --stages-out`` stops its pipeline on SIGTERM, writes the
+        stage table and exits 0. The "serving" line is logged once the
+        signal handlers are installed."""
+        socks = [socket.create_server(("127.0.0.1", 0)) for _ in range(4)]
+        nodes = {str(i): f"127.0.0.1:{s.getsockname()[1]}"
+                 for i, s in enumerate(socks)}
+        for s in socks:
+            s.close()
+        dep, out = tmp_path / "dep.json", tmp_path / "stages.csv"
+        dep.write_text(json.dumps({"n": 4, "f": 1, "nodes": nodes}))
+        src = str(Path(cli.__file__).resolve().parents[2])
+        env = {**os.environ, "PBFTKIT_LOG": "INFO",
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "pbftkit.bench.cli", "node",
+             "--deployment", str(dep), "--id", "0",
+             "--stages-out", str(out)],
+            stderr=subprocess.PIPE, env=env)
+        try:
+            deadline, err = time.monotonic() + 30.0, b""
+            while b"serving" not in err and time.monotonic() < deadline:
+                if select.select([proc.stderr], [], [], 0.5)[0]:
+                    chunk = os.read(proc.stderr.fileno(), 4096)
+                    if not chunk:
+                        break
+                    err += chunk
+            assert b"serving" in err, err
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30.0) == 0
+        finally:
+            proc.kill()
+            proc.wait(timeout=30.0)
+            proc.stderr.close()
+        assert out.read_text().splitlines()[0] == (
+            "stage,kind,count,total_ns,mean_ns")
 
     def test_loadgen_completes_against_tcp_replicas(self, tmp_path):
         keys = tmp_path / "keys"

@@ -364,6 +364,101 @@ class TestMetrics:
         assert lines[0] == "stage,kind,count,total_ns,mean_ns"
         assert lines[1] == "decide,PREPARE,2,2000,1000"
 
+    DESTS = (1, 2, 3)
+
+    def answering(self, stores, answer):
+        """A stub replica 0 with keys whose core answers each frame with one
+        envelope of kind ``answer(env)`` to DESTS."""
+        def respond(env):
+            out = ProtocolOutput()
+            out.outbound.append((self.DESTS, env_for(env.seq, sender=0,
+                                                     kind=answer(env))))
+            return out
+        return StubReplica(respond, keystore=stores[0])
+
+    def feed(self, pipe, transport, frames):
+        """Put ``frames`` on replica 2's link and stop ``pipe`` once every
+        answer is sent."""
+        try:
+            for frame in frames:
+                transport.rx[2].put(frame)
+            assert wait_for(lambda: len(transport.sent)
+                            == len(frames) * len(self.DESTS))
+        finally:
+            pipe.stop()
+
+    @staticmethod
+    def sealed(envs, stores):
+        return [crypto.seal(env, (0,), CryptoMode.MAC_INTER_NODE, stores[2])
+                for env in envs]
+
+    def test_counts_are_exact_under_sampling(self, stores):
+        """37 PREPAREs and 5 COMMITs, neither a multiple of the calls in
+        which one is timed, each answered with one envelope of its kind:
+        every row counts every frame, and the kind seen fewer than 16 times
+        still has a timed total."""
+        kinds = [MessageKind.PREPARE] * 37 + [MessageKind.COMMIT] * 5
+        random.Random(1).shuffle(kinds)
+        frames = self.sealed([env_for(seq, kind=kind) for seq, kind
+                              in enumerate(kinds, start=1)], stores)
+        transport, metrics = FakeTransport(origins=(2,)), StageMetrics()
+        self.feed(start(transport, self.answering(stores, lambda e: e.kind),
+                        metrics=metrics), transport, frames)
+        rows = metrics.table()
+        assert [(stage, kind) for stage, kind, *_ in rows] == [
+            (stage, kind) for stage in pipeline._STAGES
+            for kind in ("COMMIT", "PREPARE")]
+        for stage, kind, count, total, mean in rows:
+            assert count == kinds.count(MessageKind[kind]), (stage, kind)
+            assert mean == total // count
+            # A MAC compare can cost less than the clock-read correction.
+            assert total > 0 or stage == "verify", (stage, kind)
+
+    def test_stage_replaced_mid_run_is_the_one_run(self, stores,
+                                                   monkeypatch):
+        """A stage function replaced after the first frame, as a tracer
+        installs its spans mid-run, runs for every later frame, whether
+        the frame's span is timed or not."""
+        transport = FakeTransport(origins=(2,))
+        replica = StubReplica(keystore=stores[0])
+        pipe = start(transport, replica)
+        hash_incoming, seen = crypto.hash_incoming, []
+
+        def counting(env, *args):
+            seen.append(env.seq)
+            return hash_incoming(env, *args)
+        frames = self.sealed([env_for(seq) for seq in range(1, 42)], stores)
+        try:
+            transport.rx[2].put(frames[0])
+            assert wait_for(lambda: len(replica.seen) == 1)
+            monkeypatch.setattr(crypto, "hash_incoming", counting)
+            for frame in frames[1:]:
+                transport.rx[2].put(frame)
+            assert wait_for(lambda: len(replica.seen) == len(frames))
+        finally:
+            pipe.stop()
+        assert seen == list(range(2, 42))
+
+    def test_clock_reads_are_sampled(self, stores, monkeypatch):
+        """Pins metering's cost: 160 PREPAREs, each answered with one
+        COMMIT to three peers, make at most 2 thread-CPU clock reads per
+        frame once the pipeline is built. Timing all seven spans of every
+        frame made 14."""
+        frames = self.sealed([env_for(seq) for seq in range(1, 161)], stores)
+        reads, clock = [0], time.thread_time_ns
+
+        def counted():
+            reads[0] += 1
+            return clock()
+        monkeypatch.setattr(pipeline.time, "thread_time_ns", counted)
+        transport = FakeTransport(origins=(2,))
+        pipe = start(transport, self.answering(
+            stores, lambda env: MessageKind.COMMIT))
+        built = reads[0]  # the constructor calibrates on 513 reads
+        self.feed(pipe, transport, frames)
+        per_frame = (reads[0] - built) / len(frames)
+        assert per_frame <= 2.0, per_frame
+
 
 class TestBackpressure:
     def test_blocked_core_stalls_intake_without_loss(self):
