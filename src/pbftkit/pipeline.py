@@ -9,9 +9,10 @@ and (7) marshals and sends. The stages are accounting boundaries only:
 StageMetrics, the stage table and its only CSV writer, counts every call
 of each stage per message kind and records the thread CPU time of one
 call in ``_TIME_EVERY`` (16), so counts are exact and each total is the
-timed sum scaled to the count. The other calls read no clock and take no
-lock. The step reads the mode and keystore from its replica; a driver
-supplies only effects.
+timed sum scaled to the count. The other calls take no lock and read no
+clock, but for the read that starts every unmarshal span: a frame's kind
+is known only once it is decoded. The step reads the mode and keystore
+from its replica; a driver supplies only effects.
 
 The authentication work is ``crypto``'s; the step only times it. Inbound,
 the hash stage is ``crypto.hash_incoming`` (the envelope digest and, for
