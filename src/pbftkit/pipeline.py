@@ -6,13 +6,14 @@ pipeline: one loop per replica around the single-threaded core.
 sign or MAC. The pipeline (1) unmarshals each frame it takes from one
 bounded inbox, to which every receive queue of the transport is rebound,
 and (7) marshals and sends. The stages are accounting boundaries only:
-StageMetrics, the stage table and its only CSV writer, counts every call
-of each stage per message kind and records the thread CPU time of one
-call in ``_TIME_EVERY`` (16), so counts are exact and each total is the
-timed sum scaled to the count. The other calls take no lock and read no
-clock, but for the read that starts every unmarshal span: a frame's kind
-is known only once it is decoded. The step reads the mode and keystore
-from its replica; a driver supplies only effects.
+``StageMetrics.tick`` counts every call of each stage per message kind and
+picks one call in ``_TIME_EVERY`` (16) to time, ``Pipeline._timed`` adds
+that call's thread CPU time, and ``StageMetrics.table`` scales each timed
+sum to the count. One wrapper, ``Pipeline._metered``, meters stages 2–7;
+unmarshal keeps its own span, since a frame's kind is known only once it
+is decoded, so every frame pays the read that starts it. The other calls
+take no lock and read no clock. The step reads the mode and keystore from
+its replica; a driver supplies only effects.
 
 The authentication work is ``crypto``'s; the step only times it. Inbound,
 the hash stage is ``crypto.hash_incoming`` (the envelope digest and, for
@@ -105,8 +106,8 @@ class PipelineConfig:
 
 
 class StageMetrics:
-    """The stage table: per (stage, kind) cells and the only writer of stage
-    rows as CSV.
+    """The stage table: per (stage, kind) cells that ``tick`` alone writes
+    and ``table`` alone reads, and the only writer of stage rows as CSV.
 
     A cell is ``[calls, timed calls, timed ns]``. A pipeline counts every
     call and times one in ``_TIME_EVERY`` of each cell, the first among
@@ -114,44 +115,30 @@ class StageMetrics:
     sum times calls over timed calls. Timing the first call is what gives a
     rare kind (VIEW_CHANGE, NEW_VIEW) a row at all; its cost is that a cold
     first call weighs one tenth of a 160-call mean, where it weighed one
-    160th when every call was timed. ``record`` adds one timed call.
+    160th when every call was timed.
 
     Counting takes no lock, so a table belongs to one pipeline's loop.
-    Cells are created under the lock, and ``table`` and ``get`` copy them
-    under it; a cell whose first timed call is still running reads a total
-    of 0. Every recorded kind is an envelope's ``MessageKind``, so cells
-    are keyed by it and named only when read, which keeps the enum name
-    lookup off the per-message path.
+    Cells are created under the lock, and ``table`` copies them under it;
+    a cell whose first timed call is still running reads a total of 0.
+    Every recorded kind is an envelope's ``MessageKind``, so cells are
+    keyed by it and named only when read, which keeps the enum name lookup
+    off the per-message path.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._cells = {stage: {} for stage in _STAGES}
 
-    def _cell(self, stage: str, kind) -> list:
-        with self._lock:
-            return self._cells[stage].setdefault(kind, [0, 0, 0])
-
     def tick(self, stage: str, kind):
         """Count one call of ``stage`` for ``kind``, without the lock once
         the cell exists; the cell if the call is one to time, else None."""
-        cell = self._cells[stage].get(kind) or self._cell(stage, kind)
+        cell = self._cells[stage].get(kind)
+        if cell is None:
+            with self._lock:
+                cell = self._cells[stage].setdefault(kind, [0, 0, 0])
         calls = cell[0]
         cell[0] = calls + 1
         return None if calls % _TIME_EVERY else cell
-
-    @staticmethod
-    def add(cell: list, elapsed_ns: int):
-        """Add the time of a call ``tick`` picked to its ``cell``."""
-        cell[1] += 1
-        cell[2] += elapsed_ns
-
-    def record(self, stage: str, kind, elapsed_ns: int):
-        """Count one call of ``stage`` for ``kind``, timed at
-        ``elapsed_ns``."""
-        cell = self._cell(stage, kind)
-        cell[0] += 1
-        self.add(cell, elapsed_ns)
 
     def table(self):
         """Rows of (stage, kind name, count, total_ns, mean_ns), in stage
@@ -163,7 +150,7 @@ class StageMetrics:
         rows = []
         for stage, kind, calls, timed, ns in cells:
             if calls:
-                total = _scaled(calls, timed, ns)
+                total = ns * calls // timed if timed else 0
                 rows.append((stage, kind.name, calls, total, total // calls))
         return rows
 
@@ -172,17 +159,6 @@ class StageMetrics:
             fh.write("stage,kind,count,total_ns,mean_ns\n")
             for row in self.table():
                 fh.write(",".join(str(v) for v in row) + "\n")
-
-    def get(self, stage: str, kind) -> tuple:
-        """(count, total_ns) of ``stage`` for ``kind``, a ``MessageKind``."""
-        with self._lock:
-            calls, timed, ns = self._cells.get(stage, {}).get(kind, (0, 0, 0))
-        return calls, _scaled(calls, timed, ns)
-
-
-def _scaled(calls: int, timed: int, ns: int) -> int:
-    """The timed ``ns`` of ``timed`` calls scaled to all ``calls``."""
-    return ns * calls // timed if timed else 0
 
 
 class Node:
@@ -197,16 +173,17 @@ class Node:
     the core counts its own rejections in ``replica.counters["rejected"]``.
 
     The stage callables ``_hash_rx``, ``_verify``, ``_decide``, ``_hash_tx``
-    and ``_sign`` are bound once per node: to the plain functions on first
-    use, so they are the replica's as its driver left it by its first frame
-    or timeout, or, in a driver that meters, to its wrappers
-    (``_meter_stages``)."""
+    and ``_sign``, and ``_marshal`` for a driver's ``_send``, are bound once
+    per node: to the plain functions on first use, so they are the
+    replica's as its driver left it by its first frame or timeout, or, in a
+    driver that meters, to its wrappers (``_meter_stages``)."""
 
     _hash_rx = cached_property(lambda self: crypto.hash_incoming)
     _verify = cached_property(lambda self: crypto.verify_hashed)
     _decide = cached_property(lambda self: self.replica.on_envelope)
     _hash_tx = cached_property(lambda self: crypto.envelope_digest)
     _sign = cached_property(lambda self: crypto.authenticate)
+    _marshal = cached_property(lambda self: encode)
     _live = cached_property(lambda self: {})  # key -> token of its live start
     _tokens = cached_property(lambda self: itertools.count())
     rejected = 0
@@ -215,7 +192,7 @@ class Node:
         """Bind each stage callable to ``meter(stage, get)``, a wrapper that
         takes the stage's function from ``get(self)`` on every call, so one
         replaced later (a span around it) is still the one run."""
-        for stage in _STAGES[1:-1]:  # (un)marshal are the driver's
+        for stage in _STAGES[1:]:
             attr = "_" + stage
             setattr(self, attr, meter(stage, getattr(Node, attr).func))
 
@@ -284,21 +261,23 @@ class Pipeline(Node):
         """A stage callable that runs ``get(self)``, counts the call under
         ``stage`` and the envelope's kind, and times the calls
         ``StageMetrics.tick`` picks."""
-        clock, tick = time.thread_time_ns, self.metrics.tick
+        tick = self.metrics.tick
 
         def run(*args):  # args[0] is the envelope
             fn = get(self)  # outside the timed span
             cell = tick(stage, args[0].kind)
             if cell is None:
                 return fn(*args)
-            t0 = clock()
+            t0 = time.thread_time_ns()
             result = fn(*args)
-            self._timed(cell, t0, clock())
+            self._timed(cell, t0)
             return result
         return run
 
-    def _timed(self, cell, t0, t1):
-        self.metrics.add(cell, max(0, t1 - t0 - self._clock_ovh))
+    def _timed(self, cell, t0):
+        """Add the CPU time since ``t0``, less one clock read, to ``cell``."""
+        cell[1] += 1
+        cell[2] += max(0, time.thread_time_ns() - t0 - self._clock_ovh)
 
     def _loop(self):
         inbox, heap = self._inbox, self._heap
@@ -344,17 +323,11 @@ class Pipeline(Node):
             return
         cell = self.metrics.tick("unmarshal", env.kind)
         if cell is not None:
-            self._timed(cell, t0, time.thread_time_ns())
+            self._timed(cell, t0)
         self.deliver(env)
 
     def _send(self, dests, env):
-        cell = self.metrics.tick("marshal", env.kind)
-        if cell is None:
-            frame = encode(env)
-        else:
-            t0 = time.thread_time_ns()
-            frame = encode(env)
-            self._timed(cell, t0, time.thread_time_ns())
+        frame = self._marshal(env)
         send = self.transport.send
         for dest in dests:
             send(dest, frame)

@@ -319,12 +319,15 @@ class TestFanOut:
         pipe = start(transport, StubReplica(respond, mode, stores[0]),
                      metrics=metrics)
         try:
-            transport.rx[2].put(crypto.seal(env_for(1), (0,), mode, stores[2]))
+            transport.rx[2].put(
+                encode(crypto.sealed(env_for(1), (0,), mode, stores[2])))
             assert wait_for(lambda: len(transport.sent) == len(self.DESTS))
         finally:
             pipe.stop()
+        counts = {(stage, kind): count
+                  for stage, kind, count, _, _ in metrics.table()}
         for stage in ("hash_tx", "sign", "marshal"):
-            assert metrics.get(stage, MessageKind.COMMIT)[0] == 1
+            assert counts[stage, "COMMIT"] == 1
         assert sorted(dest for dest, _ in transport.sent) == list(self.DESTS)
         assert len({frame for _, frame in transport.sent}) == 1
         for dest, frame in transport.sent:
@@ -354,15 +357,25 @@ class TestMetrics:
         pipe.stop()
         assert metrics.table() == []
 
-    def test_csv_schema(self, tmp_path):
-        metrics = StageMetrics()
-        metrics.record("decide", MessageKind.PREPARE, 1500)
-        metrics.record("decide", MessageKind.PREPARE, 500)
+    def test_csv_schema(self, stores, tmp_path):
+        """Two PREPAREs, each answered with one COMMIT: the CSV is the
+        header and then the table's rows, and each row's total is its one
+        timed call (the first) scaled to its two calls."""
+        transport, metrics = FakeTransport(origins=(2,)), StageMetrics()
+        self.feed(start(transport, self.answering(
+            stores, lambda env: MessageKind.COMMIT), metrics=metrics),
+            transport, self.sealed([env_for(1), env_for(2)], stores))
         path = tmp_path / "stages.csv"
         metrics.write_csv(path)
         lines = path.read_text().splitlines()
         assert lines[0] == "stage,kind,count,total_ns,mean_ns"
-        assert lines[1] == "decide,PREPARE,2,2000,1000"
+        rows = metrics.table()
+        assert lines[1:] == [",".join(str(v) for v in row) for row in rows]
+        assert [row[:3] for row in rows] == [
+            (stage, "PREPARE" if stage in pipeline._STAGES[:4] else "COMMIT",
+             2) for stage in pipeline._STAGES]
+        for _, _, _, total, mean in rows:
+            assert total == 2 * mean
 
     DESTS = (1, 2, 3)
 
@@ -389,8 +402,8 @@ class TestMetrics:
 
     @staticmethod
     def sealed(envs, stores):
-        return [crypto.seal(env, (0,), CryptoMode.MAC_INTER_NODE, stores[2])
-                for env in envs]
+        return [encode(crypto.sealed(env, (0,), CryptoMode.MAC_INTER_NODE,
+                                     stores[2])) for env in envs]
 
     def test_counts_are_exact_under_sampling(self, stores):
         """37 PREPAREs and 5 COMMITs, neither a multiple of the calls in
@@ -418,26 +431,71 @@ class TestMetrics:
                                                    monkeypatch):
         """A stage function replaced after the first frame, as a tracer
         installs its spans mid-run, runs for every later frame, whether
-        the frame's span is timed or not."""
+        the frame's span is timed or not: ``crypto.hash_incoming`` on the
+        way in and ``pipeline.encode`` on the way out."""
         transport = FakeTransport(origins=(2,))
-        replica = StubReplica(keystore=stores[0])
+        replica = self.answering(stores, lambda env: MessageKind.COMMIT)
         pipe = start(transport, replica)
-        hash_incoming, seen = crypto.hash_incoming, []
+        seen = {}
 
-        def counting(env, *args):
-            seen.append(env.seq)
-            return hash_incoming(env, *args)
+        def counting(module, name):
+            fn = getattr(module, name)
+
+            def run(env, *args):
+                seen.setdefault(name, []).append(env.seq)
+                return fn(env, *args)
+            monkeypatch.setattr(module, name, run)
         frames = self.sealed([env_for(seq) for seq in range(1, 42)], stores)
         try:
             transport.rx[2].put(frames[0])
-            assert wait_for(lambda: len(replica.seen) == 1)
-            monkeypatch.setattr(crypto, "hash_incoming", counting)
+            assert wait_for(lambda: len(transport.sent) == len(self.DESTS))
+            counting(crypto, "hash_incoming")
+            counting(pipeline, "encode")
             for frame in frames[1:]:
                 transport.rx[2].put(frame)
-            assert wait_for(lambda: len(replica.seen) == len(frames))
+            assert wait_for(lambda: len(transport.sent)
+                            == len(frames) * len(self.DESTS))
         finally:
             pipe.stop()
-        assert seen == list(range(2, 42))
+        assert len(replica.seen) == len(frames)
+        assert seen == {"hash_incoming": list(range(2, 42)),
+                        "encode": list(range(2, 42))}
+
+    def test_table_read_while_running(self, stores):
+        """A table read mid-run, as perfbench's snapshot does, while the
+        loop counts and creates cells: 300 PREPAREs and then 300 COMMITs,
+        each answered with one envelope of its kind, with ``table()`` read
+        in a loop from this thread. No read raises, no count goes down,
+        and the final counts equal the frames."""
+        kinds = [MessageKind.PREPARE] * 300 + [MessageKind.COMMIT] * 300
+        frames = self.sealed([env_for(seq, kind=kind) for seq, kind
+                              in enumerate(kinds, start=1)], stores)
+        transport, metrics = FakeTransport(origins=(2,)), StageMetrics()
+        pipe = start(transport, self.answering(stores, lambda e: e.kind),
+                     metrics=metrics)
+        want, last, reads = len(frames) * len(self.DESTS), {}, 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, mid-read too
+        try:
+            for frame in frames:
+                transport.rx[2].put(frame)
+            deadline = time.monotonic() + 10.0
+            while len(transport.sent) < want and time.monotonic() < deadline:
+                for stage, kind, count, total, mean in metrics.table():
+                    assert count >= last.get((stage, kind), 0)
+                    assert mean == total // count
+                    last[stage, kind] = count
+                reads += 1
+                time.sleep(0.001)  # let the loop hold the interpreter
+        finally:
+            sys.setswitchinterval(interval)
+            pipe.stop()
+        assert len(transport.sent) == want
+        assert reads > 1, reads
+        assert [(stage, kind, count) for stage, kind, count, _, _
+                in metrics.table()] == [
+            (stage, kind, 300) for stage in pipeline._STAGES
+            for kind in ("COMMIT", "PREPARE")]
 
     def test_clock_reads_are_sampled(self, stores, monkeypatch):
         """Pins metering's cost: 160 PREPAREs, each answered with one
