@@ -47,7 +47,6 @@ from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
 from cryptography.exceptions import InvalidSignature
 
-from . import wire
 from .wire import MessageKind, Request, WireEnvelope, request_envelope
 
 MAC_TAG_LEN = 32
@@ -234,7 +233,7 @@ def sign_replies(envs, ks: KeyStore) -> tuple:
 
 def seal_replies(replies: list, mode: CryptoMode, ks: KeyStore) -> list:
     """A committed batch's REPLYs, sharing one signature when the mode signs
-    replies; otherwise as given, for :func:`seal` to authenticate."""
+    replies; otherwise as given, for :func:`sealed` to authenticate."""
     if (ks is None or _POLICY[mode][MessageClass.CLIENT_REPLY]
             is not AuthScheme.PK):
         return replies
@@ -257,7 +256,7 @@ def attach(env: WireEnvelope, auths: tuple) -> WireEnvelope:
 
 
 def sealable(env: WireEnvelope, ks: KeyStore) -> bool:
-    """Whether :func:`seal` authenticates ``env``: a REQUEST or a signed PK
+    """Whether :func:`sealed` authenticates ``env``: a REQUEST or a signed PK
     REPLY already carries its authenticator."""
     return (ks is not None and not env.auths
             and env.kind is not MessageKind.REQUEST)
@@ -270,12 +269,6 @@ def sealed(env: WireEnvelope, dests, mode: CryptoMode,
     if sealable(env, ks):
         env = env.with_auths(authenticate(env, dests, mode, ks))
     return env
-
-
-def seal(env: WireEnvelope, dests, mode: CryptoMode, ks: KeyStore) -> bytes:
-    """:func:`sealed` and encoded once: the same frame goes to every
-    destination."""
-    return wire.encode(sealed(env, dests, mode, ks))
 
 
 def checked(env: WireEnvelope, ks: KeyStore) -> bool:

@@ -485,9 +485,6 @@ class World:
                     raise AssertionError(f"order violation at node {i}: "
                                          f"seq {seq} where {want} is due")
 
-    def committed_count(self, node: int) -> int:
-        return len(self.committed[node])
-
     def total_requests_committed(self, node: int) -> int:
         return sum(len(batch) for _, _, batch in self.committed[node])
 

@@ -52,12 +52,14 @@ def frames(mode, stores):
     mac = crypto.required_auth(mode, crypto.MessageClass.INTER_NODE) \
         is crypto.AuthScheme.MAC
     return [
-        ("valid", 1, crypto.seal(prepare, (0, 2, 3), mode, stores[1]),
+        ("valid", 1,
+         wire.encode(crypto.sealed(prepare, (0, 2, 3), mode, stores[1])),
          "accept", "accept"),
         ("tag for another replica", 1,
-         crypto.seal(prepare, (2, 3), mode, stores[1]),
+         wire.encode(crypto.sealed(prepare, (2, 3), mode, stores[1])),
          "transport" if mac else "accept", "accept"),
-        ("spoofed sender", 2, crypto.seal(spoofed, (0, 3), mode, stores[1]),
+        ("spoofed sender", 2,
+         wire.encode(crypto.sealed(spoofed, (0, 3), mode, stores[1])),
          "transport", "accept"),
         ("no authenticators", 1, wire.encode(prepare), "transport", "accept"),
         # The core rejects the junk VIEW_CHANGE body.
@@ -247,7 +249,7 @@ def test_bench_harness_starts_no_thread():
 # The per-frame steps of the policy; ``verify_incoming`` is the hash and
 # verify steps in one.
 STEP = {"checked", "hash_incoming", "verify_hashed", "sealable",
-        "authenticate", "seal"}
+        "authenticate"}
 
 
 def step_uses(tree, cls=None):
@@ -274,7 +276,7 @@ def test_one_per_frame_step():
             for cls, line, name in step_uses(ast.parse(path.read_text()))]
     in_node = {name for path, cls, _, name in uses
                if (str(path), cls) == ("pipeline.py", "Node")} & STEP
-    assert in_node == STEP - {"seal"}
+    assert in_node == STEP
     found = [f"{path}:{line}: {cls}: {name}" for path, cls, line, name in uses
              if (name in STEP and (str(path), cls) != ("pipeline.py", "Node"))
              or (name == "verify_incoming" and str(path) == "simnet.py")]

@@ -274,7 +274,7 @@ class TestLossyLinks:
 
     def test_total_loss_commits_nothing(self):
         world = run_world(drop_prob=1.0, requests_per_client=5, until=30.0)
-        assert all(world.committed_count(i) == 0 for i in range(4))
+        assert all(len(world.committed[i]) == 0 for i in range(4))
 
 
 class TestFaults:
@@ -282,7 +282,7 @@ class TestFaults:
         world = run_world(faults={2: (CRASH_AT, 0.0)},
                           requests_per_client=10)
         assert world.nodes[2].crashed
-        assert world.committed_count(2) == 0
+        assert len(world.committed[2]) == 0
         for i in (0, 1, 3):
             assert world.total_requests_committed(i) == 10
 
