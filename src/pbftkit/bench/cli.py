@@ -242,6 +242,7 @@ def evaluate_scenario(world: World, expect: dict):
         world.check_agreement()
         world.check_validity()
         world.check_total_order()
+        world.check_exactly_once()
     except AssertionError as exc:
         problems.append(f"safety: {exc}")
     live = [i for i in range(world.config.n)

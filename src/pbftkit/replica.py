@@ -51,6 +51,8 @@ with d) and f+1 report (n, d) pre-prepared in view v or later; else the
 NOOP if 2f+1 of them have no P entry for n; else the leader waits for
 more VIEW_CHANGEs. Replicas vote on every re-proposed seq, also one they
 committed (and do not run again), so one that missed COMMITs catches up.
+A committed batch runs only the members above their client's last
+executed request, so a request proposed at two seqs runs once.
 """
 
 from __future__ import annotations
@@ -469,9 +471,13 @@ class Replica:
                 break
             entry.status = _COMMITTED
             self.committed_seq = seq
-            batch = entry.body.batch
             self.chain_digest = hashlib.sha256(
                 self.chain_digest + entry.body.digest).digest()
+            # A member at or below its client's last executed request ran
+            # at an earlier seq (TOCS §4.1), so each request runs once.
+            batch = tuple(req for req in entry.body.batch
+                          if not self._is_committed_request(
+                              req.client_id, req.request_id))
             out.commits.append((seq, batch))
             replies = [self._env(_REPLY, ReplyBody(
                 req.client_id, req.request_id,

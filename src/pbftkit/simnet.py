@@ -485,6 +485,18 @@ class World:
                     raise AssertionError(f"order violation at node {i}: "
                                          f"seq {seq} where {want} is due")
 
+    def check_exactly_once(self):
+        """No correct replica commits one (client, request id) twice."""
+        for i in self.correct_nodes():
+            ran = set()
+            for seq, _, batch in self.committed[i]:
+                for req in batch:
+                    key = (req.client_id, req.request_id)
+                    if key in ran:
+                        raise AssertionError(f"request {key} run twice at "
+                                             f"node {i}, again at seq {seq}")
+                    ran.add(key)
+
     def total_requests_committed(self, node: int) -> int:
         return sum(len(batch) for _, _, batch in self.committed[node])
 

@@ -36,6 +36,7 @@ def check_safety(world):
     world.check_agreement()
     world.check_validity()
     world.check_total_order()
+    world.check_exactly_once()
 
 
 class TestCriterion1SafetyUnderFaults:
@@ -86,6 +87,22 @@ class TestLossAndForgedViewChangeSweep:
         assert wall < 150.0
         print(f"\nPASS loss sweep: {runs} worlds at drops 0.02-0.2, zero "
               f"safety violations, {wall:.1f}s wall")
+
+    @pytest.mark.parametrize("drop,seed", [(0.1, 130), (0.2, 113)])
+    def test_loss_runs_each_request_once(self, drop, seed):
+        """Loss alone once made a later view propose a pre-prepared
+        request at a second seq, and both seqs committed (in the first
+        world, (4, 4) at seqs 9 and 11): each correct replica runs every
+        request once."""
+        world = World(SimConfig(
+            seed=seed, drop_prob=drop, auth=False, num_clients=2,
+            requests_per_client=10, client_timeout=1.0))
+        world.run(until=30.0)
+        for i in world.correct_nodes():
+            ran = [(r.client_id, r.request_id)
+                   for _, _, batch in world.committed[i] for r in batch]
+            assert len(ran) == len(set(ran)), (i, ran)
+        check_safety(world)
 
     def test_loss_with_leader_crash_sweep(self):
         # Leader 0 crashes at 0.5 s into a lossy run. Agreement must hold;

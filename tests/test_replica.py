@@ -231,6 +231,32 @@ class TestCommitOrdering:
         assert rep.committed_seq == 3  # 1 unblocked 2 and 3
 
 
+class TestExactlyOnce:
+    def test_request_reproposed_at_a_new_seq_runs_once(self):
+        """A leader that proposes an executed request again at a later seq
+        gets that seq committed, but the request does not run again; the
+        batch's other member does (TOCS §4.1)."""
+        rep = make_replica()
+        first, other = Request(100, 0, b"v"), Request(101, 0, b"w")
+        outs = []
+        for seq, batch in ((1, [first]), (2, [first, other])):
+            env, digest = pre_prepare(seq, batch)
+            outs.append(rep.on_envelope(env))
+            for s in (2, 3):
+                outs.append(rep.on_envelope(vote(MessageKind.PREPARE, seq,
+                                                 digest, s)))
+            for s in (0, 2):
+                outs.append(rep.on_envelope(vote(MessageKind.COMMIT, seq,
+                                                 digest, s)))
+        assert rep.committed_seq == 2
+        assert [(seq, [(r.client_id, r.request_id) for r in batch])
+                for out in outs for seq, batch in out.commits] == [
+            (1, [(100, 0)]), (2, [(101, 0)])]
+        assert [dests for out in outs for dests, env in out.outbound
+                if env.kind == MessageKind.REPLY] == [(100,), (101,)]
+        assert rep.counters["rejected"] == 0
+
+
 class TestBatching:
     def test_leader_fills_batch(self):
         rep = make_replica(self_id=0, batch_size=3)
