@@ -106,16 +106,17 @@ class PipelineConfig:
 
 
 class StageMetrics:
-    """The stage table: per (stage, kind) cells that ``tick`` alone writes
-    and ``table`` alone reads, and the only writer of stage rows as CSV.
+    """The stage table: per (stage, kind) cells, written through ``tick``
+    alone and read through ``table`` alone, and the only stage CSV writer.
 
     A cell is ``[calls, timed calls, timed ns]``. A pipeline counts every
     call and times one in ``_TIME_EVERY`` of each cell, the first among
-    them, so a row's ``count`` is exact and its ``total_ns`` is the timed
-    sum times calls over timed calls. Timing the first call is what gives a
-    rare kind (VIEW_CHANGE, NEW_VIEW) a row at all; its cost is that a cold
-    first call weighs one tenth of a 160-call mean, where it weighed one
-    160th when every call was timed.
+    them, adding its time to the cell ``tick`` returned, so a row's
+    ``count`` is exact and its ``total_ns`` is the timed sum times calls
+    over timed calls. Timing the first call is what gives a rare kind
+    (VIEW_CHANGE, NEW_VIEW) a row at all; its cost is that a cold first
+    call weighs one tenth of a 160-call mean, where it weighed one 160th
+    when every call was timed.
 
     Counting takes no lock, so a table belongs to one pipeline's loop.
     Cells are created under the lock, and ``table`` copies them under it;
