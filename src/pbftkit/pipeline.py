@@ -193,7 +193,7 @@ class Node:
         """Bind each stage callable to ``meter(stage, get)``, a wrapper that
         takes the stage's function from ``get(self)`` on every call, so one
         replaced later (a span around it) is still the one run."""
-        for stage in _STAGES[1:]:
+        for stage in _STAGES[1:]:  # unmarshal is the driver's own span
             attr = "_" + stage
             setattr(self, attr, meter(stage, getattr(Node, attr).func))
 
